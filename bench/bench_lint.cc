@@ -2,15 +2,16 @@
 // vs. the default warn-mode, over a paper-listings-style corpus (secure
 // routing, delegation chains, says-quoted policy shipping, an aggregate
 // tally). The acceptance budget for the ingress analyzer is <5% overhead
-// on AddProgram/Load; BM_LintProgramAlone isolates the analyzer itself.
+// on AddProgram/Load. BM_LintProgramAlone times LintProgram without a
+// workspace: it parses and routes the corpus text, then analyzes it.
 //
 // Measurement note: the lint:0/lint:1 delta is ~10us against a ~230us
 // Load (~4.5%), but single alternating runs of this binary are noisier
 // than the effect — the Load baseline itself swings ~10% run-to-run.
 // Compare medians of several runs per arm (or an interleaved-batch
-// harness) rather than one pair. The analyzer keeps its whole-run state
-// in a thread-local arena, so steady-state linting performs no per-run
-// pool allocations; cold first-run cost is one arena fill.
+// harness) rather than one pair. The program-level passes keep their
+// state in a thread-local arena; each rule's safety check builds the same
+// RulePlan that CompileRule lowers.
 #include <benchmark/benchmark.h>
 
 #include "datalog/lint.h"
@@ -24,7 +25,7 @@ using lbtrust::datalog::Workspace;
 
 // Representative of the paper's listings: recursive reachability, a
 // negation guard, delegation via quoted says-rules, and an aggregate —
-// every analyzer code path (schedule replay, stratification, dead-code,
+// every analyzer code path (rule planning, stratification, dead-code,
 // drift, says) sees real work.
 constexpr const char* kCorpus =
     "neighbor(a, b). neighbor(b, c). neighbor(c, d). neighbor(d, a).\n"

@@ -1,6 +1,7 @@
 #include "datalog/ast.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace lbtrust::datalog {
 
@@ -172,6 +173,34 @@ void CollectAtomVars(const Atom& a, std::vector<std::string>* out) {
   if (a.meta_functor) AddVar(a.predicate, out);
   if (a.partition) CollectTermVars(*a.partition, out);
   for (const Term& t : a.args) CollectTermVars(t, out);
+}
+
+std::vector<Rule> SplitHeads(Rule rule) {
+  std::vector<Rule> out;
+  if (rule.heads.size() == 1) {
+    out.push_back(std::move(rule));
+    return out;
+  }
+  out.reserve(rule.heads.size());
+  for (const Atom& head : rule.heads) {
+    Rule single;
+    single.label = rule.label;
+    single.heads = {CloneAtom(head)};
+    single.body = rule.body;
+    single.aggregate = rule.aggregate;
+    out.push_back(std::move(single));
+  }
+  return out;
+}
+
+bool IsGroundFactRule(const Rule& rule) {
+  if (!rule.IsFact()) return false;
+  std::vector<std::string> vars;
+  for (const Atom& h : rule.heads) {
+    CollectAtomVars(h, &vars);
+    if (!vars.empty() || h.meta_atom || h.meta_functor) return false;
+  }
+  return true;
 }
 
 Term ResolveMeTerm(const Term& t, const std::string& principal) {

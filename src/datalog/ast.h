@@ -119,6 +119,16 @@ Rule CloneRule(const Rule& r);
 void CollectTermVars(const Term& t, std::vector<std::string>* out);
 void CollectAtomVars(const Atom& a, std::vector<std::string>* out);
 
+/// One single-head rule per head of `rule`, sharing its label, body and
+/// aggregate: the form every rule is installed, linted and compiled in. A
+/// single-head rule passes through unchanged.
+std::vector<Rule> SplitHeads(Rule rule);
+
+/// True for a fact whose heads are ground (quoted code may keep inner
+/// variables — CollectAtomVars is shallow): such a clause routes to the
+/// EDB rather than the rule set.
+bool IsGroundFactRule(const Rule& rule);
+
 /// Replaces every `me` term (including inside quoted code constants) with
 /// the symbol constant `principal`. Used at rule-install time (§4.1).
 Term ResolveMeTerm(const Term& t, const std::string& principal);

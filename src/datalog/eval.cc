@@ -200,237 +200,28 @@ const Relation* RelationStore::Get(const std::string& name) const {
 
 namespace {
 
-// Collects every variable name in a term, descending into quoted code
-// (pattern variables share the enclosing rule's scope, §3.3).
-void CollectDeep(const Term& t, std::vector<std::string>* out);
-
-void CollectDeepAtom(const Atom& a, std::vector<std::string>* out) {
-  if (a.meta_atom) {
-    out->push_back(a.star ? StarKey(a.predicate) : a.predicate);
-    return;
-  }
-  if (a.meta_functor) out->push_back(a.predicate);
-  if (a.partition) CollectDeep(*a.partition, out);
-  for (const Term& t : a.args) CollectDeep(t, out);
-}
-
-void CollectDeepRule(const Rule& r, std::vector<std::string>* out) {
-  for (const Atom& h : r.heads) CollectDeepAtom(h, out);
-  for (const Literal& l : r.body) CollectDeepAtom(l.atom, out);
-  if (r.aggregate.has_value()) {
-    out->push_back(r.aggregate->result_var);
-    out->push_back(r.aggregate->input_var);
-  }
-}
-
-void CollectDeep(const Term& t, std::vector<std::string>* out) {
-  switch (t.kind) {
-    case Term::Kind::kVariable:
-      out->push_back(t.var);
-      return;
-    case Term::Kind::kStarVar:
-      out->push_back(StarKey(t.var));
-      return;
-    case Term::Kind::kExpr:
-      CollectDeep(*t.lhs, out);
-      CollectDeep(*t.rhs, out);
-      return;
-    case Term::Kind::kPartRef:
-      CollectDeep(*t.part_key, out);
-      return;
-    case Term::Kind::kConstant:
-      if (t.value.kind() == ValueKind::kCode) {
-        const CodeValue& code = t.value.AsCode();
-        switch (code.what) {
-          case CodeValue::What::kRule:
-            CollectDeepRule(*code.rule, out);
-            break;
-          case CodeValue::What::kAtom:
-            CollectDeepAtom(*code.atom, out);
-            break;
-          case CodeValue::What::kTerm:
-            CollectDeep(*code.term, out);
-            break;
-          default:
-            break;
-        }
-      }
-      return;
-    case Term::Kind::kMe:
-      return;
-  }
-}
-
-// Variables that occur *outside* quoted code (must be bound for heads).
-void CollectShallow(const Term& t, std::vector<std::string>* out) {
-  switch (t.kind) {
-    case Term::Kind::kVariable:
-    case Term::Kind::kStarVar:
-      out->push_back(t.var);
-      return;
-    case Term::Kind::kExpr:
-      CollectShallow(*t.lhs, out);
-      CollectShallow(*t.rhs, out);
-      return;
-    case Term::Kind::kPartRef:
-      CollectShallow(*t.part_key, out);
-      return;
-    default:
-      return;
-  }
-}
-
-CompiledArg CompileArg(const Term& t, VarTable* vars) {
-  CompiledArg arg;
-  arg.term = CloneTerm(t);
-  std::vector<std::string> deep;
-  CollectDeep(t, &deep);
-  for (const std::string& name : deep) {
-    arg.term_slots.push_back(vars->Intern(name));
-  }
-  if (deep.empty()) {
-    arg.kind = CompiledArg::Kind::kConst;
-    Bindings empty;
-    VarTable no_vars;
-    Result<Value> v = EvalGroundTerm(t, no_vars, empty);
-    // Ground terms always evaluate (code stays code; arithmetic folds).
-    arg.constant = v.ok() ? *v : Value();
-    return arg;
-  }
-  if (t.is_variable()) {
-    arg.kind = CompiledArg::Kind::kVar;
-    arg.slot = vars->Intern(t.var);
-    return arg;
-  }
-  // Arithmetic can only check; patterns (quoted code, partition refs,
-  // star vars) bind their variables on match.
-  arg.kind = (t.kind == Term::Kind::kExpr) ? CompiledArg::Kind::kExpr
-                                           : CompiledArg::Kind::kPattern;
-  return arg;
-}
-
-std::vector<CompiledArg> CompileAtomCols(const Atom& atom, VarTable* vars) {
-  std::vector<CompiledArg> cols;
-  cols.reserve(atom.Arity());
-  if (atom.partition) cols.push_back(CompileArg(*atom.partition, vars));
-  for (const Term& t : atom.args) cols.push_back(CompileArg(t, vars));
+// Lowers planned columns onto their terms: clones each term and folds
+// constant columns (ground terms always evaluate: code stays code,
+// arithmetic folds).
+std::vector<CompiledArg> LowerCols(const Atom& atom,
+                                   std::vector<PlanColumn> planned) {
+  std::vector<CompiledArg> cols(planned.size());
+  size_t next = 0;
+  auto lower = [&](const Term& t) {
+    CompiledArg& arg = cols[next];
+    static_cast<PlanColumn&>(arg) = std::move(planned[next]);
+    ++next;
+    arg.term = CloneTerm(t);
+    if (arg.kind == CompiledArg::Kind::kConst) {
+      Bindings empty;
+      VarTable no_vars;
+      Result<Value> v = EvalGroundTerm(t, no_vars, empty);
+      arg.constant = v.ok() ? *v : Value();
+    }
+  };
+  if (atom.partition) lower(*atom.partition);
+  for (const Term& t : atom.args) lower(t);
   return cols;
-}
-
-// Greedy scheduling -------------------------------------------------------
-
-struct SchedState {
-  std::vector<bool> bound;  // per slot
-  bool IsBound(int slot) const {
-    return slot >= 0 && slot < static_cast<int>(bound.size()) && bound[slot];
-  }
-  void Bind(int slot) {
-    if (slot >= static_cast<int>(bound.size())) bound.resize(slot + 1, false);
-    bound[slot] = true;
-  }
-};
-
-bool ArgGround(const CompiledArg& arg, const SchedState& st) {
-  if (arg.kind == CompiledArg::Kind::kConst) return true;
-  for (int slot : arg.term_slots) {
-    if (!st.IsBound(slot)) return false;
-  }
-  return true;
-}
-
-// Slots a literal guarantees to bind when it succeeds.
-void BindLiteralOutputs(const CompiledLiteral& lit, SchedState* st) {
-  switch (lit.kind) {
-    case CompiledLiteral::Kind::kRelation:
-      for (const CompiledArg& c : lit.cols) {
-        if (c.kind == CompiledArg::Kind::kVar ||
-            c.kind == CompiledArg::Kind::kPattern) {
-          for (int slot : c.term_slots) st->Bind(slot);
-        }
-      }
-      return;
-    case CompiledLiteral::Kind::kEquality:
-    case CompiledLiteral::Kind::kBuiltin:
-      for (const CompiledArg& c : lit.cols) {
-        for (int slot : c.term_slots) st->Bind(slot);
-      }
-      return;
-    case CompiledLiteral::Kind::kNegation:
-      return;
-  }
-}
-
-// Variables occurring in literals other than `skip` or in the head.
-std::set<int> SlotsUsedElsewhere(const CompiledRule& cr, size_t skip) {
-  std::set<int> used;
-  for (size_t i = 0; i < cr.body.size(); ++i) {
-    if (i == skip) continue;
-    for (const CompiledArg& c : cr.body[i].cols) {
-      used.insert(c.term_slots.begin(), c.term_slots.end());
-    }
-  }
-  for (const CompiledArg& c : cr.head_cols) {
-    used.insert(c.term_slots.begin(), c.term_slots.end());
-  }
-  return used;
-}
-
-// Returns a negative score when not schedulable.
-int ScheduleScore(const CompiledRule& cr, size_t idx, const SchedState& st) {
-  const CompiledLiteral& lit = cr.body[idx];
-  switch (lit.kind) {
-    case CompiledLiteral::Kind::kEquality: {
-      bool g0 = ArgGround(lit.cols[0], st);
-      bool g1 = ArgGround(lit.cols[1], st);
-      // Pattern sides can consume a ground other side; expressions cannot
-      // be inverted.
-      if (g0 && g1) return 3000;
-      if (g0 && lit.cols[1].kind != CompiledArg::Kind::kExpr) return 2900;
-      if (g1 && lit.cols[0].kind != CompiledArg::Kind::kExpr) return 2900;
-      return -1;
-    }
-    case CompiledLiteral::Kind::kBuiltin: {
-      if (lit.negated) {
-        for (const CompiledArg& c : lit.cols) {
-          if (!ArgGround(c, st)) return -1;
-        }
-        return 2500;
-      }
-      for (const std::string& mode : lit.builtin->modes) {
-        bool ok = true;
-        for (size_t i = 0; i < mode.size(); ++i) {
-          if (mode[i] == 'b' && !ArgGround(lit.cols[i], st)) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) return 2500;
-      }
-      return -1;
-    }
-    case CompiledLiteral::Kind::kNegation: {
-      // Schedulable when every variable shared with the rest of the rule
-      // is bound; purely local variables act as wildcards.
-      std::set<int> elsewhere = SlotsUsedElsewhere(cr, idx);
-      for (const CompiledArg& c : lit.cols) {
-        for (int slot : c.term_slots) {
-          if (!st.IsBound(slot) && elsewhere.count(slot)) return -1;
-        }
-      }
-      return 2400;
-    }
-    case CompiledLiteral::Kind::kRelation: {
-      int bound_cols = 0;
-      for (const CompiledArg& c : lit.cols) {
-        if (c.kind == CompiledArg::Kind::kExpr && !ArgGround(c, st)) {
-          return -1;  // cannot match through arithmetic
-        }
-        if (ArgGround(c, st)) ++bound_cols;
-      }
-      return 1000 + 50 * bound_cols;
-    }
-  }
-  return -1;
 }
 
 // True when the rule evaluates entirely on the id plane (see the
@@ -457,181 +248,75 @@ bool RuleParallelSafe(const CompiledRule& cr) {
   return true;
 }
 
-// Statically derives the probe mask of every relation/negation literal
-// along `order`. For const/var-only rules the runtime mask at a position
-// is exactly "constant columns + variables bound by earlier literals", so
-// the parallel evaluator can pre-build these indexes before freezing.
+// The index each relation/negation literal needs along a planned order.
+// For const/var-only rules the plan's ground mask at a position is exactly
+// the runtime probe mask, so the parallel evaluator can pre-build these
+// indexes before freezing.
 CompiledRule::OrderProbes ComputeOrderProbes(const CompiledRule& cr,
-                                             const std::vector<int>& order) {
+                                             const PlannedOrder& planned) {
   CompiledRule::OrderProbes out;
-  SchedState st;
-  st.bound.resize(cr.vars.size(), false);
-  for (size_t oi = 0; oi < order.size(); ++oi) {
-    const CompiledLiteral& lit = cr.body[static_cast<size_t>(order[oi])];
-    if (lit.kind == CompiledLiteral::Kind::kRelation ||
-        lit.kind == CompiledLiteral::Kind::kNegation) {
-      const size_t arity = lit.cols.size();
-      uint64_t mask = 0;
-      for (size_t i = 0; i < arity; ++i) {
-        const CompiledArg& c = lit.cols[i];
-        if (c.kind == CompiledArg::Kind::kConst ||
-            (c.kind == CompiledArg::Kind::kVar && st.IsBound(c.slot))) {
-          mask |= uint64_t{1} << i;
-        }
-      }
-      const uint64_t full =
-          arity >= 64 ? ~uint64_t{0} : (uint64_t{1} << arity) - 1;
-      if (oi == 0 && lit.kind == CompiledLiteral::Kind::kRelation) {
+  for (size_t oi = 0; oi < planned.order.size(); ++oi) {
+    const int idx = planned.order[oi];
+    const CompiledLiteral& lit = cr.body[static_cast<size_t>(idx)];
+    const uint64_t mask = planned.masks[oi];
+    const size_t arity = lit.cols.size();
+    const uint64_t full =
+        arity >= 64 ? ~uint64_t{0} : (uint64_t{1} << arity) - 1;
+    if (lit.kind == CompiledLiteral::Kind::kRelation) {
+      if (oi == 0) {
         // Leading relation literal: chunks enumerate its row range
         // directly (filtering constants with RowMatchesKey), no index.
         out.partition_first = true;
-      } else if (lit.kind == CompiledLiteral::Kind::kRelation) {
+      } else if (mask != 0 && mask != full) {
         // mask == 0 scans; mask == full short-circuits to ContainsIds.
-        if (mask != 0 && mask != full) {
-          out.index_masks.push_back({order[oi], mask});
-        }
-      } else {
-        // Negation probes MatchesIds for any nonzero mask (incl. full).
-        if (mask != 0) out.index_masks.push_back({order[oi], mask});
+        out.index_masks.push_back({idx, mask});
       }
+    } else if (lit.kind == CompiledLiteral::Kind::kNegation && mask != 0) {
+      // Negation probes MatchesIds for any nonzero mask (incl. full).
+      out.index_masks.push_back({idx, mask});
     }
-    BindLiteralOutputs(lit, &st);
   }
   return out;
-}
-
-Result<std::vector<int>> ScheduleOrder(const CompiledRule& cr,
-                                       int forced_first) {
-  std::vector<int> order;
-  std::vector<bool> done(cr.body.size(), false);
-  SchedState st;
-  st.bound.resize(cr.vars.size(), false);
-  if (forced_first >= 0) {
-    order.push_back(forced_first);
-    done[static_cast<size_t>(forced_first)] = true;
-    BindLiteralOutputs(cr.body[static_cast<size_t>(forced_first)], &st);
-  }
-  while (order.size() < cr.body.size()) {
-    int best = -1;
-    int best_score = -1;
-    for (size_t i = 0; i < cr.body.size(); ++i) {
-      if (done[i]) continue;
-      int score = ScheduleScore(cr, i, st);
-      if (score > best_score) {
-        best_score = score;
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0 || best_score < 0) {
-      return util::UnsafeProgram(util::StrCat(
-          "no safe evaluation order for rule: ", PrintRule(cr.source)));
-    }
-    order.push_back(best);
-    done[static_cast<size_t>(best)] = true;
-    BindLiteralOutputs(cr.body[static_cast<size_t>(best)], &st);
-  }
-  return order;
 }
 
 }  // namespace
 
 Result<std::unique_ptr<CompiledRule>> CompileRule(
     const Rule& rule, const BuiltinRegistry& builtins) {
-  LB_RETURN_IF_ERROR(ValidateInstallableRule(rule));
+  RulePlan plan = PlanRule(rule, builtins);
+  LB_RETURN_IF_ERROR(plan.status);
+  std::map<int, PlannedOrder> deltas;  // before lowering moves the plan
+  for (int pos : plan.relation_positions) deltas[pos] = plan.DeltaOrder(pos);
   auto cr = std::make_unique<CompiledRule>();
   cr->source = CloneRule(rule);
   cr->agg = rule.aggregate;
-
-  const Atom& head = rule.heads[0];
-  cr->head_pred = head.predicate;
-  cr->head_cols = CompileAtomCols(head, &cr->vars);
-  if (head.Arity() > Relation::kMaxArity) {
-    return util::TypeError("predicates are limited to 64 columns");
-  }
-
-  for (const Literal& lit : rule.body) {
+  cr->vars = std::move(plan.vars);
+  cr->head_pred = rule.heads[0].predicate;
+  cr->head_cols = LowerCols(rule.heads[0], std::move(plan.head));
+  cr->body.reserve(rule.body.size());
+  for (size_t b = 0; b < rule.body.size(); ++b) {
+    PlanLiteral& planned = plan.body[b];
     CompiledLiteral cl;
-    if (lit.atom.Arity() > Relation::kMaxArity) {
-      return util::TypeError("predicates are limited to 64 columns");
-    }
-    cl.pred = lit.atom.predicate;
-    cl.negated = lit.negated;
-    cl.cols = CompileAtomCols(lit.atom, &cr->vars);
-    if (cl.pred == "=" && !lit.negated) {
-      cl.kind = CompiledLiteral::Kind::kEquality;
-    } else if (const BuiltinDef* def = builtins.Find(cl.pred)) {
-      if (cl.pred == "=") {
-        // Negated equality behaves as '!='.
-        cl.kind = CompiledLiteral::Kind::kBuiltin;
-        cl.builtin = builtins.Find("!=");
-        cl.negated = false;
-      } else {
-        cl.kind = CompiledLiteral::Kind::kBuiltin;
-        cl.builtin = def;
-      }
-      if (cl.cols.size() != cl.builtin->arity) {
-        return util::TypeError(util::StrCat("builtin '", cl.pred,
-                                            "' expects ", cl.builtin->arity,
-                                            " arguments"));
-      }
-    } else if (lit.negated) {
-      cl.kind = CompiledLiteral::Kind::kNegation;
-    } else {
-      cl.kind = CompiledLiteral::Kind::kRelation;
-    }
-    if (cl.kind == CompiledLiteral::Kind::kRelation) {
-      cr->relation_positions.push_back(static_cast<int>(cr->body.size()));
-    }
+    cl.kind = planned.kind;
+    cl.pred = rule.body[b].atom.predicate;
+    cl.negated = planned.negated;
+    cl.builtin = planned.builtin;
+    cl.cols = LowerCols(rule.body[b].atom, std::move(planned.cols));
     cr->body.push_back(std::move(cl));
   }
-
-  LB_ASSIGN_OR_RETURN(cr->order_full, ScheduleOrder(*cr, -1));
-  for (int pos : cr->relation_positions) {
-    LB_ASSIGN_OR_RETURN(std::vector<int> order, ScheduleOrder(*cr, pos));
-    cr->order_delta[pos] = std::move(order);
-  }
   cr->parallel_safe = RuleParallelSafe(*cr);
-  if (cr->parallel_safe) {
-    cr->probes_full = ComputeOrderProbes(*cr, cr->order_full);
-    for (const auto& [pos, order] : cr->order_delta) {
-      cr->probes_delta[pos] = ComputeOrderProbes(*cr, order);
+  if (cr->parallel_safe) cr->probes_full = ComputeOrderProbes(*cr, plan.full);
+  for (auto& [pos, delta] : deltas) {
+    if (cr->parallel_safe) {
+      cr->probes_delta[pos] = ComputeOrderProbes(*cr, delta);
     }
+    cr->order_delta[pos] = std::move(delta.order);
   }
-
-  // Safety: head variables outside quoted code must be bound by the body.
-  SchedState st;
-  st.bound.resize(cr->vars.size(), false);
-  for (int idx : cr->order_full) {
-    BindLiteralOutputs(cr->body[static_cast<size_t>(idx)], &st);
-  }
-  if (cr->agg.has_value()) {
-    cr->agg_input_slot = cr->vars.Find(cr->agg->input_var);
-    if (cr->agg_input_slot < 0 || !st.IsBound(cr->agg_input_slot)) {
-      return util::UnsafeProgram(util::StrCat(
-          "aggregate input variable '", cr->agg->input_var,
-          "' is not bound by the body: ", PrintRule(rule)));
-    }
-    cr->agg_result_slot = cr->vars.Find(cr->agg->result_var);
-    if (cr->agg_result_slot >= 0 && st.IsBound(cr->agg_result_slot)) {
-      return util::UnsafeProgram(util::StrCat(
-          "aggregate result variable '", cr->agg->result_var,
-          "' must not be bound by the body: ", PrintRule(rule)));
-    }
-    if (cr->agg_result_slot < 0) cr->agg_result_slot = cr->vars.Intern(cr->agg->result_var);
-  }
-  std::vector<std::string> head_vars;
-  if (head.partition) CollectShallow(*head.partition, &head_vars);
-  for (const Term& t : head.args) CollectShallow(t, &head_vars);
-  for (const std::string& name : head_vars) {
-    int slot = cr->vars.Find(name);
-    bool is_agg_result =
-        cr->agg.has_value() && name == cr->agg->result_var;
-    if (!is_agg_result && (slot < 0 || !st.IsBound(slot))) {
-      return util::UnsafeProgram(util::StrCat(
-          "head variable '", name, "' is not bound by the body: ",
-          PrintRule(rule)));
-    }
-  }
+  cr->relation_positions = std::move(plan.relation_positions);
+  cr->order_full = std::move(plan.full.order);
+  cr->masks_full = std::move(plan.full.masks);
+  cr->agg_input_slot = plan.agg_input_slot;
+  cr->agg_result_slot = plan.agg_result_slot;
   return cr;
 }
 

@@ -11,6 +11,7 @@
 #include "datalog/analysis.h"
 #include "datalog/ast.h"
 #include "datalog/builtins.h"
+#include "datalog/plan.h"
 #include "datalog/provenance.h"
 #include "datalog/relation.h"
 #include "datalog/unify.h"
@@ -67,20 +68,12 @@ class RelationStore {
   std::unordered_map<std::string, Relation> rels_;
 };
 
-/// One column of a compiled literal or head.
-struct CompiledArg {
-  enum class Kind {
-    kConst,    ///< fully ground at compile time (precomputed value)
-    kVar,      ///< a single plain variable
-    kPattern,  ///< term containing variables that *bind* on match
-               ///< (quoted-code patterns, partition refs with variables)
-    kExpr,     ///< arithmetic term: check-only, requires operands bound
-  };
-  Kind kind = Kind::kConst;
-  Value constant;               ///< kConst
-  int slot = -1;                ///< kVar
-  Term term;                    ///< kPattern / kExpr (also kVar, for unify)
-  std::vector<int> term_slots;  ///< slots of variables inside `term`
+/// One column of a compiled literal or head: the planner's classification
+/// (see PlanColumn) plus what evaluation needs — the term itself and, for
+/// kConst, its precomputed value.
+struct CompiledArg : PlanColumn {
+  Value constant;  ///< kConst
+  Term term;       ///< kPattern / kExpr (also kVar, for unify)
 
   /// kConst probe cache: `constant` interned once per pool (CompileRule is
   /// pool-agnostic; the evaluator fills this on first use and re-validates
@@ -92,7 +85,7 @@ struct CompiledArg {
 };
 
 struct CompiledLiteral {
-  enum class Kind { kRelation, kNegation, kBuiltin, kEquality };
+  using Kind = PlanLiteral::Kind;
   Kind kind = Kind::kRelation;
   std::string pred;
   bool negated = false;         ///< for kBuiltin: negated builtin
@@ -107,10 +100,10 @@ struct CompiledLiteral {
   mutable Relation* cached_rel = nullptr;
 };
 
-/// A rule compiled against a builtin registry: variables interned to slots,
-/// terms classified, body literal evaluation orders chosen greedily by
-/// boundness (the engine's stand-in for LogicBlox's cost-based optimizer;
-/// ablated in bench_engine).
+/// A rule compiled against a builtin registry: the lowering of its
+/// RulePlan (variables interned to slots, terms classified, body literal
+/// evaluation orders chosen greedily by boundness — the engine's stand-in
+/// for LogicBlox's cost-based optimizer; ablated in bench_engine).
 struct CompiledRule {
   Rule source;                  ///< single-head, me-resolved
   int id = -1;
@@ -123,6 +116,7 @@ struct CompiledRule {
   int agg_result_slot = -1;
 
   std::vector<int> order_full;               ///< literal visit order
+  std::vector<uint64_t> masks_full;          ///< plan's masks along order_full
   std::map<int, std::vector<int>> order_delta;  ///< per delta position
   std::vector<int> relation_positions;       ///< body idx of kRelation lits
 
@@ -156,8 +150,10 @@ struct CompiledRule {
   std::map<int, OrderProbes> probes_delta;  ///< keyed like order_delta
 };
 
-/// Compiles and safety-checks a rule. Fails with kUnsafeProgram when no
-/// evaluation order can bind every head variable / negation / builtin input.
+/// Compiles a single-head rule by lowering its PlanRule plan. Fails with
+/// the plan's status when the plan is refused (kUnsafeProgram when no
+/// evaluation order can bind every head variable / negation / builtin
+/// input, kTypeError past the column cap or on a builtin's arity).
 util::Result<std::unique_ptr<CompiledRule>> CompileRule(
     const Rule& rule, const BuiltinRegistry& builtins);
 

@@ -21,52 +21,7 @@ const char* LiteralKindName(CompiledLiteral::Kind kind) {
   return "?";
 }
 
-/// A column is bound at its scheduled position iff it is a constant or
-/// every variable it carries was bound by an earlier literal — the same
-/// static replay CompiledRule::OrderProbes is derived from.
-uint64_t ProbeMaskAt(const CompiledLiteral& lit, const std::set<int>& bound) {
-  uint64_t mask = 0;
-  for (size_t ci = 0; ci < lit.cols.size(); ++ci) {
-    const CompiledArg& col = lit.cols[ci];
-    bool is_bound = false;
-    switch (col.kind) {
-      case CompiledArg::Kind::kConst:
-        is_bound = true;
-        break;
-      case CompiledArg::Kind::kVar:
-        is_bound = bound.count(col.slot) != 0;
-        break;
-      case CompiledArg::Kind::kPattern:
-      case CompiledArg::Kind::kExpr: {
-        is_bound = true;
-        for (int slot : col.term_slots) {
-          if (bound.count(slot) == 0) {
-            is_bound = false;
-            break;
-          }
-        }
-        break;
-      }
-    }
-    if (is_bound) mask |= uint64_t{1} << ci;
-  }
-  return mask;
-}
-
-/// Marks every slot the literal can bind. Exact for relation literals;
-/// for builtins this covers output modes, and for negations/equalities it
-/// re-marks already-bound slots (harmless).
-void BindSlots(const CompiledLiteral& lit, std::set<int>* bound) {
-  for (const CompiledArg& col : lit.cols) {
-    if (col.kind == CompiledArg::Kind::kVar) {
-      bound->insert(col.slot);
-    } else {
-      for (int slot : col.term_slots) bound->insert(slot);
-    }
-  }
-}
-
-/// One scheduled position: body index, mask, literal text.
+/// One scheduled position: body index, the plan's mask, literal text.
 struct ScheduleEntry {
   int body_idx = 0;
   uint64_t probe_mask = 0;
@@ -74,21 +29,19 @@ struct ScheduleEntry {
   const char* kind = "";
 };
 
-std::vector<ScheduleEntry> ReplaySchedule(const CompiledRule& rule,
-                                          const std::vector<int>& order) {
+std::vector<ScheduleEntry> FullSchedule(const CompiledRule& rule) {
   std::vector<ScheduleEntry> out;
-  out.reserve(order.size());
-  std::set<int> bound;
-  for (int bi : order) {
-    const CompiledLiteral& lit = rule.body[bi];
+  out.reserve(rule.order_full.size());
+  for (size_t oi = 0; oi < rule.order_full.size(); ++oi) {
+    const int bi = rule.order_full[oi];
+    const CompiledLiteral& lit = rule.body[static_cast<size_t>(bi)];
     ScheduleEntry entry;
     entry.body_idx = bi;
-    entry.probe_mask = ProbeMaskAt(lit, bound);
+    entry.probe_mask = rule.masks_full[oi];
     entry.literal = static_cast<size_t>(bi) < rule.source.body.size()
                         ? PrintLiteral(rule.source.body[bi])
                         : lit.pred;
     entry.kind = LiteralKindName(lit.kind);
-    BindSlots(lit, &bound);
     out.push_back(std::move(entry));
   }
   return out;
@@ -157,7 +110,7 @@ std::string RenderText(const CompiledRule& rule, obs::MetricsRegistry* metrics,
                                  rule.parallel_safe ? ", parallel-safe" : "",
                                  "]: ", PrintRule(rule.source), "\n");
   out += "  schedule (full):\n";
-  for (const ScheduleEntry& e : ReplaySchedule(rule, rule.order_full)) {
+  for (const ScheduleEntry& e : FullSchedule(rule)) {
     out += util::StrCat("    body[", e.body_idx, "] ", e.literal,
                         "  kind=", e.kind, " probe_mask=0x");
     char hex[24];
@@ -204,7 +157,7 @@ std::string RenderJson(const CompiledRule& rule, obs::MetricsRegistry* metrics,
                                  rule.parallel_safe ? "true" : "false",
                                  ",\"schedule\":[");
   bool first = true;
-  for (const ScheduleEntry& e : ReplaySchedule(rule, rule.order_full)) {
+  for (const ScheduleEntry& e : FullSchedule(rule)) {
     if (!first) out.push_back(',');
     first = false;
     out += util::StrCat("{\"body\":", e.body_idx, ",\"literal\":\"",

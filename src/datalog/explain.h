@@ -15,10 +15,11 @@ namespace lbtrust::datalog {
 enum class ExplainFormat { kText, kJson };
 
 /// Renders one compiled rule's plan: the literal schedule actually
-/// executed (full order plus each per-delta-position order), the static
-/// probe mask at every scheduled position (a column counts as bound iff it
-/// is a constant or was bound by an earlier literal — the same replay the
-/// parallel evaluator derives its index masks from), and — when `metrics`
+/// executed (full order plus each per-delta-position order), the planner's
+/// probe mask at every scheduled position (RulePlan's ground-column mask:
+/// a column counts as bound iff it is a constant or every variable in it
+/// was bound by an earlier literal — the masks the parallel evaluator
+/// derives its index needs from), and — when `metrics`
 /// is non-null — the measured side: per-rule cumulative
 /// evals/derived/probes/eval-time counters and per-relation probe/hit
 /// selectivities (`lbtrust_relation_{probes,probe_hits}_total`). This is

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
-#include <map>
 #include <set>
 #include <utility>
 
-#include "datalog/analysis.h"
 #include "datalog/parser.h"
+#include "datalog/plan.h"
 #include "datalog/pretty.h"
 #include "obs/metrics.h"
 #include "util/strings.h"
@@ -40,302 +39,24 @@ const char* ValueKindName(ValueKind kind) {
   return "?";
 }
 
-/// Allocation-free early-exit twin of CollectTermVars: does the term bind
-/// any variable (same shallow visibility — quoted code stays opaque)?
-bool TermHasVars(const Term& t) {
-  switch (t.kind) {
-    case Term::Kind::kVariable:
-    case Term::Kind::kStarVar:
-      return true;
-    case Term::Kind::kExpr:
-      return TermHasVars(*t.lhs) || TermHasVars(*t.rhs);
-    case Term::Kind::kPartRef:
-      return TermHasVars(*t.part_key);
-    default:
-      return false;  // constants (incl. quoted code) and `me` bind nothing
-  }
-}
-
-bool AtomHasVars(const Atom& a) {
-  if (a.partition && TermHasVars(*a.partition)) return true;
-  for (const Term& t : a.args) {
-    if (TermHasVars(t)) return true;
-  }
-  return false;
-}
-
-/// A clause whose heads are ground routes to the EDB, not the rule set
-/// (mirrors the workspace's IsGroundFactRule).
-bool IsEdbFact(const Rule& rule) {
-  if (!rule.IsFact()) return false;
-  for (const Atom& h : rule.heads) {
-    if (h.meta_atom || h.meta_functor || AtomHasVars(h)) return false;
-  }
-  return true;
-}
-
-// --- Per-rule binding-flow analysis ---------------------------------------
-//
-// Mirrors eval.cc's greedy scheduler at the AST level (same shallow
-// variable visibility as CompileRule's slot interning): a literal is
-// schedulable under the same conditions ScheduleScore accepts it, and
-// binds the same variables BindLiteralOutputs binds. Because binding is
-// monotone, "repeat: schedule any schedulable literal" reaches the same
-// stuck-or-done verdict as the engine's scored greedy walk — so a lint
-// error here is exactly a CompileRule rejection, but with the offending
-// variable and position attached.
-
-/// Per-rule variable interner: analysis runs on small integer ids (bound
-/// state is a flat bitset, not a std::set<std::string>), names are kept
-/// only for diagnostics. Rules have a handful of variables, so linear
-/// search beats any hash map here.
-struct VarTable {
-  std::vector<std::string> names;
-  std::vector<std::string> scratch;  ///< reused by Collect below
-
-  int Intern(const std::string& v) {
-    for (size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == v) return static_cast<int>(i);
-    }
-    names.push_back(v);
-    return static_cast<int>(names.size()) - 1;
-  }
-  int Find(const std::string& v) const {
-    for (size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == v) return static_cast<int>(i);
-    }
-    return -1;
-  }
-  const std::string& name(int id) const {
-    return names[static_cast<size_t>(id)];
-  }
-};
-
-/// Flat bitset over interned variable ids.
-using BoundSet = std::vector<char>;
-
-bool IsBound(const BoundSet& bound, int id) {
-  return bound[static_cast<size_t>(id)] != 0;
-}
-
-struct LintCol {
-  uint32_t vars_first = 0;  ///< offset into RuleScratch::var_pool
-  uint32_t vars_len = 0;    ///< shallow variable count (quoted code opaque)
-  bool is_expr = false;     ///< arithmetic: check-only, never inverted
-};
-
-struct LintLit {
-  enum class Kind { kRelation, kNegation, kBuiltin, kEquality };
-  Kind kind = Kind::kRelation;
-  int body_idx = 0;
-  const Literal* src = nullptr;
-  const BuiltinDef* builtin = nullptr;
-  bool negated_builtin = false;   ///< negated non-equality builtin
-  uint32_t cols_first = 0;        ///< offset into RuleScratch::col_pool,
-  uint32_t cols_len = 0;          ///< partition key first, like the engine
-  uint32_t elsewhere_first = 0;   ///< negation only: offset into
-                                  ///< elsewhere_pool (num_vars flags)
-};
-
-/// Per-rule analysis state, pooled so one Linter run performs a constant
-/// number of allocations regardless of rule count: variable ids, columns
-/// and negation masks all live in flat arrays keyed by (offset, length),
-/// and Reset() keeps every pool's capacity for the next rule.
-struct RuleScratch {
-  VarTable table;
-  std::vector<int> var_pool;         ///< LintCol -> variable ids
-  std::vector<LintCol> col_pool;     ///< LintLit / head -> columns
-  std::vector<char> elsewhere_pool;  ///< negation masks, num_vars each
-  std::vector<LintLit> body;
-  BoundSet bound;
-  std::vector<char> done;
-
-  void Reset() {
-    table.names.clear();
-    var_pool.clear();
-    col_pool.clear();
-    elsewhere_pool.clear();
-    body.clear();
-  }
-  const int* vars(const LintCol& c) const {
-    return var_pool.data() + c.vars_first;
-  }
-  const LintCol* cols(const LintLit& l) const {
-    return col_pool.data() + l.cols_first;
-  }
-  const char* elsewhere(const LintLit& l) const {
-    return elsewhere_pool.data() + l.elsewhere_first;
-  }
-};
-
-LintCol MakeCol(const Term& t, RuleScratch& s) {
-  LintCol col;
-  col.vars_first = static_cast<uint32_t>(s.var_pool.size());
-  col.is_expr = t.kind == Term::Kind::kExpr;
-  // Fast paths for the two dominant shapes — a bare variable and a
-  // var-free term — skip the string-copying CollectTermVars round trip.
-  switch (t.kind) {
-    case Term::Kind::kVariable:
-    case Term::Kind::kStarVar:
-      s.var_pool.push_back(s.table.Intern(t.var));
-      col.vars_len = 1;
-      return col;
-    case Term::Kind::kConstant:
-    case Term::Kind::kMe:
-      return col;  // binds nothing (quoted code stays opaque)
-    default:
-      break;
-  }
-  s.table.scratch.clear();
-  CollectTermVars(t, &s.table.scratch);
-  for (const std::string& v : s.table.scratch) {
-    s.var_pool.push_back(s.table.Intern(v));
-  }
-  col.vars_len = static_cast<uint32_t>(s.var_pool.size()) - col.vars_first;
-  return col;
-}
-
-/// Appends the atom's columns to the column pool; returns (first, count).
-std::pair<uint32_t, uint32_t> AtomCols(const Atom& atom, RuleScratch& s) {
-  uint32_t first = static_cast<uint32_t>(s.col_pool.size());
-  if (atom.partition) s.col_pool.push_back(MakeCol(*atom.partition, s));
-  for (const Term& t : atom.args) s.col_pool.push_back(MakeCol(t, s));
-  return {first, static_cast<uint32_t>(s.col_pool.size()) - first};
-}
-
-bool ColGround(const RuleScratch& s, const LintCol& col,
-               const BoundSet& bound) {
-  const int* vs = s.vars(col);
-  for (uint32_t i = 0; i < col.vars_len; ++i) {
-    if (!IsBound(bound, vs[i])) return false;
-  }
-  return true;
-}
-
-std::vector<int> ColUnbound(const RuleScratch& s, const LintCol& col,
-                            const BoundSet& bound) {
-  std::vector<int> out;
-  const int* vs = s.vars(col);
-  for (uint32_t i = 0; i < col.vars_len; ++i) {
-    if (!IsBound(bound, vs[i])) out.push_back(vs[i]);
-  }
-  return out;
-}
-
-/// Fills the literal's elsewhere mask with the variables occurring in
-/// literals other than `skip` or in the head — the wildcard-negation rule
-/// from eval.cc's SlotsUsedElsewhere. Computed once per negation literal
-/// per rule (the mask never changes as the schedule progresses).
-void FillVarsUsedElsewhere(RuleScratch& s, uint32_t head_first,
-                           uint32_t head_len, size_t skip, size_t num_vars,
-                           LintLit* lit) {
-  lit->elsewhere_first = static_cast<uint32_t>(s.elsewhere_pool.size());
-  s.elsewhere_pool.resize(s.elsewhere_pool.size() + num_vars, 0);
-  char* mask = s.elsewhere_pool.data() + lit->elsewhere_first;
-  for (size_t i = 0; i < s.body.size(); ++i) {
-    if (i == skip) continue;
-    const LintCol* cs = s.cols(s.body[i]);
-    for (uint32_t c = 0; c < s.body[i].cols_len; ++c) {
-      const int* vs = s.vars(cs[c]);
-      for (uint32_t v = 0; v < cs[c].vars_len; ++v) {
-        mask[vs[v]] = 1;
-      }
-    }
-  }
-  for (uint32_t c = 0; c < head_len; ++c) {
-    const LintCol& col = s.col_pool[head_first + c];
-    const int* vs = s.vars(col);
-    for (uint32_t v = 0; v < col.vars_len; ++v) mask[vs[v]] = 1;
-  }
-}
-
-bool LitSchedulable(const RuleScratch& s, size_t idx, const BoundSet& bound) {
-  const LintLit& lit = s.body[idx];
-  const LintCol* cs = s.cols(lit);
-  switch (lit.kind) {
-    case LintLit::Kind::kEquality: {
-      bool g0 = ColGround(s, cs[0], bound);
-      bool g1 = ColGround(s, cs[1], bound);
-      if (g0 && g1) return true;
-      if (g0 && !cs[1].is_expr) return true;
-      if (g1 && !cs[0].is_expr) return true;
-      return false;
-    }
-    case LintLit::Kind::kBuiltin: {
-      if (lit.negated_builtin) {
-        for (uint32_t c = 0; c < lit.cols_len; ++c) {
-          if (!ColGround(s, cs[c], bound)) return false;
-        }
-        return true;
-      }
-      for (const std::string& mode : lit.builtin->modes) {
-        bool ok = true;
-        for (size_t i = 0; i < mode.size() && i < lit.cols_len; ++i) {
-          if (mode[i] == 'b' && !ColGround(s, cs[i], bound)) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) return true;
-      }
-      return false;
-    }
-    case LintLit::Kind::kNegation: {
-      const char* mask = s.elsewhere(lit);
-      for (uint32_t c = 0; c < lit.cols_len; ++c) {
-        const int* vs = s.vars(cs[c]);
-        for (uint32_t v = 0; v < cs[c].vars_len; ++v) {
-          if (!IsBound(bound, vs[v]) && mask[vs[v]]) return false;
-        }
-      }
-      return true;
-    }
-    case LintLit::Kind::kRelation: {
-      for (uint32_t c = 0; c < lit.cols_len; ++c) {
-        if (cs[c].is_expr && !ColGround(s, cs[c], bound)) return false;
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-void BindLitOutputs(const RuleScratch& s, const LintLit& lit,
-                    BoundSet* bound) {
-  const LintCol* cs = s.cols(lit);
-  switch (lit.kind) {
-    case LintLit::Kind::kRelation:
-      for (uint32_t c = 0; c < lit.cols_len; ++c) {
-        // Relation columns bind unless they are check-only arithmetic.
-        if (!cs[c].is_expr) {
-          const int* vs = s.vars(cs[c]);
-          for (uint32_t v = 0; v < cs[c].vars_len; ++v) {
-            (*bound)[static_cast<size_t>(vs[v])] = 1;
-          }
-        }
-      }
-      return;
-    case LintLit::Kind::kEquality:
-    case LintLit::Kind::kBuiltin:
-      for (uint32_t c = 0; c < lit.cols_len; ++c) {
-        const int* vs = s.vars(cs[c]);
-        for (uint32_t v = 0; v < cs[c].vars_len; ++v) {
-          (*bound)[static_cast<size_t>(vs[v])] = 1;
-        }
-      }
-      return;
-    case LintLit::Kind::kNegation:
-      return;
-  }
-}
-
-std::string JoinVars(const std::vector<int>& vars, const VarTable& table) {
+std::string JoinVars(const std::vector<int>& slots, const VarTable& vars) {
   std::string out;
-  for (size_t i = 0; i < vars.size(); ++i) {
+  for (size_t i = 0; i < slots.size(); ++i) {
     if (i != 0) out += ", ";
-    out += util::StrCat("'", table.name(vars[i]), "'");
+    out += util::StrCat("'", vars.name(slots[i]), "'");
   }
   return out;
+}
+
+/// Appends the column's unbound slots to `out`, skipping ones already there.
+void AppendUnbound(const PlanColumn& col, const RulePlan& plan,
+                   std::vector<int>* out) {
+  for (int slot : col.term_slots) {
+    if (!plan.IsBound(slot) &&
+        std::find(out->begin(), out->end(), slot) == out->end()) {
+      out->push_back(slot);
+    }
+  }
 }
 
 // --- The analyzer ---------------------------------------------------------
@@ -373,15 +94,14 @@ struct DepEdge {
 };
 
 /// Reusable whole-run storage. A run fills these and leaves the capacity
-/// behind for the next run on the same thread, so steady-state ingress
-/// linting performs no per-run pool allocations at all.
+/// behind for the next run on the same thread, so the program-level passes
+/// perform no per-run pool allocations (each rule's plan still allocates).
 struct LintArena {
   std::vector<const Rule*> rules;
   std::vector<const Constraint*> constraints;
   std::vector<PredInfo> preds;
   std::vector<AtomId> atom_ids;
   std::vector<uint32_t> rule_ids_first;
-  RuleScratch scratch;
 
   // Graph-pass scratch. Each pass re-initializes exactly what it uses, so
   // Reset() leaves these alone; the two vector-of-vectors never shrink,
@@ -400,7 +120,6 @@ struct LintArena {
     preds.clear();
     atom_ids.clear();
     rule_ids_first.clear();
-    scratch.Reset();
   }
 };
 
@@ -417,16 +136,11 @@ class Linter {
         constraints_(arena->constraints),
         preds_(arena->preds),
         atom_ids_(arena->atom_ids),
-        rule_ids_first_(arena->rule_ids_first),
-        scratch_(arena->scratch) {
+        rule_ids_first_(arena->rule_ids_first) {
     arena->Reset();
-    // Typical programs stay under these; at most one allocation per pool
-    // per thread, ever (the arena keeps capacity across runs).
+    // Typical programs stay under this; at most one allocation per thread,
+    // ever (the arena keeps capacity across runs).
     preds_.reserve(48);
-    scratch_.table.names.reserve(16);
-    scratch_.var_pool.reserve(32);
-    scratch_.col_pool.reserve(32);
-    scratch_.body.reserve(16);
   }
 
   void AddRule(const Rule& rule) { rules_.push_back(&rule); }
@@ -443,10 +157,6 @@ class Linter {
     info.builtin = builtins_.Find(name);
     preds_.push_back(std::move(info));
     return static_cast<int>(preds_.size()) - 1;
-  }
-
-  const BuiltinDef* FindBuiltin(const std::string& name) {
-    return preds_[static_cast<size_t>(PredId(name))].builtin;
   }
 
   const std::string& PredName(int id) const {
@@ -546,7 +256,7 @@ class Linter {
     arena_.is_edb.assign(rules_.size(), 0);
     for (size_t i = 0; i < rules_.size(); ++i) {
       const Rule& rule = *rules_[i];
-      const bool fact = IsEdbFact(rule);
+      const bool fact = IsGroundFactRule(rule);
       arena_.is_edb[i] = fact ? 1 : 0;
       rule_ids_first_.push_back(static_cast<uint32_t>(atom_ids_.size()));
       for (const Atom& h : rule.heads) {
@@ -580,202 +290,121 @@ class Linter {
     }
   }
 
-  // Safety / range restriction: L001-L005.
+  // Safety / range restriction (L001-L005) and the column cap (L030):
+  // formats the verdict of the same plan CompileRule lowers, so a lint
+  // error here is exactly a CompileRule rejection, with the offending
+  // variable and schedule position attached.
   void CheckRule(int rule_index, const Rule& rule) {
     if (rule.heads.size() != 1) return;  // split upstream; defensive
-    util::Status installable = ValidateInstallableRule(rule);
-    if (!installable.ok()) {
-      Emit(LintSeverity::kError, "L005", rule_index, &rule,
-           rule.heads[0].predicate, "", -1, installable.message());
-      return;
-    }
-
-    // Classify body literals; a misclassified (bad-arity builtin) literal
-    // already carries an L030, so skip the schedule to avoid noise.
-    RuleScratch& s = scratch_;
-    s.Reset();
-    for (size_t b = 0; b < rule.body.size(); ++b) {
-      const Literal& lit = rule.body[b];
-      LintLit ll;
-      ll.body_idx = static_cast<int>(b);
-      ll.src = &lit;
-      std::tie(ll.cols_first, ll.cols_len) = AtomCols(lit.atom, s);
-      const AtomId aid = BodyId(static_cast<size_t>(rule_index), b);
-      const BuiltinDef* def =
-          aid.id == kEqPred ? nullptr
-                            : preds_[static_cast<size_t>(aid.id)].builtin;
-      if (aid.id == kEqPred && !lit.negated) {
-        ll.kind = LintLit::Kind::kEquality;
-      } else if (aid.id == kEqPred || def != nullptr) {
-        ll.kind = LintLit::Kind::kBuiltin;
-        if (aid.id == kEqPred) {
-          ll.builtin = FindBuiltin("!=");  // negated '=' runs as '!='
-        } else {
-          ll.builtin = def;
-          ll.negated_builtin = lit.negated;
-        }
-        if (ll.builtin == nullptr || ll.cols_len != ll.builtin->arity) {
-          return;  // L030 already emitted by CheckArities
-        }
-      } else if (lit.negated) {
-        ll.kind = LintLit::Kind::kNegation;
-      } else {
-        ll.kind = LintLit::Kind::kRelation;
+    const RulePlan plan = PlanRule(rule, builtins_);
+    const std::string& head = rule.heads[0].predicate;
+    switch (plan.verdict) {
+      case RulePlan::Verdict::kOk:
+      case RulePlan::Verdict::kBuiltinArity:  // CheckArities emitted L030
+        return;
+      case RulePlan::Verdict::kNotInstallable:
+        Emit(LintSeverity::kError, "L005", rule_index, &rule, head, "", -1,
+             plan.status.message());
+        return;
+      case RulePlan::Verdict::kColumnCap: {
+        const Atom& atom = plan.bad_literal < 0
+                               ? rule.heads[0]
+                               : rule.body[static_cast<size_t>(
+                                               plan.bad_literal)]
+                                     .atom;
+        Emit(LintSeverity::kError, "L030", rule_index, &rule, atom.predicate,
+             "", plan.bad_literal,
+             util::StrCat("predicate '", atom.predicate, "' has ",
+                          atom.Arity(), " columns; ", plan.status.message()));
+        return;
       }
-      s.body.push_back(ll);
+      case RulePlan::Verdict::kStuck:
+        ExplainStuck(rule_index, rule, plan);
+        return;
+      case RulePlan::Verdict::kUnsafeHead:
+        break;
     }
-    const auto [head_first, head_len] = AtomCols(rule.heads[0], s);
-    const size_t num_vars = s.table.names.size();
-    for (size_t i = 0; i < s.body.size(); ++i) {
-      if (s.body[i].kind == LintLit::Kind::kNegation) {
-        FillVarsUsedElsewhere(s, head_first, head_len, i, num_vars,
-                              &s.body[i]);
-      }
+    if (plan.agg_input_unbound) {
+      const std::string& v = rule.aggregate->input_var;
+      Emit(LintSeverity::kError, "L004", rule_index, &rule, head, v, -1,
+           util::StrCat("aggregate input variable '", v,
+                        "' is not bound by the body of ", PrintRule(rule)));
     }
-
-    // Monotone schedule replay: keep binding until stuck or done.
-    s.bound.assign(num_vars, 0);
-    s.done.assign(s.body.size(), 0);
-    size_t scheduled = 0;
-    bool progress = true;
-    while (progress && scheduled < s.body.size()) {
-      progress = false;
-      for (size_t i = 0; i < s.body.size(); ++i) {
-        if (s.done[i]) continue;
-        if (!LitSchedulable(s, i, s.bound)) continue;
-        BindLitOutputs(s, s.body[i], &s.bound);
-        s.done[i] = true;
-        ++scheduled;
-        progress = true;
-      }
+    if (plan.agg_result_bound) {
+      const std::string& v = rule.aggregate->result_var;
+      Emit(LintSeverity::kError, "L004", rule_index, &rule, head, v, -1,
+           util::StrCat("aggregate result variable '", v,
+                        "' must not be bound by the body of ",
+                        PrintRule(rule)));
     }
-
-    if (scheduled < s.body.size()) {
-      ExplainStuck(rule_index, rule, s, scheduled);
-      return;  // head/aggregate failures would be downstream noise
-    }
-
-    auto bound_by_name = [&](const std::string& v) {
-      int id = s.table.Find(v);
-      return id >= 0 && IsBound(s.bound, id);
-    };
-    if (rule.aggregate.has_value()) {
-      const Aggregate& agg = *rule.aggregate;
-      if (!bound_by_name(agg.input_var)) {
-        Emit(LintSeverity::kError, "L004", rule_index, &rule,
-             rule.heads[0].predicate, agg.input_var, -1,
-             util::StrCat("aggregate input variable '", agg.input_var,
-                          "' is not bound by the body of ", PrintRule(rule)));
-      }
-      if (bound_by_name(agg.result_var)) {
-        Emit(LintSeverity::kError, "L004", rule_index, &rule,
-             rule.heads[0].predicate, agg.result_var, -1,
-             util::StrCat("aggregate result variable '", agg.result_var,
-                          "' must not be bound by the body of ",
-                          PrintRule(rule)));
-      }
-    }
-    std::vector<char> head_reported(num_vars, 0);
-    for (uint32_t c = 0; c < head_len; ++c) {
-      const LintCol& col = s.col_pool[head_first + c];
-      const int* vs = s.vars(col);
-      for (uint32_t vi = 0; vi < col.vars_len; ++vi) {
-        const int v = vs[vi];
-        const std::string& name = s.table.name(v);
-        if (rule.aggregate.has_value() &&
-            name == rule.aggregate->result_var) {
-          continue;
-        }
-        if (head_reported[static_cast<size_t>(v)]) continue;
-        head_reported[static_cast<size_t>(v)] = 1;
-        if (!IsBound(s.bound, v)) {
-          Emit(LintSeverity::kError, "L001", rule_index, &rule,
-               rule.heads[0].predicate, name, -1,
-               util::StrCat("head variable '", name,
-                            "' is not bound by any positive body literal in ",
-                            PrintRule(rule)));
-        }
-      }
+    for (const std::string& v : plan.unbound_head_vars) {
+      Emit(LintSeverity::kError, "L001", rule_index, &rule, head, v, -1,
+           util::StrCat("head variable '", v,
+                        "' is not bound by any positive body literal in ",
+                        PrintRule(rule)));
     }
   }
 
-  // Why each remaining literal cannot be scheduled, with the exact
+  // Why each literal the plan could not schedule is stuck, with the exact
   // unbound variables and the position the schedule stalled at.
-  void ExplainStuck(int rule_index, const Rule& rule, const RuleScratch& s,
-                    size_t scheduled) {
-    const VarTable& table = s.table;
-    const BoundSet& bound = s.bound;
+  void ExplainStuck(int rule_index, const Rule& rule, const RulePlan& plan) {
     const std::string at = util::StrCat(
-        " (schedule stuck after ", scheduled, " of ", s.body.size(),
-        " body literals)");
-    for (size_t i = 0; i < s.body.size(); ++i) {
-      if (s.done[i]) continue;
-      const LintLit& lit = s.body[i];
-      const LintCol* cs = s.cols(lit);
-      const std::string text = PrintLiteral(*lit.src);
+        " (schedule stuck after ", plan.full.order.size(), " of ",
+        plan.body.size(), " body literals)");
+    std::vector<char> done(plan.body.size(), 0);
+    for (int i : plan.full.order) done[static_cast<size_t>(i)] = 1;
+    for (size_t i = 0; i < plan.body.size(); ++i) {
+      if (done[i]) continue;
+      const PlanLiteral& lit = plan.body[i];
+      const Literal& src = rule.body[i];
+      const std::string text = PrintLiteral(src);
+      std::vector<int> unbound;
+      auto first = [&]() -> std::string {
+        return unbound.empty() ? "" : plan.vars.name(unbound[0]);
+      };
       switch (lit.kind) {
-        case LintLit::Kind::kNegation: {
-          std::vector<int> blocking;
-          const char* mask = s.elsewhere(lit);
-          for (uint32_t c = 0; c < lit.cols_len; ++c) {
-            const int* vs = s.vars(cs[c]);
-            for (uint32_t vi = 0; vi < cs[c].vars_len; ++vi) {
-              const int v = vs[vi];
-              if (!IsBound(bound, v) && mask[v] &&
-                  std::find(blocking.begin(), blocking.end(), v) ==
-                      blocking.end()) {
-                blocking.push_back(v);
-              }
-            }
+        case PlanLiteral::Kind::kNegation:
+          for (int slot : lit.shared_slots) {
+            if (!plan.IsBound(slot)) unbound.push_back(slot);
           }
           Emit(LintSeverity::kError, "L002", rule_index, &rule,
-               lit.src->atom.predicate,
-               blocking.empty() ? "" : table.name(blocking[0]), lit.body_idx,
-               util::StrCat("variable(s) ", JoinVars(blocking, table),
+               src.atom.predicate, first(), static_cast<int>(i),
+               util::StrCat("variable(s) ", JoinVars(unbound, plan.vars),
                             " in negated literal ", text,
                             " are shared with the rest of the rule but no "
                             "positive literal can bind them",
                             at));
           break;
-        }
-        case LintLit::Kind::kEquality:
-        case LintLit::Kind::kBuiltin: {
-          std::vector<int> unbound;
-          for (uint32_t c = 0; c < lit.cols_len; ++c) {
-            for (int v : ColUnbound(s, cs[c], bound)) {
-              if (std::find(unbound.begin(), unbound.end(), v) ==
-                  unbound.end()) {
-                unbound.push_back(v);
-              }
-            }
+        case PlanLiteral::Kind::kEquality:
+        case PlanLiteral::Kind::kBuiltin:
+          for (const PlanColumn& col : lit.cols) {
+            AppendUnbound(col, plan, &unbound);
           }
           Emit(LintSeverity::kError, "L003", rule_index, &rule,
-               lit.src->atom.predicate,
-               unbound.empty() ? "" : table.name(unbound[0]), lit.body_idx,
-               util::StrCat(lit.kind == LintLit::Kind::kEquality
+               src.atom.predicate, first(), static_cast<int>(i),
+               util::StrCat(lit.kind == PlanLiteral::Kind::kEquality
                                 ? "neither side of "
                                 : "no instantiation mode of ",
                             text, " is evaluable: variable(s) ",
-                            JoinVars(unbound, table), " cannot be bound", at));
+                            JoinVars(unbound, plan.vars), " cannot be bound",
+                            at));
           break;
-        }
-        case LintLit::Kind::kRelation: {
-          std::vector<int> unbound;
-          for (uint32_t c = 0; c < lit.cols_len; ++c) {
-            if (!cs[c].is_expr) continue;
-            for (int v : ColUnbound(s, cs[c], bound)) {
-              unbound.push_back(v);
-            }
+        case PlanLiteral::Kind::kRelation:
+          // Listed per arithmetic column, so a variable shared by two
+          // columns is named twice.
+          for (const PlanColumn& col : lit.cols) {
+            if (col.kind != PlanColumn::Kind::kExpr) continue;
+            std::vector<int> in_col;
+            AppendUnbound(col, plan, &in_col);
+            unbound.insert(unbound.end(), in_col.begin(), in_col.end());
           }
           Emit(LintSeverity::kError, "L005", rule_index, &rule,
-               lit.src->atom.predicate,
-               unbound.empty() ? "" : table.name(unbound[0]), lit.body_idx,
+               src.atom.predicate, first(), static_cast<int>(i),
                util::StrCat("relation literal ", text,
                             " matches through arithmetic over unbound "
                             "variable(s) ",
-                            JoinVars(unbound, table), at));
+                            JoinVars(unbound, plan.vars), at));
           break;
-        }
       }
     }
   }
@@ -1146,7 +775,6 @@ class Linter {
   std::vector<PredInfo>& preds_;
   std::vector<AtomId>& atom_ids_;
   std::vector<uint32_t>& rule_ids_first_;
-  RuleScratch& scratch_;
   LintReport report_;
 };
 
@@ -1236,27 +864,14 @@ LintReport LintResolved(const std::vector<const Rule*>& rules,
                         const LintOptions& opts) {
   static thread_local LintArena arena;
   Linter linter(opts, {opts.says_principal}, &arena);
-  std::vector<Rule> owned;  // multi-head rules, split like install
-  for (const Rule* rule : rules) {
-    if (rule->heads.size() != 1) {
-      for (const Atom& head : rule->heads) {
-        Rule single;
-        single.label = rule->label;
-        single.heads = {CloneAtom(head)};
-        single.body = rule->body;
-        single.aggregate = rule->aggregate;
-        owned.push_back(std::move(single));
-      }
-    }
-  }
-  size_t next_owned = 0;
+  std::deque<Rule> split;  // multi-head rules, split like install
   for (const Rule* rule : rules) {
     if (rule->heads.size() == 1) {
       linter.AddRule(*rule);
-    } else {
-      for (size_t h = 0; h < rule->heads.size(); ++h) {
-        linter.AddRule(owned[next_owned++]);
-      }
+      continue;
+    }
+    for (Rule& single : SplitHeads(*rule)) {
+      linter.AddRule(split.emplace_back(std::move(single)));
     }
   }
   for (const Constraint* c : constraints) linter.AddConstraint(*c);
@@ -1265,68 +880,25 @@ LintReport LintResolved(const std::vector<const Rule*>& rules,
 
 LintReport LintProgram(std::string_view program, const std::string& principal,
                        const LintOptions& opts) {
-  auto clauses = ParseProgram(program);
-  if (!clauses.ok()) {
+  auto routed = RouteProgram(program, principal);
+  if (!routed.ok()) {
     LintReport report;
     Diagnostic d;
     d.severity = LintSeverity::kError;
     d.code = "L000";
-    d.message = clauses.status().message();
+    d.message = routed.status().message();
     report.diagnostics.push_back(std::move(d));
     return report;
   }
-  // Mirror Workspace::RouteProgramClauses: me-resolve, convert raw
-  // `fail() <- body.` constraints, split multi-head rules.
-  std::vector<Rule> rules;
-  std::vector<Constraint> constraints;
-  for (ParsedClause& clause : *clauses) {
-    if (clause.kind == ParsedClause::Kind::kRule) {
-      for (Rule& rule : clause.rules) {
-        Rule resolved = ResolveMeRule(rule, principal);
-        if (resolved.heads.size() == 1 &&
-            resolved.heads[0].predicate == "fail" &&
-            resolved.heads[0].args.empty() && !resolved.body.empty()) {
-          Constraint c;
-          c.label = resolved.label;
-          c.lhs = resolved.body;
-          c.display = PrintRule(resolved);
-          constraints.push_back(std::move(c));
-          continue;
-        }
-        for (const Atom& head : resolved.heads) {
-          Rule single;
-          single.label = resolved.label;
-          single.heads = {CloneAtom(head)};
-          single.body = resolved.body;
-          single.aggregate = resolved.aggregate;
-          rules.push_back(std::move(single));
-        }
-      }
-    } else {
-      for (Constraint& c : clause.constraints) {
-        Constraint resolved;
-        resolved.label = c.label;
-        resolved.display = c.display;
-        for (const Literal& l : c.lhs) {
-          resolved.lhs.push_back(
-              Literal{ResolveMeAtom(l.atom, principal), l.negated});
-        }
-        for (const auto& alt : c.rhs_dnf) {
-          std::vector<Literal> out;
-          for (const Literal& l : alt) {
-            out.push_back(Literal{ResolveMeAtom(l.atom, principal),
-                                  l.negated});
-          }
-          resolved.rhs_dnf.push_back(std::move(out));
-        }
-        constraints.push_back(std::move(resolved));
-      }
-    }
-  }
   static thread_local LintArena arena;
   Linter linter(opts, {principal, opts.says_principal}, &arena);
-  for (const Rule& r : rules) linter.AddRule(r);
-  for (const Constraint& c : constraints) linter.AddConstraint(c);
+  for (const RoutedClause& item : *routed) {
+    if (item.kind == RoutedClause::Kind::kRule) {
+      linter.AddRule(item.rule);
+    } else {
+      linter.AddConstraint(item.constraint);
+    }
+  }
   return linter.Run();
 }
 

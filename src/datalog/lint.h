@@ -14,11 +14,13 @@
 namespace lbtrust::datalog {
 
 /// Static program analysis ("lint"): proves a program safe before it
-/// touches a workspace, and explains *why* when it is not. The checks
-/// mirror the engine's own compile/stratification semantics exactly — a
-/// lint *error* means CompileRule or Stratify would reject the program —
-/// but report structured diagnostics (the offending variable, predicate
-/// and schedule position) instead of the engine's bare status strings.
+/// touches a workspace, and explains *why* when it is not. The per-rule
+/// safety checks (L001-L005, and L030's column cap) format the verdict of
+/// PlanRule — the same plan CompileRule lowers — so a lint error there is
+/// exactly a CompileRule rejection, reported as a structured diagnostic
+/// (the offending variable, predicate and schedule position) instead of
+/// the engine's bare status string. L010 still runs its own SCC pass over
+/// the predicate graph rather than sharing Stratify's.
 ///
 /// Diagnostic codes:
 ///   L000  program does not parse                              (error)
@@ -30,7 +32,7 @@ namespace lbtrust::datalog {
 ///   L010  negation/aggregation cycle (not stratifiable)       (error)
 ///   L020  rule unreachable from any exported/effectful root   (warning)
 ///   L021  predicate derived but never read (explicit exports) (warning)
-///   L030  predicate/builtin used at conflicting arities       (error)
+///   L030  conflicting arities, or past the 64-column cap      (error)
 ///   L031  constant can never unify with any producer          (warning)
 ///   L050  cardinality-blind leading scan (join-order smell)   (warning)
 ///   L060  says-attribution/context violation                  (see below)

@@ -727,6 +727,54 @@ Result<std::vector<ParsedClause>> ParseProgram(std::string_view source) {
   return Parser(std::move(tokens)).ParseProgram();
 }
 
+Result<std::vector<RoutedClause>> RouteProgram(std::string_view program,
+                                               const std::string& principal) {
+  LB_ASSIGN_OR_RETURN(std::vector<ParsedClause> clauses,
+                      ParseProgram(program));
+  auto resolve = [&principal](const std::vector<Literal>& lits) {
+    std::vector<Literal> out;
+    out.reserve(lits.size());
+    for (const Literal& l : lits) {
+      out.push_back(Literal{ResolveMeAtom(l.atom, principal), l.negated});
+    }
+    return out;
+  };
+  std::vector<RoutedClause> routed;
+  for (ParsedClause& clause : clauses) {
+    for (Rule& rule : clause.rules) {
+      Rule resolved = ResolveMeRule(rule, principal);
+      if (resolved.heads.size() == 1 &&
+          resolved.heads[0].predicate == "fail" &&
+          resolved.heads[0].args.empty() && !resolved.body.empty()) {
+        RoutedClause item;
+        item.kind = RoutedClause::Kind::kFailConstraint;
+        item.constraint.label = resolved.label;
+        item.constraint.display = PrintRule(resolved);
+        item.constraint.lhs = std::move(resolved.body);
+        routed.push_back(std::move(item));
+        continue;
+      }
+      for (Rule& single : SplitHeads(std::move(resolved))) {
+        RoutedClause item;
+        item.rule = std::move(single);
+        routed.push_back(std::move(item));
+      }
+    }
+    for (const Constraint& c : clause.constraints) {
+      RoutedClause item;
+      item.kind = RoutedClause::Kind::kConstraint;
+      item.constraint.label = c.label;
+      item.constraint.display = c.display;
+      item.constraint.lhs = resolve(c.lhs);
+      for (const auto& alt : c.rhs_dnf) {
+        item.constraint.rhs_dnf.push_back(resolve(alt));
+      }
+      routed.push_back(std::move(item));
+    }
+  }
+  return routed;
+}
+
 Result<Rule> ParseRuleText(std::string_view source) {
   LB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
   return Parser(std::move(tokens)).ParseSingleRule();

@@ -1,6 +1,7 @@
 #ifndef LBTRUST_DATALOG_PARSER_H_
 #define LBTRUST_DATALOG_PARSER_H_
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -23,6 +24,21 @@ namespace lbtrust::datalog {
 ///   p[X](Y)                 partitioned (curried) predicates
 ///   me, _, 42, "s", sym, Var
 util::Result<std::vector<ParsedClause>> ParseProgram(std::string_view source);
+
+/// One top-level clause in installable form (see RouteProgram).
+struct RoutedClause {
+  enum class Kind { kRule, kFailConstraint, kConstraint };
+  Kind kind = Kind::kRule;
+  Rule rule;              ///< kRule: single-head
+  Constraint constraint;  ///< kFailConstraint / kConstraint
+};
+
+/// Parses `program` and routes every clause the way Workspace::Load
+/// installs it: me-resolved against `principal`, multi-head rules split,
+/// and raw `fail() <- body.` rules (§3.2) turned into constraints. Lint
+/// reads the same routed view, so it judges exactly what would install.
+util::Result<std::vector<RoutedClause>> RouteProgram(
+    std::string_view program, const std::string& principal);
 
 /// Parses a single clause that must be a rule or fact (multi-head and DNF
 /// splitting not applied — errors if the clause would split).

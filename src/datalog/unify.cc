@@ -5,17 +5,17 @@
 namespace lbtrust::datalog {
 
 int VarTable::Intern(const std::string& name) {
-  auto it = index_.find(name);
-  if (it != index_.end()) return it->second;
-  int slot = static_cast<int>(names_.size());
+  const int slot = Find(name);
+  if (slot >= 0) return slot;
   names_.push_back(name);
-  index_.emplace(name, slot);
-  return slot;
+  return static_cast<int>(names_.size()) - 1;
 }
 
 int VarTable::Find(const std::string& name) const {
-  auto it = index_.find(name);
-  return it == index_.end() ? -1 : it->second;
+  for (size_t i = 0; i < names_.size(); ++i) {
+    if (names_[i] == name) return static_cast<int>(i);
+  }
+  return -1;
 }
 
 void UndoTrail(const Trail& trail, Bindings* b) {

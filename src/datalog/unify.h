@@ -2,7 +2,6 @@
 #define LBTRUST_DATALOG_UNIFY_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "datalog/ast.h"
@@ -16,7 +15,8 @@ namespace lbtrust::datalog {
 /// variables of a rule — including variables inside quoted-code constants,
 /// which act as pattern variables (§3.3 "meta-variables") — share one scope,
 /// so a meta-variable bound by a body pattern joins with its other
-/// occurrences.
+/// occurrences. Rules have a handful of variables, so lookups scan the
+/// names linearly instead of hashing.
 class VarTable {
  public:
   /// Returns the slot for `name`, adding it if new.
@@ -28,7 +28,6 @@ class VarTable {
 
  private:
   std::vector<std::string> names_;
-  std::unordered_map<std::string, int> index_;
 };
 
 /// Slot-indexed bindings over interned values; a nil ValueId (the default)

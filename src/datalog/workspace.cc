@@ -149,71 +149,17 @@ Status Workspace::RouteProgramClauses(
     const std::function<Status(Rule)>& on_rule,
     const std::function<Status(Constraint)>& on_fail_constraint,
     const std::function<Status(Constraint)>& on_constraint) {
-  LB_ASSIGN_OR_RETURN(std::vector<ParsedClause> clauses,
-                      ParseProgram(program));
-  // Materialize the routed view first (one parse, one me-resolve), so the
-  // linter sees the whole program before the first clause installs — an
-  // enforced lint error rejects the program with zero workspace mutation.
-  struct RoutedItem {
-    enum class Kind { kRule, kFailConstraint, kConstraint };
-    Kind kind = Kind::kRule;
-    Rule rule;
-    Constraint constraint;
-  };
-  std::vector<RoutedItem> routed;
-  for (ParsedClause& clause : clauses) {
-    if (clause.kind == ParsedClause::Kind::kRule) {
-      for (Rule& rule : clause.rules) {
-        Rule resolved = ResolveMeRule(rule, principal);
-        // `fail() <- body.` is the raw constraint form (§3.2).
-        if (resolved.heads.size() == 1 &&
-            resolved.heads[0].predicate == "fail" &&
-            resolved.heads[0].args.empty() && !resolved.body.empty()) {
-          RoutedItem item;
-          item.kind = RoutedItem::Kind::kFailConstraint;
-          item.constraint.label = resolved.label;
-          item.constraint.lhs = resolved.body;
-          item.constraint.display = PrintRule(resolved);
-          routed.push_back(std::move(item));
-          continue;
-        }
-        // Split multi-head rules.
-        for (const Atom& head : resolved.heads) {
-          RoutedItem item;
-          item.rule.label = resolved.label;
-          item.rule.heads = {CloneAtom(head)};
-          item.rule.body = resolved.body;
-          item.rule.aggregate = resolved.aggregate;
-          routed.push_back(std::move(item));
-        }
-      }
-    } else {
-      for (Constraint& c : clause.constraints) {
-        RoutedItem item;
-        item.kind = RoutedItem::Kind::kConstraint;
-        item.constraint.label = c.label;
-        item.constraint.display = c.display;
-        for (const Literal& l : c.lhs) {
-          item.constraint.lhs.push_back(
-              Literal{ResolveMeAtom(l.atom, principal), l.negated});
-        }
-        for (const auto& alt : c.rhs_dnf) {
-          std::vector<Literal> out;
-          for (const Literal& l : alt) {
-            out.push_back(Literal{ResolveMeAtom(l.atom, principal), l.negated});
-          }
-          item.constraint.rhs_dnf.push_back(std::move(out));
-        }
-        routed.push_back(std::move(item));
-      }
-    }
-  }
+  // Route the whole program first (one parse, one me-resolve), so the
+  // linter sees it before the first clause installs — an enforced lint
+  // error rejects the program with zero workspace mutation.
+  LB_ASSIGN_OR_RETURN(std::vector<RoutedClause> routed,
+                      RouteProgram(program, principal));
 
   if (options_.lint != Options::LintMode::kOff) {
     std::vector<const Rule*> lint_rules;
     std::vector<const Constraint*> lint_constraints;
-    for (const RoutedItem& item : routed) {
-      if (item.kind == RoutedItem::Kind::kRule) {
+    for (const RoutedClause& item : routed) {
+      if (item.kind == RoutedClause::Kind::kRule) {
         lint_rules.push_back(&item.rule);
       } else {
         lint_constraints.push_back(&item.constraint);
@@ -228,15 +174,15 @@ Status Workspace::RouteProgramClauses(
     }
   }
 
-  for (RoutedItem& item : routed) {
+  for (RoutedClause& item : routed) {
     switch (item.kind) {
-      case RoutedItem::Kind::kRule:
+      case RoutedClause::Kind::kRule:
         LB_RETURN_IF_ERROR(on_rule(std::move(item.rule)));
         break;
-      case RoutedItem::Kind::kFailConstraint:
+      case RoutedClause::Kind::kFailConstraint:
         LB_RETURN_IF_ERROR(on_fail_constraint(std::move(item.constraint)));
         break;
-      case RoutedItem::Kind::kConstraint:
+      case RoutedClause::Kind::kConstraint:
         LB_RETURN_IF_ERROR(on_constraint(std::move(item.constraint)));
         break;
     }
@@ -261,13 +207,7 @@ Status Workspace::AddRule(const Rule& rule) {
 }
 
 Status Workspace::AddRuleAs(const std::string& principal, const Rule& rule) {
-  Rule resolved = ResolveMeRule(rule, principal);
-  for (const Atom& head : resolved.heads) {
-    Rule single;
-    single.label = resolved.label;
-    single.heads = {CloneAtom(head)};
-    single.body = resolved.body;
-    single.aggregate = resolved.aggregate;
+  for (Rule& single : SplitHeads(ResolveMeRule(rule, principal))) {
     LB_RETURN_IF_ERROR(
         InstallResolved(std::move(single), principal, /*hidden=*/false));
   }
@@ -278,23 +218,6 @@ Status Workspace::AddRuleText(std::string_view text) {
   LB_ASSIGN_OR_RETURN(Rule rule, ParseRuleText(text));
   return AddRule(rule);
 }
-
-namespace {
-
-/// A clause whose heads are ground facts (quoted code may keep inner
-/// variables — CollectAtomVars is shallow) routes to the EDB rather than
-/// the rule set.
-bool IsGroundFactRule(const Rule& rule) {
-  if (!rule.IsFact()) return false;
-  for (const Atom& h : rule.heads) {
-    std::vector<std::string> vars;
-    CollectAtomVars(h, &vars);
-    if (!vars.empty() || h.meta_atom || h.meta_functor) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 Status Workspace::InstallFactRule(const Rule& rule, const std::string& owner,
                                   bool from_activation,
@@ -861,18 +784,18 @@ Result<int> Workspace::ScanAndInstallActive() {
       }
       if (all_present) continue;
     }
-    for (const Atom& head : resolved.heads) {
-      Rule single;
-      single.label = resolved.label;
-      single.heads = {CloneAtom(head)};
-      single.body = resolved.body;
-      single.aggregate = resolved.aggregate;
+    // Count only real installs: a quoted rule that mentions `me` is
+    // stored under its resolved canon, so the raw-canon skip above never
+    // matches it and it comes back every round.
+    const bool fact = resolved.IsFact();
+    const size_t before = rules_.size();
+    for (Rule& single : SplitHeads(std::move(resolved))) {
       LB_RETURN_IF_ERROR(InstallResolved(std::move(single),
                                          options_.principal,
                                          /*hidden=*/false,
                                          /*from_activation=*/true));
     }
-    ++installed;
+    if (fact || rules_.size() > before) ++installed;
   }
   return installed;
 }
@@ -1376,16 +1299,10 @@ Status Transaction::Apply() {
     return util::OkStatus();
   };
 
-  // Rule clause: me-resolve and split heads (mirrors Workspace::AddRuleAs).
+  // Rule clause: me-resolve and split heads (as Workspace::AddRuleAs).
   auto apply_rule = [&](const Rule& rule,
                         const std::string& principal) -> Status {
-    Rule resolved = ResolveMeRule(rule, principal);
-    for (const Atom& head : resolved.heads) {
-      Rule single;
-      single.label = resolved.label;
-      single.heads = {CloneAtom(head)};
-      single.body = resolved.body;
-      single.aggregate = resolved.aggregate;
+    for (Rule& single : SplitHeads(ResolveMeRule(rule, principal))) {
       LB_RETURN_IF_ERROR(apply_single_rule(std::move(single), principal));
     }
     return util::OkStatus();

@@ -429,11 +429,11 @@ class Workspace {
 
   util::Status LoadClauses(const std::string& principal,
                            std::string_view program);
-  /// Shared program-clause routing for Load and Transaction::AddProgram:
-  /// parses `program`, me-resolves every clause against `principal`,
-  /// splits multi-head rules, and dispatches — single-head rules (and
-  /// fact clauses) to `on_rule`, raw `fail() <- body.` constraints to
-  /// `on_fail_constraint`, `lhs -> rhs.` constraints to `on_constraint`.
+  /// Shared program ingress for Load and Transaction::AddProgram: routes
+  /// `program` with RouteProgram, lints the routed view, and dispatches —
+  /// single-head rules (and fact clauses) to `on_rule`, raw
+  /// `fail() <- body.` constraints to `on_fail_constraint`, `lhs -> rhs.`
+  /// constraints to `on_constraint`.
   util::Status RouteProgramClauses(
       const std::string& principal, std::string_view program,
       const std::function<util::Status(Rule)>& on_rule,

@@ -393,6 +393,42 @@ TEST(ImportTest, IllFormedPayloadRejectedBeforeAnyMutation) {
   EXPECT_EQ(bob->credentials()->size(), 0u);
 }
 
+TEST(ImportTest, QuotedPatternRuleImports) {
+  // R and F are bound by matching the quoted pattern, so the rule is safe
+  // and the importer's lint gate must let it through.
+  auto alice = MakeRuntime("alice");
+  auto bob = MakeRuntime("bob");
+  ASSERT_TRUE(bob->AddPeer("alice", alice->keypair().public_key).ok());
+  auto hash = alice->Issue(
+      "granted(R,F) <- policy([| permok(R,F). |]), owner(O,F).");
+  ASSERT_TRUE(hash.ok()) << hash.status().ToString();
+  auto bundle = alice->ExportCredential(*hash);
+  ASSERT_TRUE(bundle.ok());
+  auto stats = bob->ImportCredentials(*bundle);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+
+  // The activated rule is owned by bob, so owner(O,bob) holds.
+  ASSERT_TRUE(
+      bob->workspace()->AddFactText("policy([| permok(carol,bob). |]).").ok());
+  ASSERT_TRUE(bob->workspace()->Fixpoint().ok());
+  EXPECT_EQ(*bob->workspace()->Count("granted(carol,bob)"), 1u);
+}
+
+TEST(ImportTest, RuleMentioningMeFinishesActivating) {
+  // The Binder import pattern: the activated rule is installed under its
+  // me-resolved form, and codegen must still reach quiescence.
+  auto alice = MakeRuntime("alice");
+  auto bob = MakeRuntime("bob");
+  ASSERT_TRUE(bob->AddPeer("alice", alice->keypair().public_key).ok());
+  auto hash = alice->Issue("heard(U,R) <- says(U,me,R).");
+  ASSERT_TRUE(hash.ok()) << hash.status().ToString();
+  auto bundle = alice->ExportCredential(*hash);
+  ASSERT_TRUE(bundle.ok());
+  auto stats = bob->ImportCredentials(*bundle);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(*bob->workspace()->Count("heard(alice,R)"), 1u);
+}
+
 TEST(ImportTest, ReimportIsIdempotentAndSkipsRsa) {
   auto alice = MakeRuntime("alice");
   auto bob = MakeRuntime("bob");

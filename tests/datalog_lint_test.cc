@@ -44,6 +44,16 @@ const Diagnostic& First(const LintReport& report, const std::string& code) {
 
 // --- Table: one bad program per diagnostic code ---------------------------
 
+// One body literal over 65 columns: past the engine's 64-column cap.
+const char* WideRule() {
+  static const std::string text = [] {
+    std::string t = "p(X) <- wide(X";
+    for (int i = 1; i < 65; ++i) t += ", c" + std::to_string(i);
+    return t + ").";
+  }();
+  return text.c_str();
+}
+
 struct Case {
   const char* name;
   const char* program;
@@ -80,6 +90,12 @@ const Case kCases[] = {
      LintSeverity::kError, {"aggregate result variable 'N'"}, "N", "tally"},
     {"expr_unbound", "p(X) <- q(X + Y).", "L005", LintSeverity::kError,
      {"arithmetic", "unbound"}, "", "q", 0},
+    {"quoted_var_in_builtin", "p(Y) <- q(Y), Y != [| s(X) |].", "L003",
+     LintSeverity::kError, {"'X'", "cannot be bound"}, "X", "!=", 1},
+    {"quoted_var_in_negation", "p([| s(X) |]) <- q(Y), !r(Y, [| s(X) |]).",
+     "L002", LintSeverity::kError, {"'X'", "negated literal"}, "X", "r", 1},
+    {"column_cap", WideRule(), "L030", LintSeverity::kError,
+     {"'wide' has 65 columns", "limited to 64 columns"}, "", "wide", 0},
     {"negation_cycle", "p(X) <- q(X), !p(X).", "L010", LintSeverity::kError,
      {"p -!-> p", "not stratifiable"}, "", "p"},
     {"aggregation_cycle",
@@ -149,6 +165,22 @@ TEST(DatalogLintTest, WildcardNegationIsLegal) {
       "user(a). knows(a, b).\n"
       "lonely(U) <- user(U), !knows(U, V).");
   EXPECT_TRUE(report.diagnostics.empty()) << report.ToText();
+}
+
+TEST(DatalogLintTest, QuotedPatternVariablesBindOnMatch) {
+  // Variables inside quoted code bind when the pattern matches, as the
+  // engine schedules them: Binder's pull requester binds X through the
+  // `active` pattern, and the file store's grant rule binds R and F
+  // through the quoted `permok` it hears.
+  for (const char* program :
+       {"pull0: says(me,X,[| request(R). |]) <- "
+        "active([| A <- says(X,me,R), A*. |]), X != me.",
+        "fs2: granted(R,F) <- says(O,me,[| permok(R,F). |]), "
+        "fileowner(F,O)."}) {
+    LintReport report = Lint(program);
+    EXPECT_TRUE(report.diagnostics.empty()) << program << "\n"
+                                            << report.ToText();
+  }
 }
 
 TEST(DatalogLintTest, StatusCodesMatchEngine) {

@@ -25,6 +25,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datalog/ast.h"
@@ -75,35 +76,24 @@ int Usage() {
 
 /// Appends L050 join-order findings using static fact counts from the
 /// program text itself — the offline stand-in for live store
-/// cardinalities (Workspace::LintRules uses the real ones).
+/// cardinalities (Workspace::LintRules uses the real ones). Rule indexes
+/// follow LintProgram's routed rule list.
 void AddJoinOrderFindings(const std::string& text,
                           const std::string& principal, LintReport* report) {
-  auto clauses = lbtrust::datalog::ParseProgram(text);
-  if (!clauses.ok()) return;  // L000 already reported
+  using lbtrust::datalog::RoutedClause;
+  auto routed = lbtrust::datalog::RouteProgram(text, principal);
+  if (!routed.ok()) return;  // L000 already reported
   std::map<std::string, size_t> fact_counts;
-  std::vector<lbtrust::datalog::Rule> rules;
-  for (lbtrust::datalog::ParsedClause& clause : *clauses) {
-    if (clause.kind != lbtrust::datalog::ParsedClause::Kind::kRule) continue;
-    for (lbtrust::datalog::Rule& rule : clause.rules) {
-      lbtrust::datalog::Rule resolved =
-          lbtrust::datalog::ResolveMeRule(rule, principal);
-      if (resolved.IsFact()) {
-        for (const lbtrust::datalog::Atom& h : resolved.heads) {
-          std::vector<std::string> vars;
-          lbtrust::datalog::CollectAtomVars(h, &vars);
-          if (vars.empty()) ++fact_counts[h.predicate];
-        }
-        continue;
-      }
-      for (const lbtrust::datalog::Atom& head : resolved.heads) {
-        lbtrust::datalog::Rule single;
-        single.label = resolved.label;
-        single.heads = {lbtrust::datalog::CloneAtom(head)};
-        single.body = resolved.body;
-        single.aggregate = resolved.aggregate;
-        rules.push_back(std::move(single));
-      }
+  std::vector<std::pair<int, const lbtrust::datalog::Rule*>> rules;
+  int rule_index = 0;
+  for (const RoutedClause& item : *routed) {
+    if (item.kind != RoutedClause::Kind::kRule) continue;
+    if (lbtrust::datalog::IsGroundFactRule(item.rule)) {
+      ++fact_counts[item.rule.heads[0].predicate];
+    } else {
+      rules.emplace_back(rule_index, &item.rule);
     }
+    ++rule_index;
   }
   lbtrust::datalog::BuiltinRegistry builtins;
   lbtrust::datalog::RegisterStandardBuiltins(&builtins);
@@ -112,10 +102,10 @@ void AddJoinOrderFindings(const std::string& text,
     return it == fact_counts.end() ? lbtrust::datalog::kUnknownRows
                                    : it->second;
   };
-  for (size_t i = 0; i < rules.size(); ++i) {
-    auto compiled = lbtrust::datalog::CompileRule(rules[i], builtins);
+  for (const auto& [index, rule] : rules) {
+    auto compiled = lbtrust::datalog::CompileRule(*rule, builtins);
     if (!compiled.ok()) continue;  // safety errors already reported
-    lbtrust::datalog::LintJoinOrder(**compiled, static_cast<int>(i), rows,
+    lbtrust::datalog::LintJoinOrder(**compiled, index, rows,
                                     &report->diagnostics);
   }
 }
