@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "crypto/bigint.h"
 #include "crypto/crc32.h"
 #include "crypto/hmac.h"
 #include "crypto/rsa.h"
@@ -73,6 +74,29 @@ void BM_RsaVerify1024(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaVerify1024);
+
+// Context set-up that every BigInt::ModExp pays: R^2 mod n for a 1024-bit n.
+void BM_MontgomeryCreate1024(benchmark::State& state) {
+  const BigInt& n = Key1024().public_key.n;
+  for (auto _ : state) {
+    auto ctx = MontgomeryContext::Create(n);
+    benchmark::DoNotOptimize(ctx);
+  }
+}
+BENCHMARK(BM_MontgomeryCreate1024);
+
+// The division behind each CRT half of a signature: a 1024-bit value
+// reduced modulo a 512-bit prime.
+void BM_BigIntMod1024By512(benchmark::State& state) {
+  SecureRandom rng(uint64_t{1});
+  BigInt a = rng.RandomBits(1024);
+  const BigInt& p = Key1024().private_key.p;
+  for (auto _ : state) {
+    auto r = BigInt::Mod(a, p);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_BigIntMod1024By512);
 
 void BM_RsaKeygen512(benchmark::State& state) {
   uint64_t seed = 1;

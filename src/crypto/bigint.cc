@@ -12,6 +12,94 @@ using util::Status;
 
 namespace {
 using uint128 = unsigned __int128;
+
+// Knuth's Algorithm D (TAOCP vol. 2, 4.3.1) on 64-bit limbs: divides the
+// magnitude u by the magnitude v, where v.back() != 0 and
+// u.size() >= v.size(). Leaves u.size() - v.size() + 1 quotient limbs in *q
+// and v.size() remainder limbs in *r, both untrimmed.
+void DivModLimbs(const std::vector<uint64_t>& u,
+                 const std::vector<uint64_t>& v, std::vector<uint64_t>* q,
+                 std::vector<uint64_t>* r) {
+  const size_t n = v.size();
+  const size_t m = u.size() - n;
+  q->assign(m + 1, 0);
+  if (n == 1) {
+    uint128 rem = 0;
+    for (size_t j = u.size(); j-- > 0;) {
+      rem = (rem << 64) | u[j];
+      (*q)[j] = static_cast<uint64_t>(rem / v[0]);
+      rem %= v[0];
+    }
+    r->assign(1, static_cast<uint64_t>(rem));
+    return;
+  }
+  // D1: shift both operands left until the divisor's top bit is set; the
+  // quotient-limb estimate below is then at most two too large.
+  const int s = __builtin_clzll(v[n - 1]);
+  auto spill = [s](uint64_t low) { return s == 0 ? 0 : low >> (64 - s); };
+  std::vector<uint64_t> vn(n);
+  std::vector<uint64_t> un(u.size() + 1);
+  for (size_t i = n; i-- > 1;) vn[i] = (v[i] << s) | spill(v[i - 1]);
+  vn[0] = v[0] << s;
+  un[u.size()] = spill(u.back());
+  for (size_t i = u.size(); i-- > 1;) un[i] = (u[i] << s) | spill(u[i - 1]);
+  un[0] = u[0] << s;
+  const uint64_t v1 = vn[n - 1];
+  const uint64_t v2 = vn[n - 2];
+  for (size_t j = m + 1; j-- > 0;) {
+    // D3: estimate the quotient limb from the remainder's top two limbs and
+    // correct it against the divisor's top two.
+    uint128 num = (static_cast<uint128>(un[j + n]) << 64) | un[j + n - 1];
+    uint128 qhat = num / v1;
+    uint128 rhat = num % v1;
+    while ((qhat >> 64) != 0 ||
+           qhat * v2 > ((rhat << 64) | un[j + n - 2])) {
+      --qhat;
+      rhat += v1;
+      if ((rhat >> 64) != 0) break;
+    }
+    // D4: subtract qhat * v from the window un[j .. j+n].
+    uint64_t qj = static_cast<uint64_t>(qhat);
+    uint64_t carry = 0;
+    uint64_t borrow = 0;
+    for (size_t i = 0; i < n; ++i) {
+      uint128 prod = static_cast<uint128>(qj) * vn[i] + carry;
+      carry = static_cast<uint64_t>(prod >> 64);
+      uint128 diff = static_cast<uint128>(un[i + j]) -
+                     static_cast<uint64_t>(prod) - borrow;
+      un[i + j] = static_cast<uint64_t>(diff);
+      borrow = static_cast<uint64_t>(diff >> 64) & 1;
+    }
+    uint128 top = static_cast<uint128>(un[j + n]) - carry - borrow;
+    un[j + n] = static_cast<uint64_t>(top);
+    // D6: the window went negative, so qhat was still one too large (a
+    // case of probability about 2^-63): add v back.
+    if ((top >> 64) != 0) {
+      --qj;
+      uint64_t c = 0;
+      for (size_t i = 0; i < n; ++i) {
+        uint128 sum = static_cast<uint128>(un[i + j]) + vn[i] + c;
+        un[i + j] = static_cast<uint64_t>(sum);
+        c = static_cast<uint64_t>(sum >> 64);
+      }
+      un[j + n] += c;
+    }
+    (*q)[j] = qj;
+  }
+  // D8: the remainder is un[0 .. n-1] shifted back right.
+  r->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    (*r)[i] = (un[i] >> s) | (s == 0 ? 0 : un[i + 1] << (64 - s));
+  }
+}
+
+// Three-way comparison of two k-limb magnitudes.
+int CompareLimbs(const uint64_t* a, const uint64_t* b, size_t k) {
+  for (size_t i = k; i-- > 0;) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
+}
 }  // namespace
 
 BigInt::BigInt(int64_t v) {
@@ -273,32 +361,20 @@ BigInt BigInt::operator>>(size_t bits) const {
 
 Status BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* q, BigInt* r) {
   if (b.is_zero()) return InvalidArgument("division by zero");
-  // Binary long division on magnitudes: O(bits(a) * limbs(b)); plenty for
-  // key generation, where this is the only consumer of full division.
-  BigInt quotient;
-  BigInt remainder;
+  // Word-level long division: O(limbs(q) * limbs(b)). Key generation
+  // (ModInverse, Gcd, dp/dq), CRT recombination and the base reduction of
+  // every ModExp all come through here.
   int cmp = CompareMag(a.limbs_, b.limbs_);
   if (cmp < 0) {
     *q = BigInt();
     *r = a;
     return util::OkStatus();
   }
-  size_t bits = a.BitLength();
-  quotient.limbs_.assign((bits + 63) / 64, 0);
-  for (size_t i = bits; i-- > 0;) {
-    // remainder = remainder * 2 + bit_i(a)
-    remainder = remainder << 1;
-    if (a.Bit(i)) {
-      if (remainder.limbs_.empty()) remainder.limbs_.push_back(0);
-      remainder.limbs_[0] |= 1;
-    }
-    if (CompareMag(remainder.limbs_, b.limbs_) >= 0) {
-      remainder.limbs_ = SubMag(remainder.limbs_, b.limbs_);
-      remainder.Trim();
-      quotient.limbs_[i / 64] |= uint64_t{1} << (i % 64);
-    }
-  }
+  BigInt quotient;
+  BigInt remainder;
+  DivModLimbs(a.limbs_, b.limbs_, &quotient.limbs_, &remainder.limbs_);
   quotient.Trim();
+  remainder.Trim();
   quotient.negative_ = (a.negative_ != b.negative_) && !quotient.limbs_.empty();
   remainder.negative_ = a.negative_ && !remainder.limbs_.empty();
   *q = std::move(quotient);
@@ -388,86 +464,131 @@ Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus) {
     inv *= 2 - n0 * inv;
   }
   ctx.n0_inv_ = ~inv + 1;  // -inv mod 2^64
-  // r2 = (2^(64k))^2 mod n, via shift-and-reduce doubling.
-  BigInt r = BigInt(1);
-  size_t total_bits = 2 * 64 * ctx.k_;
-  for (size_t i = 0; i < total_bits; ++i) {
-    r = r << 1;
-    if (BigInt::CompareMag(r.limbs_, modulus.limbs_) >= 0) {
-      r.limbs_ = BigInt::SubMag(r.limbs_, modulus.limbs_);
-      r.Trim();
-    }
-  }
-  ctx.r2_ = r;
+  // r2 = 2^(128k) mod n: the remainder of one division.
+  std::vector<uint64_t> r_squared(2 * ctx.k_ + 1, 0);
+  r_squared.back() = 1;
+  std::vector<uint64_t> quotient;
+  DivModLimbs(r_squared, modulus.limbs_, &quotient, &ctx.r2_);
   return ctx;
 }
 
-BigInt MontgomeryContext::Redc(std::vector<uint64_t> t) const {
-  // Standard word-by-word Montgomery reduction of a 2k-limb value.
-  t.resize(2 * k_ + 1, 0);
-  const std::vector<uint64_t>& n = n_.limbs_;
-  for (size_t i = 0; i < k_; ++i) {
-    uint64_t m = t[i] * n0_inv_;
+void MontgomeryContext::Load(const BigInt& a, uint64_t* out) const {
+  const std::vector<uint64_t>* limbs = &a.limbs_;
+  BigInt reduced;
+  if (a.negative_ || BigInt::CompareMag(a.limbs_, n_.limbs_) >= 0) {
+    util::Result<BigInt> mod = BigInt::Mod(a, n_);  // n_ > 1: cannot fail
+    if (mod.ok()) reduced = std::move(mod.value());
+    limbs = &reduced.limbs_;
+  }
+  std::fill(out, out + k_, 0);
+  std::copy(limbs->begin(), limbs->end(), out);
+}
+
+void MontgomeryContext::Mul(const uint64_t* a, const uint64_t* b,
+                            uint64_t* out, uint64_t* t) const {
+  const size_t k = k_;
+  const uint64_t* n = n_.limbs_.data();
+  const uint64_t n0_inv = n0_inv_;
+  std::fill(t, t + k + 2, 0);
+  for (size_t i = 0; i < k; ++i) {
+    // t += a * b[i]
+    const uint64_t bi = b[i];
     uint64_t carry = 0;
-    for (size_t j = 0; j < k_; ++j) {
-      uint128 cur = static_cast<uint128>(m) * n[j] + t[i + j] + carry;
-      t[i + j] = static_cast<uint64_t>(cur);
+    for (size_t j = 0; j < k; ++j) {
+      uint128 cur = static_cast<uint128>(a[j]) * bi + t[j] + carry;
+      t[j] = static_cast<uint64_t>(cur);
       carry = static_cast<uint64_t>(cur >> 64);
     }
-    // Propagate carry.
-    size_t idx = i + k_;
-    while (carry != 0 && idx < t.size()) {
-      uint128 cur = static_cast<uint128>(t[idx]) + carry;
-      t[idx] = static_cast<uint64_t>(cur);
+    uint128 top = static_cast<uint128>(t[k]) + carry;
+    t[k] = static_cast<uint64_t>(top);
+    t[k + 1] = static_cast<uint64_t>(top >> 64);
+    // t = (t + m * n) / 2^64, with m chosen so the low limb cancels.
+    uint64_t m = t[0] * n0_inv;
+    uint128 cur = static_cast<uint128>(m) * n[0] + t[0];
+    carry = static_cast<uint64_t>(cur >> 64);
+    for (size_t j = 1; j < k; ++j) {
+      cur = static_cast<uint128>(m) * n[j] + t[j] + carry;
+      t[j - 1] = static_cast<uint64_t>(cur);
       carry = static_cast<uint64_t>(cur >> 64);
-      ++idx;
     }
+    top = static_cast<uint128>(t[k]) + carry;
+    t[k - 1] = static_cast<uint64_t>(top);
+    t[k] = t[k + 1] + static_cast<uint64_t>(top >> 64);
   }
+  // a, b < n keeps t < 2n, so one conditional subtraction finishes.
+  if (t[k] == 0 && CompareLimbs(t, n, k) < 0) {
+    std::copy(t, t + k, out);
+    return;
+  }
+  uint64_t borrow = 0;
+  for (size_t j = 0; j < k; ++j) {
+    uint128 diff = static_cast<uint128>(t[j]) - n[j] - borrow;
+    out[j] = static_cast<uint64_t>(diff);
+    borrow = static_cast<uint64_t>(diff >> 64) & 1;
+  }
+}
+
+BigInt MontgomeryContext::MulBy(const BigInt& a, const uint64_t* b) const {
+  std::vector<uint64_t> buf(2 * k_ + 2);
+  Load(a, buf.data());
+  Mul(buf.data(), b, buf.data(), buf.data() + k_);
   BigInt out;
-  out.limbs_.assign(t.begin() + static_cast<long>(k_), t.end());
+  out.limbs_.assign(buf.begin(), buf.begin() + static_cast<long>(k_));
   out.Trim();
-  if (BigInt::CompareMag(out.limbs_, n) >= 0) {
-    out.limbs_ = BigInt::SubMag(out.limbs_, n);
-    out.Trim();
-  }
   return out;
 }
 
 BigInt MontgomeryContext::MulMont(const BigInt& a, const BigInt& b) const {
-  BigInt prod = a * b;
-  return Redc(std::move(prod.limbs_));
+  std::vector<uint64_t> rhs(k_);
+  Load(b, rhs.data());
+  return MulBy(a, rhs.data());
 }
 
 BigInt MontgomeryContext::ToMont(const BigInt& a) const {
-  return MulMont(a, r2_);
+  return MulBy(a, r2_.data());
 }
 
 BigInt MontgomeryContext::FromMont(const BigInt& a) const {
-  return Redc(a.limbs_);
+  std::vector<uint64_t> one(k_, 0);
+  one[0] = 1;
+  return MulBy(a, one.data());
 }
 
 BigInt MontgomeryContext::ModExp(const BigInt& base, const BigInt& exp) const {
-  util::Result<BigInt> reduced = BigInt::Mod(base, n_);
-  BigInt b = reduced.ok() ? reduced.value() : BigInt();
   if (exp.is_zero()) return BigInt(1);
-  // 4-bit fixed-window exponentiation.
-  BigInt bm = ToMont(b);
-  BigInt one_m = ToMont(BigInt(1));
-  std::vector<BigInt> table(16);
-  table[0] = one_m;
-  for (int i = 1; i < 16; ++i) table[i] = MulMont(table[i - 1], bm);
-  size_t bits = exp.BitLength();
-  size_t windows = (bits + 3) / 4;
-  BigInt acc = one_m;
-  for (size_t w = windows; w-- > 0;) {
-    for (int s = 0; s < 4; ++s) acc = MulMont(acc, acc);
-    int digit = 0;
-    for (int s = 3; s >= 0; --s) {
-      digit = (digit << 1) | (exp.Bit(w * 4 + s) ? 1 : 0);
-    }
-    if (digit != 0) acc = MulMont(acc, table[digit]);
+  const size_t k = k_;
+  // One buffer for the whole call: base^1 .. base^15 in the Montgomery
+  // domain (base^d at table + (d-1)*k), the accumulator, and the product's
+  // scratch. Past Load, which divides only a base >= n, nothing allocates.
+  std::vector<uint64_t> scratch(17 * k + 2);
+  uint64_t* table = scratch.data();
+  uint64_t* acc = table + 15 * k;
+  uint64_t* t = acc + k;
+  Load(base, table);
+  Mul(table, r2_.data(), table, t);
+  for (size_t d = 1; d < 15; ++d) {
+    Mul(table + (d - 1) * k, table, table + d * k, t);
   }
-  return FromMont(acc);
+  // 4-bit fixed window, most significant first; a window never straddles
+  // a limb, and the top one is nonzero, so it seeds the accumulator.
+  const std::vector<uint64_t>& e = exp.limbs_;
+  auto digit = [&e](size_t w) {
+    return static_cast<size_t>((e[w / 16] >> (w % 16 * 4)) & 0xf);
+  };
+  size_t w = (exp.BitLength() + 3) / 4 - 1;
+  std::copy(table + (digit(w) - 1) * k, table + digit(w) * k, acc);
+  while (w-- > 0) {
+    for (int s = 0; s < 4; ++s) Mul(acc, acc, acc, t);
+    if (size_t d = digit(w); d != 0) Mul(acc, table + (d - 1) * k, acc, t);
+  }
+  // Leave the domain: a Montgomery product with plain 1.
+  std::fill(table, table + k, 0);
+  table[0] = 1;
+  Mul(acc, table, acc, t);
+  BigInt out;
+  out.limbs_.assign(acc, acc + k);
+  out.Trim();
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -517,6 +638,8 @@ bool IsProbablePrime(const BigInt& n, int rounds,
   util::Result<MontgomeryContext> ctx_or = MontgomeryContext::Create(n);
   if (!ctx_or.ok()) return false;
   const MontgomeryContext& ctx = ctx_or.value();
+  // The squarings stay in the Montgomery domain, where n-1 is this value.
+  const BigInt minus_one_m = ctx.ToMont(n_minus_1);
   size_t nbytes = (n.BitLength() + 7) / 8;
   std::vector<uint8_t> buf(nbytes);
   for (int round = 0; round < rounds; ++round) {
@@ -530,10 +653,11 @@ bool IsProbablePrime(const BigInt& n, int rounds,
     } while (a >= n - BigInt(1) || a <= BigInt(1));
     BigInt x = ctx.ModExp(a, d);
     if (x == BigInt(1) || x == n_minus_1) continue;
+    x = ctx.ToMont(x);
     bool witness = true;
     for (size_t i = 0; i + 1 < s; ++i) {
-      x = ctx.ModExp(x, BigInt(2));
-      if (x == n_minus_1) {
+      x = ctx.MulMont(x, x);
+      if (x == minus_one_m) {
         witness = false;
         break;
       }

@@ -18,6 +18,12 @@ namespace lbtrust::crypto {
 /// trust layer needs are provided: ring arithmetic, comparison, shifting,
 /// division, modular exponentiation (via Montgomery reduction, see
 /// MontgomeryContext), modular inverse, and Miller-Rabin primality.
+///
+/// The kernels work a limb at a time with `unsigned __int128` products:
+/// division is Knuth's Algorithm D (one quotient limb per step, estimated
+/// from the top two remainder limbs), and modular exponentiation is a 4-bit
+/// fixed window over a CIOS Montgomery product on fixed-width k-limb
+/// buffers, with R^2 mod n obtained from one such division.
 class BigInt {
  public:
   /// Zero.
@@ -67,7 +73,7 @@ class BigInt {
   /// Magnitude modulo a small modulus; requires m != 0 and *this >= 0.
   uint64_t ModUint64(uint64_t m) const;
 
-  /// (base ^ exp) mod m for m odd > 1, exp >= 0. Montgomery ladder inside.
+  /// (base ^ exp) mod m for m odd > 1, exp >= 0, via MontgomeryContext.
   static util::Result<BigInt> ModExp(const BigInt& base, const BigInt& exp,
                                      const BigInt& m);
   /// Multiplicative inverse of a modulo m (extended Euclid); fails if
@@ -113,8 +119,10 @@ class BigInt {
   bool negative_ = false;        // never set when limbs_ is empty
 };
 
-/// Precomputed Montgomery domain for a fixed odd modulus; makes repeated
-/// modular multiplication (the RSA hot path) division-free.
+/// Precomputed Montgomery domain for a fixed odd modulus n of k limbs
+/// (R = 2^(64*k)); makes repeated modular multiplication (the RSA hot path)
+/// division-free. Every entry point first reduces its operands mod n, so
+/// any integer, including a negative one or one wider than n, is accepted.
 class MontgomeryContext {
  public:
   /// `modulus` must be odd and > 1.
@@ -122,23 +130,32 @@ class MontgomeryContext {
 
   const BigInt& modulus() const { return n_; }
 
-  /// Converts into / out of the Montgomery domain.
+  /// a*R mod n and a*R^{-1} mod n: into / out of the Montgomery domain.
   BigInt ToMont(const BigInt& a) const;
   BigInt FromMont(const BigInt& a) const;
-  /// Montgomery product of two in-domain values.
+  /// Montgomery product a*b*R^{-1} mod n: for in-domain a and b, their
+  /// in-domain product.
   BigInt MulMont(const BigInt& a, const BigInt& b) const;
-  /// (base ^ exp) mod n with base in the normal domain; 4-bit window.
+  /// (base ^ |exp|) mod n with base in the normal domain; 4-bit window.
   BigInt ModExp(const BigInt& base, const BigInt& exp) const;
 
  private:
   MontgomeryContext() = default;
 
-  BigInt Redc(std::vector<uint64_t> t) const;
+  // Writes a mod n into the k-limb buffer `out`.
+  void Load(const BigInt& a, uint64_t* out) const;
+  // out = a*b*R^{-1} mod n for k-limb a, b < n (CIOS: multiply and reduce
+  // interleaved a limb of b at a time). `t` is k+2 limbs of scratch; out may
+  // alias a or b.
+  void Mul(const uint64_t* a, const uint64_t* b, uint64_t* out,
+           uint64_t* t) const;
+  // MulMont with a k-limb right operand b < n.
+  BigInt MulBy(const BigInt& a, const uint64_t* b) const;
 
   BigInt n_;
-  uint64_t n0_inv_ = 0;  // -n^{-1} mod 2^64
-  BigInt r2_;            // R^2 mod n, R = 2^(64*k)
-  size_t k_ = 0;         // limb count of n
+  uint64_t n0_inv_ = 0;        // -n^{-1} mod 2^64
+  std::vector<uint64_t> r2_;   // R^2 mod n as exactly k limbs
+  size_t k_ = 0;               // limb count of n
 };
 
 /// Miller-Rabin probabilistic primality test; `rounds` random bases drawn

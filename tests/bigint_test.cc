@@ -132,6 +132,70 @@ TEST(BigIntTest, DivModInvariantSmall) {
   }
 }
 
+// Bit-serial long division, one shift, compare and subtract per dividend
+// bit: too slow for the library, simple enough to serve as DivMod's oracle.
+void BitSerialDivMod(const BigInt& a, const BigInt& b, BigInt* q, BigInt* r) {
+  const BigInt mag_a = a.is_negative() ? -a : a;
+  const BigInt mag_b = b.is_negative() ? -b : b;
+  BigInt quotient;
+  BigInt remainder;
+  for (size_t i = mag_a.BitLength(); i-- > 0;) {
+    remainder = remainder << 1;
+    if (mag_a.Bit(i)) remainder = remainder + BigInt(1);
+    if (remainder >= mag_b) {
+      remainder = remainder - mag_b;
+      quotient = quotient + (BigInt(1) << i);
+    }
+  }
+  *q = a.is_negative() != b.is_negative() ? -quotient : quotient;
+  *r = a.is_negative() ? -remainder : remainder;
+}
+
+// Little-endian limbs -> non-negative integer.
+BigInt FromLimbs(const std::vector<uint64_t>& limbs) {
+  BigInt out;
+  for (size_t i = limbs.size(); i-- > 0;) {
+    out = (out << 64) + BigInt::FromUint64(limbs[i]);
+  }
+  return out;
+}
+
+// Operands made of limbs at the edges of Algorithm D's quotient estimate
+// reach its correction and add-back steps, which uniformly random operands
+// almost never do.
+TEST(BigIntTest, DivModMatchesBitSerialReference) {
+  const uint64_t kEdges[] = {0, 1, (uint64_t{1} << 63) - 1, uint64_t{1} << 63,
+                             ~uint64_t{0}};
+  SecureRandom rng(uint64_t{0xD1F});
+  auto limb = [&]() {
+    uint64_t pick = rng.Uniform(6);
+    return pick < 5 ? kEdges[pick] : rng.NextUint64();
+  };
+  for (int i = 0; i < 1500; ++i) {
+    // One- to four-limb divisors; dividends from as many limbs as the
+    // divisor up to three more.
+    std::vector<uint64_t> bl(1 + rng.Uniform(4));
+    std::vector<uint64_t> al(bl.size() + rng.Uniform(4));
+    for (uint64_t& l : bl) l = limb();
+    for (uint64_t& l : al) l = limb();
+    // Normalisation shift 63, shift 0, or whatever the draw gave.
+    if (i % 3 == 0) bl.back() = 1;
+    if (i % 3 == 1) bl.back() |= uint64_t{1} << 63;
+    const BigInt a = FromLimbs(al);
+    const BigInt b = FromLimbs(bl);
+    if (b.is_zero()) continue;
+    for (int signs = 0; signs < 4; ++signs) {
+      const BigInt sa = (signs & 1) ? -a : a;
+      const BigInt sb = (signs & 2) ? -b : b;
+      BigInt q, r, want_q, want_r;
+      ASSERT_TRUE(BigInt::DivMod(sa, sb, &q, &r).ok());
+      BitSerialDivMod(sa, sb, &want_q, &want_r);
+      ASSERT_EQ(q, want_q) << sa.ToHex() << " / " << sb.ToHex();
+      ASSERT_EQ(r, want_r) << sa.ToHex() << " % " << sb.ToHex();
+    }
+  }
+}
+
 TEST(BigIntTest, DivModByZeroFails) {
   BigInt q, r;
   EXPECT_FALSE(BigInt::DivMod(BigInt(3), BigInt(0), &q, &r).ok());
@@ -300,6 +364,26 @@ TEST(MontgomeryTest, RoundTripDomain) {
   for (int64_t v : {0L, 1L, 2L, 123456789L}) {
     BigInt x(v);
     EXPECT_EQ(ctx->FromMont(ctx->ToMont(x)), x);
+  }
+  // Inputs at or beyond the modulus, up to several times its width, and
+  // negative ones come back reduced mod n.
+  SecureRandom rng(uint64_t{0x4D0});
+  BigInt n256 = rng.RandomBits(256);
+  if (!n256.is_odd()) n256 = n256 + BigInt(1);
+  auto wide = MontgomeryContext::Create(n256);
+  ASSERT_TRUE(wide.ok());
+  const BigInt one_m = wide->ToMont(BigInt(1));
+  for (const BigInt& x :
+       {n256 - BigInt(1), n256, n256 + BigInt(1), rng.RandomBits(257),
+        rng.RandomBits(400), rng.RandomBits(1000), -rng.RandomBits(100),
+        -rng.RandomBits(400)}) {
+    auto want = BigInt::Mod(x, n256);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(wide->FromMont(wide->ToMont(x)), *want) << x.ToHex();
+    EXPECT_EQ(wide->ToMont(wide->FromMont(x)), *want) << x.ToHex();
+    // MulMont reduces its operands too: x times 1 in the domain is x.
+    EXPECT_EQ(wide->MulMont(x, one_m), *want) << x.ToHex();
+    EXPECT_EQ(wide->MulMont(one_m, x), *want) << x.ToHex();
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/strings.h"
+
 namespace lbtrust::crypto {
 namespace {
 
@@ -144,6 +146,42 @@ TEST(RsaTest, Generate1024BitKey) {
   ASSERT_TRUE(sig.ok());
   EXPECT_EQ(sig->size(), 128u);
   EXPECT_TRUE(RsaVerify(kp->public_key, "paper-figure-2", *sig));
+}
+
+// PKCS#1 v1.5 signing is deterministic, so a key from a fixed seed and its
+// signatures over fixed messages are exact values: any change to the
+// arithmetic kernels, key generation's RNG draws or the encoding shows here.
+TEST(RsaTest, KnownAnswer1024) {
+  SecureRandom rng(uint64_t{2009});
+  auto kp = RsaGenerateKeyPair(1024, &rng);
+  ASSERT_TRUE(kp.ok()) << kp.status().ToString();
+  EXPECT_EQ(KeyFingerprint(kp->public_key), "9b1ce9d78f181549");
+  const struct {
+    const char* message;
+    const char* signature_hex;
+  } kCases[] = {
+      {"",
+       "98491112e78fb9e475d3de38f301cce9446981739d3e00f0e6668238b7ac7804"
+       "c7739bac99e5b49f7ab91574a75eaaba215f6c1b7dd0e936bfa9881b6dc46efc"
+       "dfda50639700679424690102324ec783fbdcf6c4206e4bf1f4499a95615b78b7"
+       "5b5d91101ea550c0ac370793523cccc9d53746748a7a670c697f60f576c49a51"},
+      {"paper-figure-2",
+       "686686c4ccfd26ba61e7cfd1e764b976ea96a575ce641dec70dd88950527cf44"
+       "f381595f9ee9682b56d55380aa89734a8cd63579d4df9bc3d065ac2b435191fe"
+       "a3de22cd825bf235281213b4f3b37c577b8a2a87481314ffe66faa67c3f66383"
+       "72046822bcec0972fe7ac8cee14866d57c81d295188b3ceeae778eb57e955d14"},
+      {"says(alice,bob,[|access(carol,file1,read).|])",
+       "7925d962ca02de24239d2d9b2dd718a7e5dc6095c058a9e7e3d7bbadec09d1d5"
+       "d81d63fbff9d8bf7c080f83641930c4a8a981e3b9892f04fd3079766a161c0a7"
+       "dce8c98e02f9add7ca748bb76ebaed07f3050f4a4ade3c029cc9ec266e8b5865"
+       "d4a766cc4ea51e49af7605ecbcb0c17b7cfe455386dd3501f409d638b642541b"},
+  };
+  for (const auto& c : kCases) {
+    auto sig = RsaSign(kp->private_key, c.message);
+    ASSERT_TRUE(sig.ok());
+    EXPECT_EQ(util::HexEncode(*sig), c.signature_hex) << c.message;
+    EXPECT_TRUE(RsaVerify(kp->public_key, c.message, *sig)) << c.message;
+  }
 }
 
 TEST(RsaTest, RejectsBadKeySize) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Runs the engine/relation/distributed/observability benchmarks and merges
-# the results into one machine-readable "name -> ns/op" JSON, so the
+# Runs the engine/relation/distributed/observability/crypto benchmarks and
+# merges the results into one machine-readable "name -> ns/op" JSON, so the
 # performance trajectory is diffable across PRs (BENCH_PR9.json is the
 # current capture — it adds the live-introspection series
 # BM_FixpointWithHttpExporter/{64,128}: the instrumented TC fixpoint with
@@ -19,7 +19,7 @@
 # Environment:
 #   BENCH_BUILD_TYPE   CMake build type for a fresh build dir (Release)
 #   BENCH_TARGETS      space-separated bench binaries (bench_engine
-#                      bench_relation bench_dist bench_obs)
+#                      bench_relation bench_dist bench_obs bench_crypto)
 #   BENCH_MIN_TIME     --benchmark_min_time per bench (0.2)
 set -euo pipefail
 
@@ -27,7 +27,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-bench}"
 OUT="${2:-BENCH_PR9.json}"
-TARGETS=(${BENCH_TARGETS:-bench_engine bench_relation bench_dist bench_obs})
+TARGETS=(${BENCH_TARGETS:-bench_engine bench_relation bench_dist bench_obs bench_crypto})
 MIN_TIME="${BENCH_MIN_TIME:-0.2}"
 
 if [[ ! -f "${BUILD_DIR}/CMakeCache.txt" ]]; then
