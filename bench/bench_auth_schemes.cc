@@ -5,13 +5,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "net/cluster.h"
 #include "trust/auth_scheme.h"
 
 namespace {
 
-using lbtrust::net::Cluster;
+using lbtrust::net::SimCluster;
 using lbtrust::trust::AuthScheme;
 using lbtrust::trust::HmacScheme;
 using lbtrust::trust::PlaintextScheme;
@@ -19,14 +20,13 @@ using lbtrust::trust::RsaScheme;
 using lbtrust::trust::TrustRuntime;
 
 double TimeExchange(const char* scheme, int messages) {
-  Cluster::Options copts;
-  copts.scheme = scheme;
-  Cluster cluster(copts);
-  TrustRuntime::Options ropts;
-  ropts.rsa_bits = 1024;
-  (void)cluster.AddNode("alice", ropts);
-  (void)cluster.AddNode("bob", ropts);
-  if (!cluster.Connect().ok()) std::exit(1);
+  lbtrust::net::DistributedCluster::Options opts;
+  opts.nodes = {"alice", "bob"};
+  opts.scheme = scheme;
+  opts.runtime.rsa_bits = 1024;
+  auto created = SimCluster::Create(std::move(opts));
+  if (!created.ok()) std::exit(1);
+  SimCluster& cluster = **created;
   if (!cluster.node("alice")
            ->Load("says(me,bob,[| ping(N). |]) <- msg(N).")
            .ok()) {
@@ -37,7 +37,7 @@ double TimeExchange(const char* scheme, int messages) {
         "msg", {lbtrust::datalog::Value::Int(i)});
   }
   auto start = std::chrono::steady_clock::now();
-  auto stats = cluster.Run();
+  auto stats = cluster.RunToConvergence();
   auto end = std::chrono::steady_clock::now();
   if (!stats.ok()) std::exit(1);
   return std::chrono::duration<double>(end - start).count();

@@ -1,15 +1,16 @@
-// Socket-path macro-benchmark: wall-clock convergence of a real 3-node
-// localhost TCP mesh (one DistributedCluster per thread, ephemeral ports)
-// against the same workload on the simulated in-memory cluster.
+// Convergence macro-benchmark for the one cluster protocol on its two
+// transports: a real 3-node localhost TCP mesh (one DistributedCluster per
+// thread, ephemeral ports, wall-clock timers) against the same nodes on an
+// in-process SimCluster (in-memory transport, virtual time, one thread).
 //
 // The workload is the delegation chain scaled by N: node a derives N
 // export tuples from go(i) facts and ships them to b, b re-exports every
 // learned token to c — 2N tuples cross the wire per run. Reported
 // counters: tuples/s through the socket path (items_per_second) and
-// wire bytes per shipped tuple (bytes_per_tuple), the socket analogue of
-// the simulated cluster's tuple_bytes accounting.
+// wire bytes per shipped tuple (bytes_per_tuple).
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,8 +21,8 @@
 
 namespace {
 
-using lbtrust::net::Cluster;
 using lbtrust::net::DistributedCluster;
+using lbtrust::net::SimCluster;
 using lbtrust::trust::TrustRuntime;
 
 constexpr const char* kNodes[] = {"a", "b", "c"};
@@ -104,30 +105,31 @@ BENCHMARK(BM_DistributedConvergence)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The same workload on the simulated cluster: the in-memory baseline the
-// socket path's overhead is judged against.
+// The same nodes in process: the in-memory baseline the socket path's
+// overhead is judged against.
 void BM_SimulatedConvergence(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   size_t tuples = 0;
   for (auto _ : state) {
-    Cluster::Options copts;
-    copts.scheme = "rsa";
-    Cluster cluster(copts);
-    TrustRuntime::Options ropts;
-    ropts.rsa_bits = 512;
-    for (const char* name : kNodes) {
-      if (!cluster.AddNode(name, ropts).ok()) {
-        state.SkipWithError("node setup failed");
-      }
+    DistributedCluster::Options opts;
+    opts.nodes = {"a", "b", "c"};
+    opts.scheme = "rsa";
+    opts.runtime.rsa_bits = 512;
+    auto cluster = SimCluster::Create(std::move(opts));
+    if (!cluster.ok()) {
+      state.SkipWithError(cluster.status().ToString().c_str());
+      break;
     }
-    if (!cluster.Connect().ok()) state.SkipWithError("connect failed");
     for (const char* name : kNodes) {
-      if (!SetupNode(name, cluster.node(name), n).ok()) {
+      if (!SetupNode(name, (*cluster)->node(name), n).ok()) {
         state.SkipWithError("setup failed");
       }
     }
-    auto stats = cluster.Run();
-    if (!stats.ok()) state.SkipWithError(stats.status().ToString().c_str());
+    auto stats = (*cluster)->RunToConvergence();
+    if (!stats.ok()) {
+      state.SkipWithError(stats.status().ToString().c_str());
+      break;
+    }
     tuples += stats->tuples;
   }
   state.SetItemsProcessed(static_cast<int64_t>(tuples));

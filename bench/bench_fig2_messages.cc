@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,41 +20,38 @@
 
 namespace {
 
-using lbtrust::net::Cluster;
+using lbtrust::net::DistributedCluster;
+using lbtrust::net::SimCluster;
 using lbtrust::trust::TrustRuntime;
 
 double RunOnce(const std::string& scheme, int messages) {
-  Cluster::Options copts;
-  copts.scheme = scheme;
-  copts.max_rounds = 16;
-  Cluster cluster(copts);
-  TrustRuntime::Options ropts;
-  ropts.rsa_bits = 1024;  // the paper's key size
-  auto alice = cluster.AddNode("alice", ropts);
-  auto bob = cluster.AddNode("bob", ropts);
-  if (!alice.ok() || !bob.ok()) {
-    std::fprintf(stderr, "node setup failed\n");
+  DistributedCluster::Options opts;
+  opts.nodes = {"alice", "bob"};
+  opts.scheme = scheme;
+  opts.runtime.rsa_bits = 1024;  // the paper's key size
+  auto created = SimCluster::Create(std::move(opts));
+  if (!created.ok()) {
+    std::fprintf(stderr, "node setup failed: %s\n",
+                 created.status().ToString().c_str());
     std::exit(1);
   }
-  if (auto st = cluster.Connect(); !st.ok()) {
-    std::fprintf(stderr, "connect failed: %s\n", st.ToString().c_str());
-    std::exit(1);
-  }
+  SimCluster& cluster = **created;
+  TrustRuntime* alice = cluster.node("alice");
   // The exchange workload: one exported (and thus signed + verified)
   // message per msg(N) fact.
-  if (auto st = (*alice)->Load("says(me,bob,[| ping(N). |]) <- msg(N).");
+  if (auto st = alice->Load("says(me,bob,[| ping(N). |]) <- msg(N).");
       !st.ok()) {
     std::fprintf(stderr, "load failed: %s\n", st.ToString().c_str());
     std::exit(1);
   }
   for (int i = 0; i < messages; ++i) {
-    auto st = (*alice)->workspace()->AddFact(
+    auto st = alice->workspace()->AddFact(
         "msg", {lbtrust::datalog::Value::Int(i)});
     if (!st.ok()) std::exit(1);
   }
 
   auto start = std::chrono::steady_clock::now();
-  auto stats = cluster.Run();
+  auto stats = cluster.RunToConvergence();
   auto end = std::chrono::steady_clock::now();
   if (!stats.ok()) {
     std::fprintf(stderr, "run failed: %s\n",

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,8 +16,8 @@
 
 namespace {
 
-using lbtrust::net::Cluster;
-using lbtrust::trust::TrustRuntime;
+using lbtrust::net::DistributedCluster;
+using lbtrust::net::SimCluster;
 
 const char kReachability[] =
     "At S:\n"
@@ -37,18 +38,15 @@ struct Row {
 
 Row RunTopology(const std::string& topology, const std::string& scheme,
                 int n, const std::vector<std::pair<int, int>>& edges) {
-  Cluster::Options copts;
-  copts.scheme = scheme;
-  copts.max_rounds = 256;
-  Cluster cluster(copts);
-  TrustRuntime::Options ropts;
-  ropts.rsa_bits = 512;  // keep setup fast; crypto cost is per message
   std::vector<std::string> names;
-  for (int i = 0; i < n; ++i) {
-    names.push_back(lbtrust::util::StrCat("n", i));
-    if (!cluster.AddNode(names.back(), ropts).ok()) std::exit(1);
-  }
-  if (!cluster.Connect().ok()) std::exit(1);
+  for (int i = 0; i < n; ++i) names.push_back(lbtrust::util::StrCat("n", i));
+  DistributedCluster::Options opts;
+  opts.nodes = names;
+  opts.scheme = scheme;
+  opts.runtime.rsa_bits = 512;  // keep setup fast; crypto cost is per message
+  auto created = SimCluster::Create(std::move(opts));
+  if (!created.ok()) std::exit(1);
+  SimCluster& cluster = **created;
   if (!lbtrust::sendlog::LoadSendlogOnCluster(&cluster, kReachability).ok()) {
     std::exit(1);
   }
@@ -65,7 +63,7 @@ Row RunTopology(const std::string& topology, const std::string& scheme,
   }
 
   auto start = std::chrono::steady_clock::now();
-  auto stats = cluster.Run();
+  auto stats = cluster.RunToConvergence();
   auto end = std::chrono::steady_clock::now();
   if (!stats.ok()) {
     std::fprintf(stderr, "run failed: %s\n",

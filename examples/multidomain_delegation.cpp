@@ -15,13 +15,14 @@
 // auditor re-imports a bundle it has already seen, and the second import
 // performs zero RSA operations.
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "cred/store.h"
 #include "net/cluster.h"
 #include "trust/trust_runtime.h"
 
-using lbtrust::net::Cluster;
+using lbtrust::net::SimCluster;
 using lbtrust::trust::TrustRuntime;
 
 namespace {
@@ -46,16 +47,14 @@ T Take(lbtrust::util::Result<T> result, const char* what) {
 }  // namespace
 
 int main() {
-  Cluster::Options copts;
-  copts.scheme = "";  // evidence travels as credentials, not scheme exports
-  copts.default_placement = false;
-  Cluster cluster(copts);
-  TrustRuntime::Options ropts;
-  ropts.rsa_bits = 512;
-  for (const char* n : {"hq", "store", "auditor"}) {
-    if (!cluster.AddNode(n, ropts).ok()) return 1;
-  }
-  Check(cluster.Connect(), "connect");
+  lbtrust::net::DistributedCluster::Options opts;
+  opts.nodes = {"hq", "store", "auditor"};
+  opts.scheme = "";  // evidence travels as credentials, not scheme exports
+  opts.default_placement = false;
+  opts.runtime.rsa_bits = 512;
+  std::unique_ptr<SimCluster> mesh =
+      Take(SimCluster::Create(std::move(opts)), "create cluster");
+  SimCluster& cluster = *mesh;
 
   TrustRuntime* hq = cluster.node("hq");
   TrustRuntime* store = cluster.node("store");
@@ -69,7 +68,7 @@ int main() {
 
   // Ship hq -> store; the store learns who may approve.
   Check(cluster.ShipCredential("hq", "store", policy), "ship hq->store");
-  Check(cluster.Run().status(), "run 1");
+  Check(cluster.RunToConvergence().status(), "run 1");
   std::printf("store knows mayApprove(dana,discount): %zu\n",
               *store->workspace()->Count("mayApprove(dana,discount)"));
 
@@ -87,7 +86,7 @@ int main() {
             "validDiscount(O) <- approved(O,discount,M), "
             "mayApprove(M,discount)."),
         "auditor policy");
-  Check(cluster.Run().status(), "run 2");
+  Check(cluster.RunToConvergence().status(), "run 2");
   std::printf("auditor derives validDiscount(order17): %zu\n",
               *auditor->workspace()->Count("validDiscount(order17)"));
 

@@ -4,38 +4,38 @@
 // claim, with the measured cost of each choice.
 #include <chrono>
 #include <cstdio>
+#include <memory>
 
 #include "net/cluster.h"
 #include "trust/auth_scheme.h"
 
-using lbtrust::net::Cluster;
+using lbtrust::net::SimCluster;
 using lbtrust::trust::AuthScheme;
 
 namespace {
 
 double RunExchange(const char* scheme, int messages, size_t* out_messages) {
-  Cluster::Options copts;
-  copts.scheme = scheme;
-  Cluster cluster(copts);
-  lbtrust::trust::TrustRuntime::Options ropts;
-  ropts.rsa_bits = 1024;
-  (void)cluster.AddNode("alice", ropts);
-  (void)cluster.AddNode("bob", ropts);
-  if (!cluster.Connect().ok()) std::exit(1);
+  lbtrust::net::DistributedCluster::Options opts;
+  opts.nodes = {"alice", "bob"};
+  opts.scheme = scheme;
+  opts.runtime.rsa_bits = 1024;
+  auto created = SimCluster::Create(std::move(opts));
+  if (!created.ok()) std::exit(1);
+  SimCluster& cluster = **created;
   if (!cluster.node("alice")
            ->Load("says(me,bob,[| reading(N). |]) <- sensor(N).")
            .ok()) {
     std::exit(1);
   }
   // Stage the whole sensor batch and apply it in one shot (the fixpoint
-  // happens inside Cluster::Run).
+  // happens inside RunToConvergence).
   lbtrust::datalog::Transaction txn = cluster.node("alice")->Begin();
   for (int i = 0; i < messages; ++i) {
     txn.AddFact("sensor", {lbtrust::datalog::Value::Int(i)});
   }
   if (!txn.CommitNoFixpoint().ok()) std::exit(1);
   auto start = std::chrono::steady_clock::now();
-  auto stats = cluster.Run();
+  auto stats = cluster.RunToConvergence();
   auto end = std::chrono::steady_clock::now();
   if (!stats.ok()) {
     std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());

@@ -1,4 +1,4 @@
-// §5.2 SeNDlog: authenticated declarative networking on a simulated
+// §5.2 SeNDlog: authenticated declarative networking on an in-process
 // cluster. Two protocols:
 //
 //   1. reachability — the paper's s1/s2 (plus the bootstrap export s0);
@@ -10,6 +10,7 @@
 // sender and verified by the receiver under the configured scheme.
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "net/cluster.h"
@@ -17,7 +18,8 @@
 #include "util/strings.h"
 
 using lbtrust::datalog::Value;
-using lbtrust::net::Cluster;
+using lbtrust::net::DistributedCluster;
+using lbtrust::net::SimCluster;
 
 namespace {
 
@@ -32,17 +34,14 @@ void Check(const lbtrust::util::Status& st, const char* what) {
 
 int main() {
   // Topology: n0 - n1 - n2 - n3 - n4 in a line plus a chord n1 - n3.
-  Cluster::Options copts;
-  copts.scheme = "rsa";
-  copts.max_rounds = 64;
-  Cluster cluster(copts);
-  lbtrust::trust::TrustRuntime::Options ropts;
-  ropts.rsa_bits = 512;
   const char* names[] = {"n0", "n1", "n2", "n3", "n4"};
-  for (const char* n : names) {
-    if (!cluster.AddNode(n, ropts).ok()) return 1;
-  }
-  Check(cluster.Connect(), "connect");
+  DistributedCluster::Options opts;
+  opts.nodes.assign(std::begin(names), std::end(names));
+  opts.scheme = "rsa";
+  opts.runtime.rsa_bits = 512;
+  auto created = SimCluster::Create(std::move(opts));
+  Check(created.status(), "create");
+  SimCluster& cluster = **created;
 
   Check(lbtrust::sendlog::LoadSendlogOnCluster(
             &cluster,
@@ -59,7 +58,7 @@ int main() {
         "program");
 
   // Stage each node's adjacency as one batch; fixpoints run in
-  // Cluster::Run.
+  // RunToConvergence.
   std::map<std::string, lbtrust::datalog::Transaction> txns;
   auto add_edge = [&](const char* a, const char* b) {
     auto stage = [&](const char* at, const char* s, const char* d) {
@@ -79,7 +78,7 @@ int main() {
   add_edge("n1", "n3");
   for (auto& [name, txn] : txns) Check(txn.CommitNoFixpoint(), "edges");
 
-  auto stats = cluster.Run();
+  auto stats = cluster.RunToConvergence();
   if (!stats.ok()) {
     std::fprintf(stderr, "run: %s\n", stats.status().ToString().c_str());
     return 1;

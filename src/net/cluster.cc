@@ -106,217 +106,210 @@ std::vector<PlacedBatch> CollectPlacedBatches(datalog::Workspace* ws,
   return out;
 }
 
-Result<TrustRuntime*> Cluster::AddNode(
-    const std::string& name, trust::TrustRuntime::Options runtime_options) {
-  if (nodes_.count(name) > 0) {
-    return util::AlreadyExists(util::StrCat("node '", name, "' exists"));
+bool SimTransport::Send(const std::string& peer, Frame frame) {
+  if (std::find(peers_.begin(), peers_.end(), peer) == peers_.end()) {
+    return false;
   }
-  runtime_options.principal = name;
-  LB_ASSIGN_OR_RETURN(std::unique_ptr<TrustRuntime> runtime,
-                      TrustRuntime::Create(runtime_options));
-  NodeState state;
-  state.runtime = std::move(runtime);
-  auto [it, inserted] = nodes_.emplace(name, std::move(state));
-  return it->second.runtime.get();
+  frame.from = self_;
+  ++stats_.frames_out;
+  if (frame.reliable()) {
+    frame.seq = ++next_seq_[peer];
+    unacked_.emplace(peer, frame.seq);
+    ++stats_.data_frames_out;
+    (frame.kind == Frame::Kind::kData ? stats_.tuple_bytes_out
+                                      : stats_.credential_bytes_out) +=
+        frame.payload.size();
+  }
+  network_->Enqueue(peer, std::move(frame));
+  return true;
 }
 
-TrustRuntime* Cluster::node(const std::string& name) {
+void SimTransport::Broadcast(const Frame& frame) {
+  for (const std::string& peer : peers_) Send(peer, frame);
+}
+
+Status SimTransport::Receive(const Frame& frame, bool lose_ack,
+                             bool repeat) {
+  ++stats_.frames_in;
+  if (frame.kind == Frame::Kind::kAck) {
+    ++stats_.acks_in;
+    unacked_.erase({frame.from, frame.seq});
+    return util::OkStatus();
+  }
+  if (frame.reliable()) {
+    ++stats_.data_frames_in;
+    (frame.kind == Frame::Kind::kData ? stats_.tuple_bytes_in
+                                      : stats_.credential_bytes_in) +=
+        frame.payload.size();
+    if (repeat) ++stats_.duplicate_frames_in;
+  }
+  if (handler_) LB_RETURN_IF_ERROR(handler_(frame));
+  if (!frame.reliable() || lose_ack) return util::OkStatus();
+  // Acked only after the handler staged the payload, as over TCP.
+  Frame ack;
+  ack.kind = Frame::Kind::kAck;
+  ack.seq = frame.seq;
+  ack.from = self_;
+  ++stats_.frames_out;
+  ++stats_.acks_out;
+  network_->Enqueue(frame.from, std::move(ack));
+  return util::OkStatus();
+}
+
+Result<std::unique_ptr<SimCluster>> SimCluster::Create(
+    DistributedCluster::Options options, uint64_t seed) {
+  std::unique_ptr<SimCluster> sim(new SimCluster(options, seed));
+  // Every runtime first, so each node's mesh carries the others' real
+  // public keys: one key generation per node instead of one per pair.
+  const std::set<std::string> names(options.nodes.begin(),
+                                    options.nodes.end());
+  std::vector<std::pair<std::string, crypto::RsaPublicKey>> mesh;
+  for (const std::string& name : names) {
+    DistributedCluster::Options node_options = options;
+    node_options.self = name;
+    LB_ASSIGN_OR_RETURN(std::unique_ptr<DistributedCluster> node,
+                        DistributedCluster::NewNode(std::move(node_options)));
+    mesh.emplace_back(name, node->runtime()->keypair().public_key);
+    sim->nodes_.emplace(name, std::move(node));
+  }
+  for (auto& [name, node] : sim->nodes_) {
+    std::vector<std::string> peers;
+    for (const std::string& peer : names) {
+      if (peer != name) peers.push_back(peer);
+    }
+    auto& endpoint = sim->endpoints_[name];
+    endpoint =
+        std::make_unique<SimTransport>(name, std::move(peers), sim.get());
+    LB_RETURN_IF_ERROR(node->Attach(mesh, endpoint.get()));
+  }
+  return sim;
+}
+
+DistributedCluster* SimCluster::member(const std::string& name) {
   auto it = nodes_.find(name);
-  return it == nodes_.end() ? nullptr : it->second.runtime.get();
+  return it == nodes_.end() ? nullptr : it->second.get();
 }
 
-std::vector<std::string> Cluster::node_names() const {
+std::vector<std::string> SimCluster::node_names() const {
   std::vector<std::string> out;
-  for (const auto& [name, state] : nodes_) out.push_back(name);
+  for (const auto& [name, node] : nodes_) out.push_back(name);
   return out;
 }
 
-Status Cluster::Connect() {
-  // nodes_ is name-sorted; ConfigureMeshNode preserves that order, which
-  // the distributed runtime replays so per-node state matches exactly.
-  std::vector<std::pair<std::string, crypto::RsaPublicKey>> mesh;
-  mesh.reserve(nodes_.size());
-  for (auto& [name, state] : nodes_) {
-    mesh.emplace_back(name, state.runtime->keypair().public_key);
-  }
-  for (auto& [name, state] : nodes_) {
-    LB_RETURN_IF_ERROR(ConfigureMeshNode(state.runtime.get(), mesh,
-                                         options_.scheme,
-                                         options_.default_placement));
-  }
-  return util::OkStatus();
+TrustRuntime* SimCluster::node(const std::string& name) {
+  DistributedCluster* found = member(name);
+  return found == nullptr ? nullptr : found->runtime();
 }
 
-void Cluster::InjectTamper(const std::string& relation,
-                           std::function<void(std::string*)> mutate) {
-  tamper_relation_ = relation;
-  tamper_ = std::move(mutate);
+Status SimCluster::ShipCredential(const std::string& from,
+                                  const std::string& to,
+                                  const std::string& hash) {
+  DistributedCluster* sender = member(from);
+  if (sender == nullptr) {
+    return util::NotFound(util::StrCat("unknown node '", from, "'"));
+  }
+  return sender->ShipCredential(to, hash);
 }
 
-Status Cluster::ShipFrom(const std::string& name, NodeState* state,
-                         std::vector<Message>* outbox) {
-  const size_t nshards = options_.ship_shards > 1 ? options_.ship_shards : 1;
-  for (PlacedBatch& batch : CollectPlacedBatches(
-           state->runtime->workspace(), name, &state->sent)) {
-    for (size_t shard = 0; shard < nshards; ++shard) {
-      size_t rows = 0;
-      std::string payload =
-          SerializeTupleBlock(batch.tuples, shard, shard + 1, nshards, &rows);
-      if (rows == 0) continue;  // empty shard range: nothing to ship
-      Message msg;
-      msg.kind = Message::Kind::kTupleBlock;
-      msg.from_node = name;
-      msg.to_node = batch.dest;
-      msg.relation = batch.relation;
-      msg.payload = std::move(payload);
-      state->tuples_out += rows;
-      outbox->push_back(std::move(msg));
-    }
-  }
-  return util::OkStatus();
+void SimCluster::Enqueue(const std::string& to, Frame frame) {
+  const int lane = frame.reliable()                    ? kReliable
+                   : frame.kind == Frame::Kind::kAck ? kAck
+                                                     : kControl;
+  lanes_[LaneKey(frame.from, to, lane)].push_back({std::move(frame)});
 }
 
-Status Cluster::ShipCredential(const std::string& from_node,
-                               const std::string& to_node,
-                               const std::string& hash) {
-  auto from = nodes_.find(from_node);
-  if (from == nodes_.end()) {
-    return util::NotFound(util::StrCat("unknown node '", from_node, "'"));
+Status SimCluster::Deliver(LaneKey key, size_t index, bool duplicate) {
+  auto lane = lanes_.find(key);
+  const bool repeat = lane->second[index].duplicated;
+  Frame frame;
+  if (duplicate) {
+    lane->second[index].duplicated = true;
+    frame = lane->second[index].frame;
+  } else {
+    frame = std::move(lane->second[index].frame);
+    lane->second.erase(lane->second.begin() + static_cast<long>(index));
+    if (lane->second.empty()) lanes_.erase(lane);
   }
-  if (nodes_.count(to_node) == 0) {
-    return util::NotFound(util::StrCat("unknown node '", to_node, "'"));
-  }
-  Message msg;
-  msg.kind = Message::Kind::kCredential;
-  msg.from_node = from_node;
-  msg.to_node = to_node;
-  msg.relation = "credential";
-  LB_ASSIGN_OR_RETURN(msg.payload,
-                      from->second.runtime->ExportCredential(hash));
-  pending_credentials_.push_back(std::move(msg));
-  return util::OkStatus();
-}
-
-Status Cluster::Deliver(const Message& message, RunStats* stats) {
-  auto it = nodes_.find(message.to_node);
-  if (it == nodes_.end()) {
-    return util::NotFound(
-        util::StrCat("message for unknown node '", message.to_node, "'"));
-  }
-  std::string payload = message.payload;
-  if (tamper_ && message.relation == tamper_relation_) {
-    tamper_(&payload);
+  if (tamper_ && frame.reliable() && frame.relation == tamper_relation_) {
+    tamper_(&frame.payload);
     tamper_ = nullptr;  // one-shot
   }
-  if (message.kind == Message::Kind::kCredential) {
-    LB_RETURN_IF_ERROR(it->second.runtime
-                           ->ImportCredentials(payload,
-                                               options_.credential_now)
-                           .status());
-    ++it->second.credential_imports;
-    it->second.dirty = true;
-    return util::OkStatus();
+  const std::string& to = std::get<1>(key);
+  Status st = endpoints_.at(to)->Receive(frame, duplicate, repeat);
+  if (!st.ok()) {
+    return Status(st.code(), util::StrCat("node '", to, "': ", st.message()));
   }
-  std::vector<Tuple> tuples;
-  if (message.kind == Message::Kind::kTupleBlock) {
-    LB_ASSIGN_OR_RETURN(tuples, DeserializeTupleBlock(payload));
-  } else {
-    LB_ASSIGN_OR_RETURN(Tuple tuple, DeserializeTuple(payload));
-    tuples.push_back(std::move(tuple));
-  }
-  if (stats != nullptr) stats->tuples += tuples.size();
-  it->second.tuples_in += tuples.size();
-  // Stage into the node's inbox (the same async-import hooks the socket
-  // transport uses); all messages delivered to this node in the round
-  // commit as one batch with a single fixpoint.
-  LB_RETURN_IF_ERROR(
-      it->second.runtime->StageTuples(message.relation, std::move(tuples)));
-  it->second.dirty = true;
   return util::OkStatus();
 }
 
-Result<Cluster::RunStats> Cluster::Run() {
-  RunStats stats;
-  // Credential bundles queued since the last Run() deliver first, so the
-  // imported says-facts participate in the first fixpoint round.
-  std::vector<Message> credentials = std::move(pending_credentials_);
-  pending_credentials_.clear();
-  for (size_t i = 0; i < credentials.size(); ++i) {
-    ++stats.messages;
-    ++stats.credential_messages;
-    stats.bytes += credentials[i].ByteSize();
-    stats.credential_bytes += credentials[i].payload.size();
-    Status st = Deliver(credentials[i], &stats);
-    if (!st.ok()) {
-      // The rejected bundle is dropped (retrying it would fail forever),
-      // but bundles not yet attempted stay queued for the next Run().
-      pending_credentials_.assign(
-          std::make_move_iterator(credentials.begin() + i + 1),
-          std::make_move_iterator(credentials.end()));
-      return Status(st.code(),
-                    util::StrCat("node '", credentials[i].to_node,
-                                 "': ", st.message()));
-    }
+Result<SimCluster::RunStats> SimCluster::RunToConvergence() {
+  std::vector<DistributedCluster*> running;
+  for (auto& [name, node] : nodes_) {
+    node->StartRun();
+    running.push_back(node.get());
   }
-  // Every Run() starts from local changes possibly made since the last one.
-  for (auto& [name, state] : nodes_) state.dirty = true;
-  for (stats.rounds = 0; stats.rounds < options_.max_rounds; ++stats.rounds) {
-    bool any_dirty = false;
-    std::vector<Message> outbox;
-    for (auto& [name, state] : nodes_) {
-      if (!state.dirty) continue;
-      any_dirty = true;
-      state.dirty = false;
-      // Inbound batch: apply every staged tuple, then fixpoint once.
-      Status st = state.runtime->HasInbox() ? state.runtime->CommitInbox()
-                                            : state.runtime->Fixpoint();
-      ++stats.fixpoints;
-      ++state.fixpoints;
-      if (!st.ok()) {
-        return Status(st.code(),
-                      util::StrCat("node '", name, "': ", st.message()));
+  const int64_t deadline = now_ms_ + timeout_ms_;
+  RunStats run;
+  while (!running.empty()) {
+    if (now_ms_ > deadline) {
+      return util::Internal(util::StrCat(
+          "no convergence within ", timeout_ms_, "ms of virtual time (seed ",
+          seed_, ")"));
+    }
+    ++run.rounds;
+    if (seed_ == 0) {
+      while (!lanes_.empty()) {
+        LB_RETURN_IF_ERROR(Deliver(lanes_.begin()->first, 0, false));
       }
-      LB_RETURN_IF_ERROR(ShipFrom(name, &state, &outbox));
+      std::vector<DistributedCluster*> undecided;
+      for (DistributedCluster* node : running) {
+        LB_ASSIGN_OR_RETURN(const bool decided, node->Step(now_ms_));
+        if (!decided) undecided.push_back(node);
+      }
+      running.swap(undecided);
+      now_ms_ += poll_interval_ms_;
+      continue;
     }
-    if (!any_dirty && outbox.empty()) break;
-    for (const Message& msg : outbox) {
-      ++stats.messages;
-      stats.bytes += msg.ByteSize();
-      stats.tuple_bytes += msg.payload.size();
-      LB_RETURN_IF_ERROR(Deliver(msg, &stats));
+    if (!lanes_.empty() && rng_.Uniform(2) == 0) {
+      // A random lane's oldest frame, or any frame of a reliable lane.
+      auto lane = std::next(lanes_.begin(),
+                            static_cast<long>(rng_.Uniform(lanes_.size())));
+      size_t index = 0;
+      bool duplicate = false;
+      if (std::get<2>(lane->first) == kReliable) {
+        index = rng_.Uniform(lane->second.size());
+        duplicate = !lane->second[index].duplicated && rng_.Uniform(4) == 0;
+      }
+      LB_RETURN_IF_ERROR(Deliver(lane->first, index, duplicate));
+    } else {
+      const size_t i = rng_.Uniform(running.size());
+      LB_ASSIGN_OR_RETURN(const bool decided, running[i]->Step(now_ms_));
+      if (decided) running.erase(running.begin() + static_cast<long>(i));
     }
-    if (outbox.empty() && !any_dirty) break;
+    ++now_ms_;
   }
-  // Round budget exhausted with deliveries still staged: apply them to the
-  // nodes' EDBs (no fixpoint) so the tuples are durable — as immediate
-  // delivery made them — and surface at the node's next fixpoint.
-  for (auto& [name, state] : nodes_) {
-    if (!state.runtime->HasInbox()) continue;
-    Status st = state.runtime->CommitInboxNoFixpoint();
-    if (!st.ok()) {
-      return Status(st.code(),
-                    util::StrCat("node '", name, "': ", st.message()));
+  // Every node saw every node quiet, i.e. with all its frames acked: a
+  // reliable frame still in flight means the termination protocol is wrong.
+  for (const auto& [key, frames] : lanes_) {
+    if (std::get<2>(key) == kReliable) {
+      return util::Internal(util::StrCat(
+          "mesh terminated with a reliable frame in flight (seed ", seed_,
+          ")"));
     }
   }
-  last_stats_ = stats;
-  SyncMetrics();
-  return stats;
-}
-
-void Cluster::SyncMetrics() {
-  for (auto& [name, state] : nodes_) {
-    obs::MetricsRegistry* reg = state.runtime->workspace()->metrics();
-    if (reg == nullptr) continue;
-    auto set = [reg](const char* counter, size_t value) {
-      reg->GetCounter(counter)->Set(static_cast<uint64_t>(value));
-    };
-    set("lbtrust_node_fixpoints_total", state.fixpoints);
-    set("lbtrust_node_tuples_in_total", state.tuples_in);
-    set("lbtrust_node_tuples_out_total", state.tuples_out);
-    set("lbtrust_node_credential_imports_total", state.credential_imports);
-    set("lbtrust_node_deferred_sends_total", 0);
-    state.runtime->SyncMetrics();
+  RunStats totals;  // since creation
+  for (auto& [name, node] : nodes_) {
+    const TransportStats& wire = endpoints_.at(name)->stats();
+    node->stats_.transport = wire;
+    totals.messages += wire.data_frames_out;
+    totals.bytes += wire.tuple_bytes_out + wire.credential_bytes_out;
+    totals.tuples += node->stats_.tuples_out;
   }
+  run.messages = totals.messages - counted_.messages;
+  run.tuples = totals.tuples - counted_.tuples;
+  run.bytes = totals.bytes - counted_.bytes;
+  counted_ = totals;
+  return run;
 }
 
 }  // namespace lbtrust::net

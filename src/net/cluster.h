@@ -1,28 +1,31 @@
 #ifndef LBTRUST_NET_CLUSTER_H_
 #define LBTRUST_NET_CLUSTER_H_
 
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "net/wire.h"
+#include "crypto/secure_random.h"
+#include "net/distributed.h"
+#include "net/transport.h"
 #include "trust/trust_runtime.h"
 #include "util/status.h"
 
 namespace lbtrust::net {
 
-/// Configures one node of a full mesh, exactly as the simulated cluster's
-/// Connect() does: for every node (sorted by name, self included) register
-/// peer public keys and pairwise HMAC secrets, add `node`/`loc` placement
-/// facts when requested, then install the ld2 placement rule and the
-/// authentication scheme. Shared by Cluster (which passes the real peer
-/// keys) and DistributedCluster (which derives them deterministically), so
-/// per-node state — and therefore converged dumps — are byte-identical
-/// across the two deployments.
+/// Configures one node of a full mesh: for every node (sorted by name,
+/// self included) register peer public keys and pairwise HMAC secrets, add
+/// `node`/`loc` placement facts when requested, then install the ld2
+/// placement rule and the authentication scheme. Every DistributedCluster
+/// node goes through it, so per-node state — and therefore converged
+/// dumps — do not depend on the transport.
 util::Status ConfigureMeshNode(
     trust::TrustRuntime* runtime,
     const std::vector<std::pair<std::string, crypto::RsaPublicKey>>&
@@ -45,121 +48,145 @@ std::vector<PlacedBatch> CollectPlacedBatches(datalog::Workspace* workspace,
                                               const std::string& self,
                                               std::set<std::string>* sent);
 
-/// A simulated multi-node deployment (§3.5): each node hosts one
-/// TrustRuntime (a principal's context); partitioned relations are shipped
-/// between nodes according to the `predNode` placement relation computed by
-/// each node's own placement rules (ld2-style: predNode(export[P],N) <-
-/// loc(P,N)). Delivery is reliable and in-order; rounds of local fixpoints
-/// alternate with message exchange until global quiescence.
-class Cluster {
+class SimCluster;
+
+/// One node's endpoint on a SimCluster's in-memory network, the
+/// counterpart of Transport: reliable frames get per-peer sequence numbers
+/// and stay unacked until the receiver's handler has staged them and its
+/// ack has crossed the network back. Frames leave the endpoint as soon as
+/// they are sent, so send queues are always empty and Send() never refuses
+/// a mesh peer.
+class SimTransport final : public Network {
  public:
-  struct Options {
-    /// Safety cap on fixpoint/exchange rounds.
-    size_t max_rounds = 64;
-    /// Authentication scheme installed on every node by Connect()
-    /// ("plaintext", "rsa", "hmac", or "" to skip).
-    std::string scheme = "rsa";
-    /// Have Connect() install default placement: node(N) and loc(P,N)
-    /// facts for every node plus the ld2 placement rule.
-    bool default_placement = true;
-    /// Wall-clock seconds used when receiving nodes validity-check imported
-    /// credentials (0 is fine for unbounded credentials; tests pin it).
-    int64_t credential_now = 0;
-    /// When > 1, each (destination, relation) batch ships as up to this
-    /// many messages, one per wire-shard range (WireTupleShard routing),
-    /// built with the shard-filtered SerializeTupleBlock — no gather pass
-    /// over the batch. Receivers are unaffected: every message is an
-    /// ordinary tuple block, and delivery stays in batch order. 1 (the
-    /// default) keeps the classic one-message-per-batch wire behavior.
-    size_t ship_shards = 1;
-  };
+  SimTransport(std::string self, std::vector<std::string> peers,
+               SimCluster* network)
+      : self_(std::move(self)), peers_(std::move(peers)), network_(network) {}
 
-  Cluster() : Cluster(Options()) {}
-  explicit Cluster(Options options) : options_(std::move(options)) {}
-
-  /// Creates a node hosting a principal of the same name.
-  util::Result<trust::TrustRuntime*> AddNode(
-      const std::string& name,
-      trust::TrustRuntime::Options runtime_options = {});
-
-  trust::TrustRuntime* node(const std::string& name);
-  std::vector<std::string> node_names() const;
-
-  /// Full-mesh peering: every node learns every other node's public key,
-  /// pairwise HMAC secrets, placement facts (if default_placement), and
-  /// the configured authentication scheme.
-  util::Status Connect();
-
-  struct RunStats {
-    size_t rounds = 0;
-    size_t messages = 0;  ///< network sends (a block message counts once)
-    size_t tuples = 0;    ///< tuples delivered across all messages
-    size_t bytes = 0;     ///< total wire bytes (tuple blocks + credentials)
-    size_t fixpoints = 0;
-    /// Per-kind byte accounting, so benches can report wire efficiency
-    /// separately for fact traffic and credential-bundle traffic (the
-    /// socket transport exposes the same split in TransportStats).
-    size_t tuple_bytes = 0;
-    size_t credential_messages = 0;
-    size_t credential_bytes = 0;
-  };
-
-  /// Runs local fixpoints and ships placed partitions until no node is
-  /// dirty. Constraint violations on any node abort the run with that
-  /// node's status (message attribution included).
-  util::Result<RunStats> Run();
-
-  /// Queues credential `hash` (and its transitive link closure) from
-  /// `from_node`'s store as a bundle message to `to_node`; the next Run()
-  /// delivers it and the receiver verifies-and-imports before its first
-  /// fixpoint round. Failures at the receiver abort that Run() with the
-  /// node-attributed status.
-  util::Status ShipCredential(const std::string& from_node,
-                              const std::string& to_node,
-                              const std::string& hash);
-
-  /// Test hook: tamper with the next delivery matching `relation` by
-  /// applying `mutate` to the serialized tuple payload.
-  void InjectTamper(const std::string& relation,
-                    std::function<void(std::string*)> mutate);
-
-  /// Mirrors every node's per-node counters (fixpoints, tuples shipped and
-  /// delivered, credential imports) plus its trust-runtime counters into
-  /// that node's workspace metrics registry, under the same
-  /// `lbtrust_node_*` names the socket deployment exposes — the oracle
-  /// side of dist_smoke.sh's counter reconciliation. Run() calls this
-  /// before returning; it is public for tools that dump between runs.
-  void SyncMetrics();
+  void set_handler(FrameHandler handler) override {
+    handler_ = std::move(handler);
+  }
+  bool Send(const std::string& peer, Frame frame) override;
+  void Broadcast(const Frame& frame) override;
+  bool AllAcked() const override { return unacked_.empty(); }
+  bool SendQueuesEmpty() const override { return true; }
+  const TransportStats& stats() const override { return stats_; }
 
  private:
-  struct NodeState {
-    std::unique_ptr<trust::TrustRuntime> runtime;
-    bool dirty = true;
-    /// Dedup of already-shipped tuples (interned row ids), shared with
-    /// CollectPlacedBatches. Inbound tuples stage in the runtime's inbox
-    /// (TrustRuntime::StageTuples), the same async-import hooks the socket
-    /// transport uses.
-    std::set<std::string> sent;
-    /// Per-node counters mirroring DistributedCluster::RunStats, so sim
-    /// and socket nodes expose identical lbtrust_node_* metrics.
-    size_t fixpoints = 0;
-    size_t tuples_in = 0;
-    size_t tuples_out = 0;
-    size_t credential_imports = 0;
+  friend class SimCluster;
+
+  /// Hands an arriving frame to the handler, then acks a reliable one
+  /// unless the network lost that ack. `repeat`: delivered before.
+  util::Status Receive(const Frame& frame, bool lose_ack, bool repeat);
+
+  std::string self_;
+  std::vector<std::string> peers_;
+  SimCluster* network_;
+  FrameHandler handler_;
+  std::map<std::string, uint64_t> next_seq_;
+  std::set<std::pair<std::string, uint64_t>> unacked_;  ///< (peer, seq)
+  TransportStats stats_;
+};
+
+/// An in-process mesh (§3.5): one DistributedCluster per node, each
+/// hosting one principal's TrustRuntime on a SimTransport, all stepped by
+/// the calling thread in virtual time — no sockets, threads or sleeps. The
+/// nodes run the socket deployment's exchange loop and termination
+/// protocol unchanged, so a converged node's dump is byte-identical to a
+/// socket node's.
+///
+/// The network gives every directed link three lanes: reliable frames
+/// (data, credential), status and confirm frames, and acks. The status and
+/// ack lanes are FIFO: TCP keeps each in order, but carries them on
+/// different connections, so they are not ordered with each other.
+///
+/// Seed 0 is the bulk-synchronous schedule: each sweep delivers every
+/// frame sent in the previous one, then each node (in name order) commits
+/// what arrived, runs one fixpoint and ships. Any other seed interleaves
+/// single node steps with single deliveries of a frame from a random lane.
+/// Reliable frames are then delayed, reordered within and across links,
+/// and sometimes delivered twice with the first copy's ack lost: the
+/// retransmission at-least-once delivery produces, which keeps the sender
+/// unacked until the last copy lands, as over TCP. A mesh must converge to
+/// the same dumps under every seed; a seed's schedule replays exactly.
+class SimCluster {
+ public:
+  /// Builds one node per name in `options.nodes` (`options.self` is set
+  /// per node) from the options socket nodes use, on a network scheduled
+  /// by `seed`.
+  static util::Result<std::unique_ptr<SimCluster>> Create(
+      DistributedCluster::Options options, uint64_t seed = 0);
+
+  SimCluster(const SimCluster&) = delete;
+  SimCluster& operator=(const SimCluster&) = delete;
+
+  /// The runtime of node `name`, or nullptr.
+  trust::TrustRuntime* node(const std::string& name);
+  /// Node `name` itself (its counters and metrics page), or nullptr.
+  DistributedCluster* member(const std::string& name);
+  std::vector<std::string> node_names() const;
+
+  /// Sends credential `hash` (and its link closure) from node `from`'s
+  /// store to node `to`; the next run delivers and imports it.
+  util::Status ShipCredential(const std::string& from, const std::string& to,
+                              const std::string& hash);
+
+  /// Test hook: `mutate` rewrites the payload of the next delivered frame
+  /// for `relation` ("credential" for bundles).
+  void InjectTamper(const std::string& relation,
+                    std::function<void(std::string*)> mutate) {
+    tamper_relation_ = relation;
+    tamper_ = std::move(mutate);
+  }
+
+  /// What one run moved; frames sent since the last completed run (for
+  /// instance by ShipCredential) count in this one.
+  struct RunStats {
+    size_t rounds = 0;    ///< sweeps (seed 0) or scheduler events
+    size_t messages = 0;  ///< reliable frames: tuple blocks + bundles
+    size_t tuples = 0;    ///< tuples shipped
+    size_t bytes = 0;     ///< payload bytes of those frames
   };
 
-  util::Status ShipFrom(const std::string& name, NodeState* state,
-                        std::vector<Message>* outbox);
-  util::Status Deliver(const Message& message, RunStats* stats);
+  /// Steps the nodes until every one has decided that the mesh
+  /// terminated. Returns the first error, attributed to its node, or a
+  /// timeout after `convergence_timeout_ms` of virtual time.
+  util::Result<RunStats> RunToConvergence();
 
-  Options options_;
-  std::map<std::string, NodeState> nodes_;
-  /// Credential bundles queued by ShipCredential(), delivered (and counted)
-  /// at the start of the next Run().
-  std::vector<Message> pending_credentials_;
-  RunStats last_stats_;
+ private:
+  friend class SimTransport;
+
+  enum Lane { kReliable, kControl, kAck };
+  struct InFlight {
+    Frame frame;
+    bool duplicated = false;
+  };
+  /// (from, to, lane).
+  using LaneKey = std::tuple<std::string, std::string, int>;
+
+  SimCluster(const DistributedCluster::Options& options, uint64_t seed)
+      : seed_(seed),
+        timeout_ms_(options.convergence_timeout_ms),
+        poll_interval_ms_(options.poll_interval_ms),
+        rng_(seed) {}
+
+  void Enqueue(const std::string& to, Frame frame);
+  /// Delivers frame `index` of lane `key`; a `duplicate` stays in flight.
+  /// A handler error names the receiving node.
+  util::Status Deliver(LaneKey key, size_t index, bool duplicate);
+
+  const uint64_t seed_;
+  const int64_t timeout_ms_;
+  const int poll_interval_ms_;
+  crypto::SecureRandom rng_;
+  /// Frames in flight per lane, oldest first; empty lanes are erased.
+  std::map<LaneKey, std::deque<InFlight>> lanes_;
   std::string tamper_relation_;
   std::function<void(std::string*)> tamper_;
+  /// Declared before nodes_: the nodes hold pointers to their endpoints.
+  std::map<std::string, std::unique_ptr<SimTransport>> endpoints_;
+  std::map<std::string, std::unique_ptr<DistributedCluster>> nodes_;
+  int64_t now_ms_ = 0;  ///< virtual time
+  RunStats counted_;  ///< counters summed at the end of the last run
 };
 
 }  // namespace lbtrust::net

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "net/cluster.h"
 #include "net/wire.h"
 #include "obs/build_info.h"
 #include "obs/trace.h"
@@ -15,7 +16,7 @@ using trust::TrustRuntime;
 using util::Result;
 using util::Status;
 
-Result<std::unique_ptr<DistributedCluster>> DistributedCluster::Create(
+Result<std::unique_ptr<DistributedCluster>> DistributedCluster::NewNode(
     Options options) {
   if (options.self.empty()) {
     return util::InvalidArgument("self node name must not be empty");
@@ -33,41 +34,53 @@ Result<std::unique_ptr<DistributedCluster>> DistributedCluster::Create(
   dc->options_.runtime.principal = dc->options_.self;
   LB_ASSIGN_OR_RETURN(dc->runtime_,
                       TrustRuntime::Create(dc->options_.runtime));
+  return dc;
+}
 
+Status DistributedCluster::Attach(
+    const std::vector<std::pair<std::string, crypto::RsaPublicKey>>& mesh,
+    Network* network) {
+  LB_RETURN_IF_ERROR(ConfigureMeshNode(runtime_.get(), mesh, options_.scheme,
+                                       options_.default_placement));
+  net_ = network;
+  net_->set_handler([this](const Frame& frame) { return OnFrame(frame); });
+  node_status_[options_.self] = {0, false};
+  start_ms_ = EventLoop::NowMs();
+  return util::OkStatus();
+}
+
+Result<std::unique_ptr<DistributedCluster>> DistributedCluster::Create(
+    Options options) {
+  LB_ASSIGN_OR_RETURN(std::unique_ptr<DistributedCluster> dc,
+                      NewNode(std::move(options)));
   // Peer public keys are derived from peer names with the same seed rule
-  // Create() used for our own pair — no key exchange, and the resulting
-  // per-node state matches the simulated cluster's Connect() exactly.
+  // TrustRuntime::Create() used for our own pair — no key exchange, and
+  // the per-node state matches a SimCluster node's exactly.
+  const Options& opts = dc->options_;
   std::vector<std::pair<std::string, crypto::RsaPublicKey>> mesh;
-  mesh.reserve(nodes.size());
-  for (const std::string& name : nodes) {
-    if (name == dc->options_.self) {
+  mesh.reserve(opts.nodes.size());
+  for (const std::string& name : opts.nodes) {
+    if (name == opts.self) {
       mesh.emplace_back(name, dc->runtime_->keypair().public_key);
       continue;
     }
     LB_ASSIGN_OR_RETURN(
         crypto::RsaKeyPair pair,
-        TrustRuntime::DeriveKeyPair(name, dc->options_.runtime.key_seed,
-                                    dc->options_.runtime.rsa_bits));
+        TrustRuntime::DeriveKeyPair(name, opts.runtime.key_seed,
+                                    opts.runtime.rsa_bits));
     mesh.emplace_back(name, pair.public_key);
   }
-  LB_RETURN_IF_ERROR(ConfigureMeshNode(dc->runtime_.get(), mesh,
-                                       dc->options_.scheme,
-                                       dc->options_.default_placement));
-
-  DistributedCluster* self = dc.get();
-  dc->transport_.set_handler(
-      [self](const Frame& frame) { return self->OnFrame(frame); });
+  dc->socket_ = std::make_unique<Transport>(opts.self, opts.transport);
+  LB_RETURN_IF_ERROR(dc->Attach(mesh, dc->socket_.get()));
   // A (re)connect may have lost our last status/confirm broadcast; resend
   // both so the peer's termination state converges without waiting for the
   // heartbeat (a dropped CONFIRM is otherwise never retransmitted).
-  dc->transport_.set_on_connect([self](const std::string& peer) {
+  DistributedCluster* self = dc.get();
+  dc->socket_->set_on_connect([self](const std::string& peer) {
     self->SendStatus(peer);
     self->SendConfirm(peer);
   });
-  LB_RETURN_IF_ERROR(dc->transport_.Listen(dc->options_.listen_host,
-                                           dc->options_.listen_port));
-  dc->node_status_[dc->options_.self] = {0, false};
-  dc->start_ms_ = EventLoop::NowMs();
+  LB_RETURN_IF_ERROR(dc->socket_->Listen(opts.listen_host, opts.listen_port));
   LB_RETURN_IF_ERROR(dc->StartHttp());
   return dc;
 }
@@ -76,7 +89,7 @@ Status DistributedCluster::StartHttp() {
   if (options_.http_port < 0) return util::OkStatus();
   // Share the transport's loop: every page renders on the fixpoint thread
   // between waves, so handlers read engine state with no synchronization.
-  http_ = std::make_unique<obs::HttpExporter>(transport_.loop());
+  http_ = std::make_unique<obs::HttpExporter>(socket_->loop());
   http_->Handle("/metrics", [this] {
     obs::HttpExporter::Response r;
     r.content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -135,7 +148,10 @@ std::string DistributedCluster::StatusJson() {
       ",\"fixpoints\":", stats_.fixpoints, ",\"tuples_in\":", stats_.tuples_in,
       ",\"tuples_out\":", stats_.tuples_out, ",\"peers\":[");
   bool first = true;
-  for (const Transport::PeerState& peer : transport_.peer_states()) {
+  const std::vector<Transport::PeerState> peers =
+      socket_ != nullptr ? socket_->peer_states()
+                         : std::vector<Transport::PeerState>();
+  for (const Transport::PeerState& peer : peers) {
     if (!first) out.push_back(',');
     first = false;
     out += util::StrCat(
@@ -167,7 +183,10 @@ Status DistributedCluster::AddPeer(const std::string& name,
   if (name == options_.self) {
     return util::InvalidArgument("cannot peer with self");
   }
-  transport_.AddPeer(name, host, port);
+  if (socket_ == nullptr) {
+    return util::FailedPrecondition("in-process nodes have no socket peers");
+  }
+  socket_->AddPeer(name, host, port);
   return util::OkStatus();
 }
 
@@ -236,21 +255,15 @@ Status DistributedCluster::OnFrame(const Frame& frame) {
     }
     case Frame::Kind::kCredential: {
       obs::Tracer* tracer = runtime_->workspace()->tracer();
-      obs::ScopedSpan import_span(tracer, "import");
+      obs::ScopedSpan stage(tracer, "stage");
       if (tracer != nullptr && !frame.trace.empty()) {
         tracer->RecordFlow("credential", 'f', frame.trace,
                            obs::Tracer::NowMicros());
       }
-      // Import runs its own transaction + fixpoint; flush the inbox first
-      // so the two never interleave. Final state is order-independent
-      // (facts are sets, the credential store is content-addressed).
-      LB_RETURN_IF_ERROR(runtime_->CommitInbox());
-      LB_RETURN_IF_ERROR(
-          runtime_->ImportCredentials(frame.payload, options_.credential_now)
-              .status());
-      ++stats_.credential_imports;
-      ++version_;
-      dirty_ = true;
+      // Staged like a data frame, so an ack means "staged" for both kinds:
+      // a bundle the import rejects is dropped by Commit() after the ack,
+      // never left unacked to wedge its sender.
+      staged_credentials_.emplace_back(frame.from, frame.payload);
       return util::OkStatus();
     }
     case Frame::Kind::kAck:
@@ -307,7 +320,7 @@ void DistributedCluster::ShipPlaced() {
 void DistributedCluster::SendReliable(const std::string& dest, Frame frame) {
   // Bounded send queues: a full queue defers the frame (never drops it);
   // RetryDeferred() retries after the next poll drained the queue.
-  if (!transport_.Send(dest, frame)) {
+  if (!net_->Send(dest, frame)) {
     ++stats_.deferred_sends;
     deferred_.emplace_back(dest, std::move(frame));
   }
@@ -323,8 +336,8 @@ void DistributedCluster::RetryDeferred() {
 }
 
 bool DistributedCluster::IsQuiet() const {
-  return !dirty_ && !runtime_->HasInbox() && deferred_.empty() &&
-         transport_.AllAcked() && transport_.SendQueuesEmpty();
+  return !dirty_ && !runtime_->HasInbox() && staged_credentials_.empty() &&
+         deferred_.empty() && net_->AllAcked() && net_->SendQueuesEmpty();
 }
 
 std::string DistributedCluster::SnapshotHash() const {
@@ -345,9 +358,9 @@ void DistributedCluster::SendConfirm(const std::string& peer_or_empty) {
   frame.from = options_.self;
   frame.payload = self_confirm->second;
   if (peer_or_empty.empty()) {
-    transport_.Broadcast(frame);
+    net_->Broadcast(frame);
   } else {
-    transport_.Send(peer_or_empty, std::move(frame));
+    net_->Send(peer_or_empty, std::move(frame));
   }
 }
 
@@ -361,67 +374,98 @@ void DistributedCluster::SendStatus(const std::string& peer_or_empty) {
       util::StrCat(std::to_string(self_status->second.first), ":",
                    self_status->second.second ? "1" : "0");
   if (peer_or_empty.empty()) {
-    transport_.Broadcast(frame);
+    net_->Broadcast(frame);
   } else {
-    transport_.Send(peer_or_empty, std::move(frame));
+    net_->Send(peer_or_empty, std::move(frame));
   }
 }
 
+void DistributedCluster::StartRun() {
+  dirty_ = true;  // local changes since the last run get a first fixpoint
+  last_status_payload_.clear();
+  last_status_ms_ = 0;
+}
+
+Status DistributedCluster::Commit() {
+  obs::Tracer* tracer = runtime_->workspace()->tracer();
+  while (!staged_credentials_.empty()) {
+    auto [from, bundle] = std::move(staged_credentials_.front());
+    staged_credentials_.pop_front();
+    obs::ScopedSpan import_span(tracer, "import");
+    Status st =
+        runtime_->ImportCredentials(bundle, options_.credential_now).status();
+    if (!st.ok()) {
+      // Importing it again would fail again; the frame is already acked.
+      return Status(st.code(),
+                    util::StrCat("credential bundle from '", from,
+                                 "' dropped: ", st.message()));
+    }
+    ++stats_.credential_imports;
+  }
+  return runtime_->HasInbox() ? runtime_->CommitInbox()
+                              : runtime_->Fixpoint();
+}
+
+Result<bool> DistributedCluster::Step(int64_t now_ms) {
+  RetryDeferred();
+  if (dirty_ || runtime_->HasInbox() || !staged_credentials_.empty()) {
+    dirty_ = false;
+    Status st = Commit();
+    if (!st.ok()) {
+      return Status(st.code(), util::StrCat("node '", options_.self,
+                                            "': ", st.message()));
+    }
+    ++version_;
+    ++stats_.fixpoints;
+    ShipPlaced();
+  }
+
+  // --- Termination protocol -------------------------------------------
+  const bool quiet = IsQuiet();
+  node_status_[options_.self] = {version_, quiet};
+  std::string status_payload =
+      util::StrCat(std::to_string(version_), ":", quiet ? "1" : "0");
+  if (status_payload != last_status_payload_ ||
+      now_ms - last_status_ms_ >= options_.status_heartbeat_ms) {
+    SendStatus("");
+    SendConfirm("");  // best-effort frame: heartbeat doubles as resend
+    last_status_payload_ = std::move(status_payload);
+    last_status_ms_ = now_ms;
+  }
+  if (quiet && node_status_.size() == options_.nodes.size()) {
+    bool all_quiet = true;
+    for (const auto& [name, status] : node_status_) {
+      if (!status.second) all_quiet = false;
+    }
+    if (all_quiet) {
+      std::string hash = SnapshotHash();
+      if (confirms_[options_.self] != hash) {
+        confirms_[options_.self] = hash;
+        SendConfirm("");
+      }
+      bool unanimous = confirms_.size() == options_.nodes.size();
+      for (const auto& [name, confirmed] : confirms_) {
+        if (confirmed != hash) unanimous = false;
+      }
+      // Unanimous confirmation of one identical snapshot: every node was
+      // quiet with these exact versions, so nothing is in flight anywhere
+      // and no node can become dirty again.
+      if (unanimous) return true;
+    }
+  }
+  return false;
+}
+
 Result<DistributedCluster::RunStats> DistributedCluster::RunToConvergence() {
+  if (socket_ == nullptr) {
+    return util::FailedPrecondition("in-process nodes run in a SimCluster");
+  }
   const int64_t deadline =
       EventLoop::NowMs() + options_.convergence_timeout_ms;
-  dirty_ = true;  // local changes since the last run get a first fixpoint
-  std::string last_status_payload;
-  int64_t last_status_ms = 0;
+  StartRun();
   while (true) {
-    RetryDeferred();
-    if (dirty_ || runtime_->HasInbox()) {
-      dirty_ = false;
-      Status st = runtime_->HasInbox() ? runtime_->CommitInbox()
-                                       : runtime_->Fixpoint();
-      if (!st.ok()) {
-        return Status(st.code(), util::StrCat("node '", options_.self,
-                                              "': ", st.message()));
-      }
-      ++version_;
-      ++stats_.fixpoints;
-      ShipPlaced();
-    }
-
-    // --- Termination protocol -------------------------------------------
-    const bool quiet = IsQuiet();
-    node_status_[options_.self] = {version_, quiet};
-    std::string status_payload =
-        util::StrCat(std::to_string(version_), ":", quiet ? "1" : "0");
-    int64_t now = EventLoop::NowMs();
-    if (status_payload != last_status_payload ||
-        now - last_status_ms >= options_.status_heartbeat_ms) {
-      SendStatus("");
-      SendConfirm("");  // best-effort frame: heartbeat doubles as resend
-      last_status_payload = status_payload;
-      last_status_ms = now;
-    }
-    if (quiet && node_status_.size() == options_.nodes.size()) {
-      bool all_quiet = true;
-      for (const auto& [name, status] : node_status_) {
-        if (!status.second) all_quiet = false;
-      }
-      if (all_quiet) {
-        std::string hash = SnapshotHash();
-        if (confirms_[options_.self] != hash) {
-          confirms_[options_.self] = hash;
-          SendConfirm("");
-        }
-        bool unanimous = confirms_.size() == options_.nodes.size();
-        for (const auto& [name, confirmed] : confirms_) {
-          if (confirmed != hash) unanimous = false;
-        }
-        // Unanimous confirmation of one identical snapshot: every node was
-        // quiet with these exact versions, so nothing is in flight
-        // anywhere and no node can become dirty again.
-        if (unanimous) break;
-      }
-    }
+    LB_ASSIGN_OR_RETURN(const bool decided, Step(EventLoop::NowMs()));
+    if (decided) break;
 
     // Debug-level tracing of the termination protocol (~2 lines/sec per
     // node; LBTRUST_LOG=debug or the legacy LBTRUST_DIST_DEBUG=1) — the
@@ -442,12 +486,12 @@ Result<DistributedCluster::RunStats> DistributedCluster::RunToConvergence() {
         }
         util::LogMessage(
             util::LogLevel::kDebug,
-            "[%s] quiet=%d dirty=%d inbox=%d deferred=%zu acked=%d "
-            "queues_empty=%d status{%s} confirms{%s} hash=%s",
-            options_.self.c_str(), quiet ? 1 : 0, dirty_ ? 1 : 0,
-            runtime_->HasInbox() ? 1 : 0, deferred_.size(),
-            transport_.AllAcked() ? 1 : 0,
-            transport_.SendQueuesEmpty() ? 1 : 0, table.c_str(),
+            "[%s] quiet=%d dirty=%d inbox=%d credentials=%zu deferred=%zu "
+            "acked=%d queues_empty=%d status{%s} confirms{%s} hash=%s",
+            options_.self.c_str(), IsQuiet() ? 1 : 0, dirty_ ? 1 : 0,
+            runtime_->HasInbox() ? 1 : 0, staged_credentials_.size(),
+            deferred_.size(), socket_->AllAcked() ? 1 : 0,
+            socket_->SendQueuesEmpty() ? 1 : 0, table.c_str(),
             confirm_table.c_str(), SnapshotHash().c_str());
       }
     }
@@ -458,7 +502,7 @@ Result<DistributedCluster::RunStats> DistributedCluster::RunToConvergence() {
     // an explicit nudge.
     if (http_ != nullptr) http_->Housekeep();
 
-    Status st = transport_.Poll(options_.poll_interval_ms);
+    Status st = socket_->Poll(options_.poll_interval_ms);
     if (!st.ok()) {
       return Status(st.code(), util::StrCat("node '", options_.self,
                                             "': ", st.message()));
@@ -474,13 +518,13 @@ Result<DistributedCluster::RunStats> DistributedCluster::RunToConvergence() {
   // broadcast it, since on_connect is the only resend path a departed
   // node still has. Kick the backoff first so a link refused during peer
   // startup retries now instead of seconds from now.
-  transport_.KickReconnects();
+  socket_->KickReconnects();
   const int64_t linger_end = EventLoop::NowMs() + options_.linger_ms;
   while (EventLoop::NowMs() < linger_end) {
-    Status st = transport_.Poll(5);
+    Status st = socket_->Poll(5);
     if (!st.ok()) break;  // peers tearing down concurrently is expected
   }
-  stats_.transport = transport_.stats();
+  stats_.transport = socket_->stats();
   return stats_;
 }
 
@@ -503,7 +547,7 @@ void DistributedCluster::SyncMetrics() {
       ->Set(1);
   reg->GetGauge("lbtrust_uptime_seconds")
       ->Set((EventLoop::NowMs() - start_ms_) / 1000);
-  SyncTransportMetrics(transport_.stats(), reg);
+  SyncTransportMetrics(net_->stats(), reg);
   if (http_ != nullptr) http_->SyncMetrics(reg);
   runtime_->SyncMetrics();
 }

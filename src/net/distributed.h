@@ -2,13 +2,15 @@
 #define LBTRUST_NET_DISTRIBUTED_H_
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "net/cluster.h"
 #include "net/transport.h"
 #include "obs/http_exporter.h"
 #include "trust/trust_runtime.h"
@@ -16,18 +18,20 @@
 
 namespace lbtrust::net {
 
-/// One node of a socket-backed distributed deployment: hosts a single
-/// TrustRuntime and drives the semi-naive exchange loop across processes —
-/// local fixpoints, delta shipping per the node's own predNode placement
-/// relation, and coordinator-free termination detection.
+/// One node of a distributed deployment: hosts a single TrustRuntime and
+/// drives the semi-naive exchange loop — local fixpoints, delta shipping
+/// per the node's own predNode placement relation, and coordinator-free
+/// termination detection. This is the only implementation of the
+/// cross-node protocol. Create() puts a node on real TCP sockets;
+/// SimCluster (net/cluster.h) runs the same nodes in one process over an
+/// in-memory SimTransport, stepped in virtual time.
 ///
-/// Mesh setup mirrors the simulated Cluster exactly (ConfigureMeshNode):
-/// peer public keys are derived deterministically from peer names
-/// (TrustRuntime::DeriveKeyPair), so no key exchange is needed and a
-/// converged node's Workspace dump is byte-identical to the corresponding
-/// simulated node's (compare with DumpWorkspace(..., sort_rules=true);
-/// rule arrival order differs across deployments, tuples are sorted by the
-/// dump itself).
+/// Mesh setup is ConfigureMeshNode with peer public keys derived
+/// deterministically from peer names (TrustRuntime::DeriveKeyPair), so no
+/// key exchange is needed and a converged node's Workspace dump is
+/// byte-identical whichever transport carried its frames (compare with
+/// DumpWorkspace(..., sort_rules=true); rule arrival order differs across
+/// schedules, tuples are sorted by the dump itself).
 ///
 /// Delivery is at-least-once (transport-level seq/ack + resend after
 /// reconnect) and made idempotent by the engine: tuple facts are sets and
@@ -36,7 +40,8 @@ namespace lbtrust::net {
 /// the same store as single, in-order delivery.
 ///
 /// Termination (GEM-style, no coordinator): a node is *quiet* when it has
-/// no dirty work, no staged inbox, no deferred sends, empty transport
+/// no dirty work, no staged tuples or credential bundles, no deferred
+/// sends, empty transport
 /// queues, and every reliable frame it ever sent is acked. Nodes broadcast
 /// STATUS(version, quiet); when a node sees every node quiet it broadcasts
 /// CONFIRM(hash of the full status snapshot). Unanimous confirmation of an
@@ -51,7 +56,7 @@ class DistributedCluster {
     std::string self;
     /// Every node of the mesh (self included), in any order. Placement
     /// facts, peer keys, and shared secrets are configured for all of
-    /// them, identically to Cluster::Connect().
+    /// them (ConfigureMeshNode).
     std::vector<std::string> nodes;
     std::string listen_host = "127.0.0.1";
     /// 0 picks an ephemeral port (see listen_port()); peers then need
@@ -69,9 +74,11 @@ class DistributedCluster {
     bool default_placement = true;
     /// Wall-clock seconds for credential validity checks at import.
     int64_t credential_now = 0;
-    /// Abort RunToConvergence() after this much wall time.
+    /// Abort RunToConvergence() after this much wall time (virtual time
+    /// under SimCluster).
     int64_t convergence_timeout_ms = 30000;
-    /// Event-loop poll granularity inside RunToConvergence().
+    /// Event-loop poll granularity inside RunToConvergence(); SimCluster's
+    /// bulk-synchronous schedule advances virtual time by this per sweep.
     int poll_interval_ms = 10;
     /// Re-broadcast the node's status at least this often (covers status
     /// frames dropped while a connection was down).
@@ -101,16 +108,21 @@ class DistributedCluster {
     TransportStats transport;
   };
 
-  /// Creates the node: builds the runtime, configures the full mesh with
-  /// deterministically derived peer keys, and starts listening.
+  /// Creates a socket node: builds the runtime, configures the full mesh
+  /// with deterministically derived peer keys, and starts listening.
   static util::Result<std::unique_ptr<DistributedCluster>> Create(
       Options options);
 
-  ~DistributedCluster() { transport_.Shutdown(); }
+  ~DistributedCluster() {
+    if (socket_ != nullptr) socket_->Shutdown();
+  }
 
   trust::TrustRuntime* runtime() { return runtime_.get(); }
-  Transport* transport() { return &transport_; }
-  uint16_t listen_port() const { return transport_.listen_port(); }
+  /// The socket transport; nullptr for a node of a SimCluster.
+  Transport* transport() { return socket_.get(); }
+  uint16_t listen_port() const {
+    return socket_ != nullptr ? socket_->listen_port() : 0;
+  }
 
   /// The introspection server, or nullptr when Options::http_port is -1.
   obs::HttpExporter* http() { return http_.get(); }
@@ -140,10 +152,10 @@ class DistributedCluster {
   util::Status ShipCredential(const std::string& to_node,
                               const std::string& hash);
 
-  /// Drives the node until the whole mesh terminates: alternates local
-  /// fixpoints + delta shipping with transport polling, then runs the
-  /// status/confirm termination protocol. Every node of the mesh must be
-  /// inside RunToConvergence() concurrently for the run to terminate.
+  /// Drives a socket node until the whole mesh terminates: alternates
+  /// Step() with transport polling, then lingers so peers still deciding
+  /// receive the final confirmation. Every node of the mesh must be inside
+  /// RunToConvergence() concurrently for the run to terminate.
   util::Result<RunStats> RunToConvergence();
 
   const RunStats& stats() const { return stats_; }
@@ -155,15 +167,40 @@ class DistributedCluster {
   void SyncMetrics();
 
   /// SyncMetrics() + the workspace exposition: the full per-node metrics
-  /// page a scraper (or SIGUSR1 dump) sees. Socket nodes and the simulated
-  /// cluster expose identical metric names, so dist_smoke.sh can diff them.
+  /// page a scraper (or SIGUSR1 dump) sees. Socket nodes and SimCluster
+  /// nodes expose identical metric names, so dist_smoke.sh can diff them.
   std::string DumpMetrics();
 
  private:
-  explicit DistributedCluster(Options options)
-      : options_(std::move(options)),
-        transport_(options_.self, options_.transport) {}
+  friend class SimCluster;
 
+  explicit DistributedCluster(Options options)
+      : options_(std::move(options)) {}
+
+  /// Validates the options and builds the runtime (no mesh, no network).
+  static util::Result<std::unique_ptr<DistributedCluster>> NewNode(
+      Options options);
+  /// Configures the full mesh from `mesh` (every node's public key, in
+  /// name order) and routes `network`'s inbound frames to OnFrame().
+  util::Status Attach(
+      const std::vector<std::pair<std::string, crypto::RsaPublicKey>>& mesh,
+      Network* network);
+
+  /// Starts a run: local changes since the last run get a first fixpoint,
+  /// and the first Step() broadcasts this node's status.
+  void StartRun();
+  /// One pass of the exchange loop at `now_ms` (wall or virtual time):
+  /// retries deferred sends, commits what was staged (or runs a fixpoint),
+  /// ships placed deltas, and does the status/confirm bookkeeping. Returns
+  /// true once this node has decided that the mesh terminated.
+  util::Result<bool> Step(int64_t now_ms);
+  /// Imports staged credential bundles in arrival order, then commits the
+  /// tuple inbox (or runs a fixpoint). A bundle whose import fails is
+  /// dropped; bundles staged after it wait for the next run.
+  util::Status Commit();
+
+  /// Stages data and credential frames for the next Step(); the network
+  /// acks a frame once this returns OK.
   util::Status OnFrame(const Frame& frame);
   /// Ships not-yet-sent placed tuples as kData frames (deferred under
   /// backpressure).
@@ -186,18 +223,21 @@ class DistributedCluster {
 
   Options options_;
   std::unique_ptr<trust::TrustRuntime> runtime_;
-  Transport transport_;
-  /// Declared after transport_: the exporter's fds live on the
-  /// transport's loop, so it must shut down first.
+  std::unique_ptr<Transport> socket_;  ///< null under SimCluster
+  Network* net_ = nullptr;             ///< socket_ or a SimTransport
+  /// Declared after socket_: the exporter's fds live on the transport's
+  /// loop, so it must shut down first.
   std::unique_ptr<obs::HttpExporter> http_;
   int64_t start_ms_ = 0;  ///< construction time (uptime base)
   /// Per-node sequence for trace-correlation ids ("self:wave:seq").
   uint64_t flow_seq_ = 0;
-  /// Cross-round dedup of shipped tuples (interned row ids), same as the
-  /// simulated cluster's per-node `sent`.
+  /// Cross-round dedup of shipped tuples (interned row ids), kept by
+  /// CollectPlacedBatches.
   std::set<std::string> sent_;
   /// Reliable frames that hit send-queue backpressure, retried each loop.
   std::vector<std::pair<std::string, Frame>> deferred_;
+  /// Credential bundles staged by OnFrame(), as (sender, payload).
+  std::deque<std::pair<std::string, std::string>> staged_credentials_;
   bool dirty_ = true;
   /// Bumped on every commit that may have changed node state; part of the
   /// broadcast status, so stale CONFIRMs never match a changed snapshot.
@@ -206,6 +246,9 @@ class DistributedCluster {
   std::map<std::string, std::pair<uint64_t, bool>> node_status_;
   /// Latest CONFIRM hash per node, self included.
   std::map<std::string, std::string> confirms_;
+  /// The last status broadcast and when it went out (heartbeat).
+  std::string last_status_payload_;
+  int64_t last_status_ms_ = 0;
   RunStats stats_;
 };
 

@@ -215,7 +215,7 @@ void Transport::OnConnectWritable(int fd) {
   }
   stats_.retries += resent;
   if (on_connect_) on_connect_(conn->peer);
-  FlushStaged(conn->peer, &peer);
+  FlushStaged(&peer);
   FlushConn(fd);
 }
 
@@ -351,30 +351,19 @@ bool Transport::SendQueuesEmpty() const {
   return true;
 }
 
-void Transport::FlushStaged(const std::string& name, Peer* peer) {
+void Transport::FlushStaged(Peer* peer) {
   if (peer->fd < 0) return;
   Conn* conn = FindConn(peer->fd);
   if (conn == nullptr || !conn->connected) return;
-  // Gather untransmitted reliable frames in seq order; the fault knobs
-  // reorder/duplicate the batch here, at real transmission granularity.
-  std::vector<const std::string*> batch;
+  // Untransmitted reliable frames ship in seq order.
   for (auto& [seq, entry] : peer->unacked) {
     if (entry.transmitted) continue;
-    batch.push_back(&entry.bytes);
     entry.transmitted = true;
-  }
-  if (batch.empty()) return;
-  if (options_.reorder_flush) std::reverse(batch.begin(), batch.end());
-  for (const std::string* bytes : batch) {
-    int copies = options_.duplicate_data_frames ? 2 : 1;
-    for (int i = 0; i < copies; ++i) {
-      conn->out += *bytes;
-      ++stats_.frames_out;
-      ++stats_.data_frames_out;
-    }
+    conn->out += entry.bytes;
+    ++stats_.frames_out;
+    ++stats_.data_frames_out;
   }
   peer->pending_bytes = 0;
-  (void)name;
 }
 
 void Transport::FlushConn(int fd) {
@@ -521,7 +510,7 @@ void Transport::HousekeepConnections() {
   }
   // Ship any untransmitted reliable frames and drain buffers.
   for (auto& [name, peer] : peers_) {
-    FlushStaged(name, &peer);
+    FlushStaged(&peer);
     if (peer.fd >= 0) FlushConn(peer.fd);
   }
   // Forced-drop knob: once the armed connection has fully flushed, close

@@ -46,6 +46,33 @@ struct TransportStats {
 void SyncTransportMetrics(const TransportStats& stats,
                           obs::MetricsRegistry* registry);
 
+/// The network calls the cluster protocol (DistributedCluster) makes.
+/// Transport implements them over TCP sockets, SimTransport in memory, so
+/// the exchange loop and its termination protocol run unchanged on both.
+class Network {
+ public:
+  /// Handler for inbound frames. Returning non-OK is fatal for the node;
+  /// reliable frames are acked only after an OK return.
+  using FrameHandler = std::function<util::Status(const Frame& frame)>;
+
+  virtual void set_handler(FrameHandler handler) = 0;
+  /// Queues `frame` for `peer`. Reliable frames get a sequence number and
+  /// at-least-once retention; unreliable frames (status/confirm/hello) are
+  /// best-effort. Returns false only for a reliable frame the peer's send
+  /// queue cannot take now (backpressure: the caller retries later).
+  virtual bool Send(const std::string& peer, Frame frame) = 0;
+  /// Best-effort send of an unreliable frame to every peer.
+  virtual void Broadcast(const Frame& frame) = 0;
+  /// True when every reliable frame ever sent has been acked.
+  virtual bool AllAcked() const = 0;
+  /// True when no queued bytes remain unflushed (all peers).
+  virtual bool SendQueuesEmpty() const = 0;
+  virtual const TransportStats& stats() const = 0;
+
+ protected:
+  ~Network() = default;  // owners hold the concrete transport
+};
+
 /// Async socket transport for one node: a non-blocking TCP listener plus
 /// one outbound connection per peer, multiplexed on an epoll EventLoop and
 /// driven by the owner's thread via Poll().
@@ -67,7 +94,7 @@ void SyncTransportMetrics(const TransportStats& stats,
 ///
 /// Single-threaded: every method (including handler callbacks, which fire
 /// inside Poll()) runs on the owner's thread.
-class Transport {
+class Transport final : public Network {
  public:
   struct Options {
     size_t max_frame_bytes = 16u << 20;
@@ -75,23 +102,12 @@ class Transport {
     int read_deadline_ms = 5000;
     int reconnect_backoff_min_ms = 10;
     int reconnect_backoff_max_ms = 1000;
-    // --- Fault-injection knobs (tests only) -------------------------------
-    /// Transmit every reliable frame twice (same seq): injected duplicate
-    /// delivery, exercising end-to-end idempotency.
-    bool duplicate_data_frames = false;
-    /// Reverse the order of frames staged within one flush: injected
-    /// reordering across relations/batches.
-    bool reorder_flush = false;
-    /// After this many reliable frames have been queued, drop the carrying
-    /// connection once (unflushed bytes are lost) to force a reconnect and
-    /// at-least-once resend. 0 = never.
+    /// Fault injection (tests only): after this many reliable frames have
+    /// been queued, drop the carrying connection once (unflushed bytes are
+    /// lost) to force a reconnect and at-least-once resend. 0 = never.
     uint64_t drop_connection_after_data_frames = 0;
   };
 
-  /// Handler for inbound kHello/kData/kCredential/kStatus/kConfirm frames.
-  /// Returning non-OK is fatal for the node (the error is surfaced from
-  /// Poll()); reliable frames are acked only after an OK return.
-  using FrameHandler = std::function<util::Status(const Frame& frame)>;
   /// Fired when an outbound connection (re)establishes, after unacked
   /// frames were re-queued — the runtime rebroadcasts its protocol status.
   using ConnectHandler = std::function<void(const std::string& peer)>;
@@ -102,7 +118,11 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  void set_handler(FrameHandler handler) { handler_ = std::move(handler); }
+  /// Inbound kHello/kData/kCredential/kStatus/kConfirm frames go to
+  /// `handler`; its errors are surfaced from Poll().
+  void set_handler(FrameHandler handler) override {
+    handler_ = std::move(handler);
+  }
   void set_on_connect(ConnectHandler handler) {
     on_connect_ = std::move(handler);
   }
@@ -132,19 +152,11 @@ class Transport {
   /// Poll() call instead of running a second loop.
   EventLoop* loop() { return &loop_; }
 
-  /// Queues `frame` for `peer`. Reliable frames get a sequence number and
-  /// at-least-once retention; unreliable frames (status/confirm/hello) are
-  /// sent best-effort and dropped while disconnected. Returns false only
-  /// for reliable frames when the peer's send queue is full.
-  bool Send(const std::string& peer, Frame frame);
-
-  /// Best-effort send of an unreliable frame to every peer.
-  void Broadcast(const Frame& frame);
-
-  /// True when every reliable frame ever sent has been acked.
-  bool AllAcked() const;
-  /// True when no queued bytes remain unflushed (all peers).
-  bool SendQueuesEmpty() const;
+  /// Unreliable frames are dropped while the peer is disconnected.
+  bool Send(const std::string& peer, Frame frame) override;
+  void Broadcast(const Frame& frame) override;
+  bool AllAcked() const override;
+  bool SendQueuesEmpty() const override;
 
   /// Clears the reconnect backoff of every disconnected peer so the next
   /// Poll() retries immediately. Used by the termination protocol: a node
@@ -158,7 +170,7 @@ class Transport {
   /// handler reported, or a socket-layer internal error.
   util::Status Poll(int timeout_ms);
 
-  const TransportStats& stats() const { return stats_; }
+  const TransportStats& stats() const override { return stats_; }
 
   /// Closes every connection and the listener (idempotent).
   void Shutdown();
@@ -202,7 +214,7 @@ class Transport {
   void FlushConn(int fd);
   void CloseConn(int fd, bool schedule_reconnect);
   void UpdateMask(Conn* conn, uint32_t mask);
-  void FlushStaged(const std::string& name, Peer* peer);
+  void FlushStaged(Peer* peer);
   void HousekeepConnections();
   util::Status HandleFrame(int fd, Frame frame);
   Conn* FindConn(int fd);

@@ -21,6 +21,8 @@ using util::Result;
 
 namespace {
 
+std::string SerializeValue(const Value& v);
+
 char KindTag(const Value& v) {
   switch (v.kind()) {
     case ValueKind::kNil: return 'n';
@@ -118,8 +120,6 @@ Result<Value> ParseCodePayload(std::string_view payload) {
   }
 }
 
-}  // namespace
-
 std::string SerializeValue(const Value& v) {
   std::string payload = Payload(v);
   std::string out(1, KindTag(v));
@@ -127,8 +127,6 @@ std::string SerializeValue(const Value& v) {
   util::AppendLengthPrefixed(&out, payload);
   return out;
 }
-
-namespace {
 
 /// Nested part values ('p' payloads contain a serialized value) recurse;
 /// hostile input must not be able to exhaust the stack.
@@ -209,20 +207,6 @@ Result<Value> DeserializeValueDepth(std::string_view text, size_t* consumed,
   }
 }
 
-}  // namespace
-
-Result<Value> DeserializeValue(std::string_view text, size_t* consumed) {
-  return DeserializeValueDepth(text, consumed, 0);
-}
-
-std::string SerializeTuple(const Tuple& tuple) {
-  std::string out = util::StrCat(tuple.size(), ":");
-  for (const Value& v : tuple) out += SerializeValue(v);
-  return out;
-}
-
-namespace {
-
 /// Shared "<decimal>:" framing (see util::ReadDecimalCount); 19 digits is
 /// the size_t cap.
 bool ReadCount(std::string_view* text, size_t* out) {
@@ -231,56 +215,13 @@ bool ReadCount(std::string_view* text, size_t* out) {
 
 }  // namespace
 
-Result<Tuple> DeserializeTuple(std::string_view text) {
-  size_t count = 0;
-  if (!ReadCount(&text, &count)) {
-    return util::ParseError("missing tuple count");
-  }
-  // Every serialized value is at least 4 bytes ("n:0:"), so a count larger
-  // than the remaining input is forged; reject before reserving memory.
-  if (count > text.size()) {
-    return util::ParseError("tuple count exceeds input size");
-  }
-  Tuple out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    size_t consumed = 0;
-    LB_ASSIGN_OR_RETURN(Value v, DeserializeValue(text, &consumed));
-    out.push_back(std::move(v));
-    text.remove_prefix(consumed);
-  }
-  if (!text.empty()) return util::ParseError("trailing wire bytes");
-  return out;
-}
-
-size_t WireTupleShard(const Tuple& tuple, size_t shard_count) {
-  if (shard_count <= 1) return 0;
-  // Seed and combiner match the relation's row hash shape, but over the
-  // wire codec's value bytes: serialized form is the only identity both
-  // peers share (ids are pool-local).
-  uint64_t h = 0x811C9DC5ULL;
-  for (const Value& v : tuple) {
-    h = util::HashCombine(h, std::hash<std::string>{}(SerializeValue(v)));
-  }
-  return static_cast<size_t>(h % shard_count);
-}
-
-std::string SerializeTupleBlock(const std::vector<Tuple>& tuples,
-                                size_t shard_begin, size_t shard_end,
-                                size_t shard_count, size_t* rows_out) {
+std::string SerializeTupleBlock(const std::vector<Tuple>& tuples) {
   // Dictionary: first occurrence wins; identity is the serialized form
   // (exactly the per-value wire codec, so nothing new to trust).
-  const bool filtered = shard_count > 1;
   std::vector<std::string> dict;
   std::unordered_map<std::string, size_t> index;
   std::string rows;
-  size_t row_count = 0;
   for (const Tuple& tuple : tuples) {
-    if (filtered) {
-      const size_t shard = WireTupleShard(tuple, shard_count);
-      if (shard < shard_begin || shard >= shard_end) continue;
-    }
-    ++row_count;
     rows += std::to_string(tuple.size());
     rows.push_back(':');
     for (const Value& v : tuple) {
@@ -291,19 +232,14 @@ std::string SerializeTupleBlock(const std::vector<Tuple>& tuples,
       rows.push_back(':');
     }
   }
-  if (rows_out != nullptr) *rows_out = row_count;
   std::string out = "B:";
   out += std::to_string(dict.size());
   out.push_back(':');
   for (const std::string& entry : dict) out += entry;
-  out += std::to_string(row_count);
+  out += std::to_string(tuples.size());
   out.push_back(':');
   out += rows;
   return out;
-}
-
-std::string SerializeTupleBlock(const std::vector<Tuple>& tuples) {
-  return SerializeTupleBlock(tuples, 0, 1, 1);
 }
 
 Result<std::vector<Tuple>> DeserializeTupleBlock(std::string_view text) {
@@ -324,7 +260,8 @@ Result<std::vector<Tuple>> DeserializeTupleBlock(std::string_view text) {
   dict.reserve(dict_count);
   for (size_t i = 0; i < dict_count; ++i) {
     size_t consumed = 0;
-    LB_ASSIGN_OR_RETURN(Value v, DeserializeValue(text, &consumed));
+    LB_ASSIGN_OR_RETURN(Value v,
+                        DeserializeValueDepth(text, &consumed, /*depth=*/0));
     dict.push_back(std::move(v));
     text.remove_prefix(consumed);
   }

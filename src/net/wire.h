@@ -9,74 +9,22 @@
 
 namespace lbtrust::net {
 
-/// Wire format for tuples shipped between simulated nodes. Values are
-/// length-prefixed and kind-tagged; quoted code travels as its canonical
-/// text and is re-parsed on arrival, which exercises the same code path a
-/// real distributed deployment would (§3.5).
-///
-///   value := <kind-char> ':' <payload-length> ':' <payload>
-///   tuple := <count> ':' value*
-std::string SerializeValue(const datalog::Value& value);
-util::Result<datalog::Value> DeserializeValue(std::string_view text,
-                                              size_t* consumed);
-
-std::string SerializeTuple(const datalog::Tuple& tuple);
-util::Result<datalog::Tuple> DeserializeTuple(std::string_view text);
-
-/// Dictionary-framed multi-tuple block — the batched counterpart of
-/// SerializeTuple. Every distinct value in the batch is serialized exactly
-/// once into a per-message dictionary; rows are lists of dictionary
-/// indices, so repeated principals/predicates/payloads ship once per
-/// message no matter how many tuples mention them.
+/// Dictionary-framed multi-tuple block, the payload of a data frame.
+/// Every distinct value in the batch is serialized exactly once into a
+/// per-message dictionary; rows are lists of dictionary indices, so
+/// repeated principals/predicates/payloads ship once per message no
+/// matter how many tuples mention them. Values are length-prefixed and
+/// kind-tagged; quoted code travels as its canonical text and is re-parsed
+/// on arrival (§3.5).
 ///
 ///   block := 'B' ':' <dict-count> ':' value*
 ///                    <row-count> ':' row*
 ///   row   := <arity> ':' (<dict-index> ':')*
+///   value := <kind-char> ':' <payload-length> ':' <payload>
 std::string SerializeTupleBlock(const std::vector<datalog::Tuple>& tuples);
-
-/// Stable wire-level shard router: hashes the serialized form of every
-/// value in the tuple, so both ends of a connection assign the same shard
-/// without sharing a value pool (engine-side row ids are pool-local and
-/// never cross the wire). Returns 0 when `shard_count` <= 1.
-size_t WireTupleShard(const datalog::Tuple& tuple, size_t shard_count);
-
-/// Shard-range-filtered variant of SerializeTupleBlock: serializes only
-/// the tuples whose WireTupleShard with `shard_count` lands in
-/// [shard_begin, shard_end), in their original order. Lets per-peer
-/// batches be built one shard range at a time without a gather pass over
-/// the batch; the full range [0, shard_count) is byte-identical to the
-/// unfiltered form. `rows_out`, when non-null, receives the number of
-/// tuples actually serialized (so callers can skip empty sub-blocks and
-/// account shipped tuples without re-hashing).
-std::string SerializeTupleBlock(const std::vector<datalog::Tuple>& tuples,
-                                size_t shard_begin, size_t shard_end,
-                                size_t shard_count,
-                                size_t* rows_out = nullptr);
 
 util::Result<std::vector<datalog::Tuple>> DeserializeTupleBlock(
     std::string_view text);
-
-/// One simulated network message: tuples bound for `relation` at
-/// `to_node`, or a credential bundle (src/cred wire format) the receiving
-/// node verifies-and-imports.
-struct Message {
-  enum class Kind {
-    kTuple,       ///< payload = SerializeTuple output for `relation`
-    kTupleBlock,  ///< payload = SerializeTupleBlock output for `relation`
-    kCredential,  ///< payload = cred::SerializeBundle output
-  };
-
-  Kind kind = Kind::kTuple;
-  std::string from_node;
-  std::string to_node;
-  std::string relation;  ///< "credential" for Kind::kCredential (tamper hook)
-  std::string payload;
-
-  size_t ByteSize() const {
-    return from_node.size() + to_node.size() + relation.size() +
-           payload.size();
-  }
-};
 
 }  // namespace lbtrust::net
 

@@ -118,14 +118,14 @@ Result<std::string> CompileSendlog(std::string_view sendlog_program,
   return out;
 }
 
-Status LoadSendlogOnCluster(net::Cluster* cluster,
+Status LoadSendlogOnCluster(net::SimCluster* cluster,
                             std::string_view sendlog_program) {
   LB_ASSIGN_OR_RETURN(std::vector<SurfaceUnit> units,
                       datalog::ParseSurfaceProgram(sendlog_program));
   // Collect each node's clauses first, then install them through one
   // batched transaction per node (a multi-unit program mutates every
   // workspace once instead of once per unit). Fixpoints are deferred to
-  // the caller (typically Cluster::Run), as before.
+  // the caller's next SimCluster::RunToConvergence().
   std::map<std::string, std::string> per_node;
   for (const SurfaceUnit& unit : units) {
     std::string text = UnitToText(unit);

@@ -38,7 +38,7 @@ util::Result<std::string> CompileSendlog(std::string_view sendlog_program,
 /// units go everywhere, constant-context units only to the named node).
 /// Each node's lowered clauses are linted before any node's transaction
 /// commits; lint errors reject the whole program untouched.
-util::Status LoadSendlogOnCluster(net::Cluster* cluster,
+util::Status LoadSendlogOnCluster(net::SimCluster* cluster,
                                   std::string_view sendlog_program);
 
 /// Compiles a SeNDlog surface program (variable contexts only) to core

@@ -254,13 +254,6 @@ Status TrustRuntime::CommitInbox() {
   return txn.Commit();
 }
 
-Status TrustRuntime::CommitInboxNoFixpoint() {
-  if (!inbox_.has_value()) return util::OkStatus();
-  datalog::Transaction txn = std::move(*inbox_);
-  inbox_.reset();
-  return txn.CommitNoFixpoint();
-}
-
 void TrustRuntime::SyncMetrics() {
   obs::MetricsRegistry* reg = workspace_->metrics();
   if (reg == nullptr) return;

@@ -23,8 +23,8 @@ namespace lbtrust::trust {
 /// One principal's LBTrust context: a workspace wired with the meta-model,
 /// the cryptographic built-ins, a key store holding the principal's RSA
 /// key pair, the `says` core (says0/says1 of §4.1), and a pluggable
-/// authentication scheme. This is the paper's "context" — net::Cluster
-/// places one (or several) of these on simulated nodes.
+/// authentication scheme. This is the paper's "context" — each
+/// net::DistributedCluster node hosts one, on sockets or in a SimCluster.
 ///
 /// The runtime re-exports the workspace session API: `Prepare()` compiles
 /// a policy-decision query once into a reusable `PreparedQuery` handle
@@ -59,8 +59,8 @@ class TrustRuntime {
   /// The deterministic key material Create() gives a principal: generated
   /// from `key_seed` (0 = derive from the principal name). Exposed so a
   /// remote process can compute a peer's public key without ever seeing
-  /// the peer — the distributed runtime registers full-mesh peer keys this
-  /// way, byte-identical to the simulated cluster's Connect().
+  /// the peer — a socket node registers full-mesh peer keys this way,
+  /// byte-identical to the keys an in-process mesh's runtimes hold.
   static util::Result<crypto::RsaKeyPair> DeriveKeyPair(
       const std::string& principal, uint64_t key_seed, size_t rsa_bits);
 
@@ -157,9 +157,6 @@ class TrustRuntime {
   bool HasInbox() const { return inbox_.has_value(); }
   /// Applies every staged tuple as one batch, then runs one fixpoint.
   util::Status CommitInbox();
-  /// Applies staged tuples without a fixpoint (durable; they surface at
-  /// the node's next fixpoint) — for runs cut off mid-exchange.
-  util::Status CommitInboxNoFixpoint();
 
  private:
   explicit TrustRuntime(Options options) : options_(std::move(options)) {}

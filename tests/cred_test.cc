@@ -652,24 +652,30 @@ TEST_F(RejectionTest, LinkCycleRejected) {
 
 // --- End-to-end through the cluster ---------------------------------------
 
-TEST(ClusterCredentialTest, ShipThroughClusterMatchesLocalSay) {
-  net::Cluster::Options copts;
-  copts.scheme = "";  // schemes orthogonal to credential shipping
-  copts.default_placement = false;
-  net::Cluster cluster(copts);
-  TrustRuntime::Options small;
-  small.rsa_bits = 512;
-  ASSERT_TRUE(cluster.AddNode("alice", small).ok());
-  ASSERT_TRUE(cluster.AddNode("bob", small).ok());
-  ASSERT_TRUE(cluster.Connect().ok());
+/// An in-process alice/bob mesh that ships evidence only as credentials
+/// (no scheme, no placement), with 512-bit keys.
+std::unique_ptr<net::SimCluster> AliceBobMesh() {
+  net::DistributedCluster::Options opts;
+  opts.nodes = {"alice", "bob"};
+  opts.scheme = "";
+  opts.default_placement = false;
+  opts.runtime.rsa_bits = 512;
+  auto cluster = net::SimCluster::Create(std::move(opts));
+  EXPECT_TRUE(cluster.ok()) << cluster.status().ToString();
+  return cluster.ok() ? std::move(*cluster) : nullptr;
+}
 
-  auto* alice = cluster.node("alice");
-  auto* bob = cluster.node("bob");
+TEST(ClusterCredentialTest, ShipThroughClusterMatchesLocalSay) {
+  auto cluster = AliceBobMesh();
+  ASSERT_NE(cluster, nullptr);
+
+  auto* alice = cluster->node("alice");
+  auto* bob = cluster->node("bob");
   auto hash = alice->Issue(
       "grant(carol,file1,read). canread(P,F) <- grant(P,F,read).");
   ASSERT_TRUE(hash.ok()) << hash.status().ToString();
-  ASSERT_TRUE(cluster.ShipCredential("alice", "bob", *hash).ok());
-  auto stats = cluster.Run();
+  ASSERT_TRUE(cluster->ShipCredential("alice", "bob", *hash).ok());
+  auto stats = cluster->RunToConvergence();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_GE(stats->messages, 1u);
   EXPECT_EQ(*bob->workspace()->Count("canread(carol,file1)"), 1u);
@@ -677,76 +683,59 @@ TEST(ClusterCredentialTest, ShipThroughClusterMatchesLocalSay) {
 
   // Differential: an identical receiver that gets the same statements via
   // local says-facts must end up byte-identical.
-  net::Cluster::Options copts2 = copts;
-  net::Cluster reference(copts2);
-  ASSERT_TRUE(reference.AddNode("alice", small).ok());
-  ASSERT_TRUE(reference.AddNode("bob", small).ok());
-  ASSERT_TRUE(reference.Connect().ok());
-  auto* bob_ref = reference.node("bob");
+  auto reference = AliceBobMesh();
+  ASSERT_NE(reference, nullptr);
+  auto* bob_ref = reference->node("bob");
   datalog::Transaction txn = bob_ref->Begin();
   txn.AddFactTextAs(
       "alice", "says(alice,bob,[| grant(carol,file1,read). |]).");
   txn.AddFactTextAs(
       "alice", "says(alice,bob,[| canread(P,F) <- grant(P,F,read). |]).");
   ASSERT_TRUE(txn.Commit().ok());
-  ASSERT_TRUE(reference.Run().ok());
+  ASSERT_TRUE(reference->RunToConvergence().ok());
   EXPECT_EQ(Snapshot(*bob->workspace()), Snapshot(*bob_ref->workspace()));
 }
 
 TEST(ClusterCredentialTest, FailedDeliveryKeepsLaterBundlesQueued) {
-  // Two bundles queued; the first is tampered in flight and rejected. The
-  // second must survive the failed Run() and deliver on the next one.
-  net::Cluster::Options copts;
-  copts.scheme = "";
-  copts.default_placement = false;
-  net::Cluster cluster(copts);
-  TrustRuntime::Options small;
-  small.rsa_bits = 512;
-  ASSERT_TRUE(cluster.AddNode("alice", small).ok());
-  ASSERT_TRUE(cluster.AddNode("bob", small).ok());
-  ASSERT_TRUE(cluster.Connect().ok());
-  auto first = cluster.node("alice")->Issue("first(1).");
+  // Two bundles shipped; the first is tampered in flight and rejected. The
+  // second must survive the failed run and import on the next one.
+  auto cluster = AliceBobMesh();
+  ASSERT_NE(cluster, nullptr);
+  auto first = cluster->node("alice")->Issue("first(1).");
   ASSERT_TRUE(first.ok());
-  auto second = cluster.node("alice")->Issue("second(2).");
+  auto second = cluster->node("alice")->Issue("second(2).");
   ASSERT_TRUE(second.ok());
-  ASSERT_TRUE(cluster.ShipCredential("alice", "bob", *first).ok());
-  ASSERT_TRUE(cluster.ShipCredential("alice", "bob", *second).ok());
-  cluster.InjectTamper("credential", [](std::string* payload) {
+  ASSERT_TRUE(cluster->ShipCredential("alice", "bob", *first).ok());
+  ASSERT_TRUE(cluster->ShipCredential("alice", "bob", *second).ok());
+  cluster->InjectTamper("credential", [](std::string* payload) {
     size_t pos = payload->find("first(1)");
     ASSERT_NE(pos, std::string::npos);
     (*payload)[pos + 6] = '9';
   });
-  ASSERT_FALSE(cluster.Run().ok());
-  EXPECT_EQ(*cluster.node("bob")->workspace()->Count("second(N)"), 0u);
-  auto retry = cluster.Run();
+  ASSERT_FALSE(cluster->RunToConvergence().ok());
+  EXPECT_EQ(*cluster->node("bob")->workspace()->Count("second(N)"), 0u);
+  auto retry = cluster->RunToConvergence();
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_EQ(*cluster.node("bob")->workspace()->Count("second(2)"), 1u);
-  EXPECT_EQ(*cluster.node("bob")->workspace()->Count("first(N)"), 0u);
+  EXPECT_EQ(*cluster->node("bob")->workspace()->Count("second(2)"), 1u);
+  EXPECT_EQ(*cluster->node("bob")->workspace()->Count("first(N)"), 0u);
 }
 
 TEST(ClusterCredentialTest, TamperedBundleAbortsRun) {
-  net::Cluster::Options copts;
-  copts.scheme = "";
-  copts.default_placement = false;
-  net::Cluster cluster(copts);
-  TrustRuntime::Options small;
-  small.rsa_bits = 512;
-  ASSERT_TRUE(cluster.AddNode("alice", small).ok());
-  ASSERT_TRUE(cluster.AddNode("bob", small).ok());
-  ASSERT_TRUE(cluster.Connect().ok());
-  auto hash = cluster.node("alice")->Issue("balance(100).");
+  auto cluster = AliceBobMesh();
+  ASSERT_NE(cluster, nullptr);
+  auto hash = cluster->node("alice")->Issue("balance(100).");
   ASSERT_TRUE(hash.ok());
-  ASSERT_TRUE(cluster.ShipCredential("alice", "bob", *hash).ok());
-  cluster.InjectTamper("credential", [](std::string* payload) {
+  ASSERT_TRUE(cluster->ShipCredential("alice", "bob", *hash).ok());
+  cluster->InjectTamper("credential", [](std::string* payload) {
     size_t pos = payload->find("balance(100)");
     ASSERT_NE(pos, std::string::npos);
     (*payload)[pos + 8] = '9';
   });
-  auto stats = cluster.Run();
+  auto stats = cluster->RunToConvergence();
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), util::StatusCode::kCryptoError);
   EXPECT_NE(stats.status().message().find("bob"), std::string::npos);
-  EXPECT_EQ(*cluster.node("bob")->workspace()->Count("balance(N)"), 0u);
+  EXPECT_EQ(*cluster->node("bob")->workspace()->Count("balance(N)"), 0u);
 }
 
 }  // namespace

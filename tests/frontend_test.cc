@@ -1,7 +1,9 @@
 #include <map>
+#include <memory>
 #include <queue>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,10 +18,16 @@ namespace {
 
 using datalog::Value;
 
-trust::TrustRuntime::Options SmallKeys() {
-  trust::TrustRuntime::Options opts;
-  opts.rsa_bits = 512;
-  return opts;
+/// An in-process mesh of `nodes` with 512-bit keys (nullptr on failure).
+std::unique_ptr<net::SimCluster> Mesh(std::vector<std::string> nodes,
+                                      const std::string& scheme) {
+  net::DistributedCluster::Options opts;
+  opts.nodes = std::move(nodes);
+  opts.scheme = scheme;
+  opts.runtime.rsa_bits = 512;
+  auto cluster = net::SimCluster::Create(std::move(opts));
+  EXPECT_TRUE(cluster.ok()) << cluster.status().ToString();
+  return cluster.ok() ? std::move(*cluster) : nullptr;
 }
 
 TEST(BinderCompileTest, SaysLowering) {
@@ -44,34 +52,30 @@ TEST(BinderCompileTest, RejectsContexts) {
 
 TEST(BinderTest, Section22PolicyOverCluster) {
   // The paper's b1/b2: alice accepts access facts that bob says.
-  net::Cluster::Options copts;
-  copts.scheme = "rsa";
-  net::Cluster cluster(copts);
-  ASSERT_TRUE(cluster.AddNode("alice", SmallKeys()).ok());
-  ASSERT_TRUE(cluster.AddNode("bob", SmallKeys()).ok());
-  ASSERT_TRUE(cluster.Connect().ok());
+  auto cluster = Mesh({"alice", "bob"}, "rsa");
+  ASSERT_NE(cluster, nullptr);
 
   // The paper's b1 ranges over "any object O"; range-restriction requires
   // the object relation to make that safe.
   auto st = binder::LoadBinder(
-      cluster.node("alice"),
+      cluster->node("alice"),
       "b1: access(P,O,read) :- good(P), object(O).\n"
       "b2: access(P,O,read) :- bob says access(P,O,read).");
   ASSERT_TRUE(st.ok()) << st.ToString();
-  ASSERT_TRUE(cluster.node("alice")->workspace()
+  ASSERT_TRUE(cluster->node("alice")->workspace()
                   ->AddFactText("good(carol). object(f).")
                   .ok());
   // bob exports an access statement.
-  ASSERT_TRUE(cluster.node("bob")
+  ASSERT_TRUE(cluster->node("bob")
                   ->Load("says(me,alice,[| access(dave,f,read). |]) <- "
                          "grant(dave).")
                   .ok());
-  ASSERT_TRUE(cluster.node("bob")->workspace()
+  ASSERT_TRUE(cluster->node("bob")->workspace()
                   ->AddFactText("grant(dave).")
                   .ok());
-  auto stats = cluster.Run();
+  auto stats = cluster->RunToConvergence();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  auto* alice = cluster.node("alice")->workspace();
+  auto* alice = cluster->node("alice")->workspace();
   EXPECT_EQ(*alice->Count("access(carol,f,read)"), 1u);  // via b1
   EXPECT_EQ(*alice->Count("access(dave,f,read)"), 1u);   // via b2
 }
@@ -79,31 +83,27 @@ TEST(BinderTest, Section22PolicyOverCluster) {
 TEST(BinderTest, PullRewriteAnswersRequests) {
   // §5.1 top-down evaluation: alice's import rule triggers a request to
   // bob; bob answers with his matching facts; alice derives access.
-  net::Cluster::Options copts;
-  copts.scheme = "hmac";
-  net::Cluster cluster(copts);
-  ASSERT_TRUE(cluster.AddNode("alice", SmallKeys()).ok());
-  ASSERT_TRUE(cluster.AddNode("bob", SmallKeys()).ok());
-  ASSERT_TRUE(cluster.Connect().ok());
+  auto cluster = Mesh({"alice", "bob"}, "hmac");
+  ASSERT_NE(cluster, nullptr);
 
   ASSERT_TRUE(binder::LoadBinder(
-                  cluster.node("alice"),
+                  cluster->node("alice"),
                   "access(P,O,read) :- bob says access(P,O,read).")
                   .ok());
   ASSERT_TRUE(
-      binder::InstallPullRequester(cluster.node("alice")->workspace()).ok());
-  ASSERT_TRUE(binder::InstallPullResponder(cluster.node("bob")->workspace(),
+      binder::InstallPullRequester(cluster->node("alice")->workspace()).ok());
+  ASSERT_TRUE(binder::InstallPullResponder(cluster->node("bob")->workspace(),
                                            "access", 3)
                   .ok());
   // bob holds the data but never proactively exports it.
-  ASSERT_TRUE(cluster.node("bob")->workspace()
+  ASSERT_TRUE(cluster->node("bob")->workspace()
                   ->AddFactText("access(carol,f1,read). "
                                 "access(dave,f2,read). "
                                 "access(erin,f3,write).")
                   .ok());
-  auto stats = cluster.Run();
+  auto stats = cluster->RunToConvergence();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  auto* alice = cluster.node("alice")->workspace();
+  auto* alice = cluster->node("alice")->workspace();
   // The request pattern fixes mode=read: both read facts arrive, the
   // write fact does not.
   EXPECT_EQ(*alice->Count("access(carol,f1,read)"), 1u);
@@ -185,31 +185,25 @@ TEST_P(SendlogReachabilityTest, MatchesBfsOnRandomGraphs) {
     }
   }
 
-  net::Cluster::Options copts;
-  copts.scheme = "hmac";
-  copts.max_rounds = 128;
-  net::Cluster cluster(copts);
-  for (const std::string& name : names) {
-    ASSERT_TRUE(cluster.AddNode(name, SmallKeys()).ok());
-  }
-  ASSERT_TRUE(cluster.Connect().ok());
-  ASSERT_TRUE(sendlog::LoadSendlogOnCluster(&cluster, kReachabilityProgram)
-                  .ok());
+  auto cluster = Mesh(names, "hmac");
+  ASSERT_NE(cluster, nullptr);
+  ASSERT_TRUE(
+      sendlog::LoadSendlogOnCluster(cluster.get(), kReachabilityProgram).ok());
   for (const auto& [src, next] : adj) {
     for (const std::string& dst : next) {
-      ASSERT_TRUE(cluster.node(src)->workspace()
+      ASSERT_TRUE(cluster->node(src)->workspace()
                       ->AddFact("neighbor",
                                 {Value::Sym(src), Value::Sym(dst)})
                       .ok());
     }
   }
-  auto stats = cluster.Run();
+  auto stats = cluster->RunToConvergence();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
 
   // Collect reachable(me,D) per node and compare against BFS.
   std::set<std::pair<std::string, std::string>> got;
   for (const std::string& name : names) {
-    auto rows = cluster.node(name)->workspace()->Query("reachable(S,D)");
+    auto rows = cluster->node(name)->workspace()->Query("reachable(S,D)");
     ASSERT_TRUE(rows.ok());
     for (const auto& t : *rows) {
       if (t[0].AsText() == name) got.insert({name, t[1].AsText()});
@@ -226,25 +220,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SendlogReachabilityTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(SendlogTest, ConstantContextInstallsOnOneNode) {
-  net::Cluster::Options copts;
-  copts.scheme = "plaintext";
-  net::Cluster cluster(copts);
-  ASSERT_TRUE(cluster.AddNode("alice", SmallKeys()).ok());
-  ASSERT_TRUE(cluster.AddNode("bob", SmallKeys()).ok());
-  ASSERT_TRUE(cluster.Connect().ok());
-  ASSERT_TRUE(sendlog::LoadSendlogOnCluster(&cluster,
+  auto cluster = Mesh({"alice", "bob"}, "plaintext");
+  ASSERT_NE(cluster, nullptr);
+  ASSERT_TRUE(sendlog::LoadSendlogOnCluster(cluster.get(),
                                             "At alice:\n"
                                             "p(X) :- q(X).\n"
                                             "At bob:\n"
                                             "r(X) :- q(X).")
                   .ok());
   for (const char* n : {"alice", "bob"}) {
-    ASSERT_TRUE(cluster.node(n)->workspace()->AddFactText("q(1).").ok());
+    ASSERT_TRUE(cluster->node(n)->workspace()->AddFactText("q(1).").ok());
   }
-  ASSERT_TRUE(cluster.Run().ok());
-  EXPECT_EQ(*cluster.node("alice")->workspace()->Count("p(X)"), 1u);
-  EXPECT_EQ(*cluster.node("bob")->workspace()->Count("p(X)"), 0u);
-  EXPECT_EQ(*cluster.node("bob")->workspace()->Count("r(X)"), 1u);
+  ASSERT_TRUE(cluster->RunToConvergence().ok());
+  EXPECT_EQ(*cluster->node("alice")->workspace()->Count("p(X)"), 1u);
+  EXPECT_EQ(*cluster->node("bob")->workspace()->Count("p(X)"), 0u);
+  EXPECT_EQ(*cluster->node("bob")->workspace()->Count("r(X)"), 1u);
 }
 
 }  // namespace

@@ -10,16 +10,18 @@
 #include <gtest/gtest.h>
 
 #include "datalog/dump.h"
+#include "golden_mesh_dumps.inc"
 #include "net/cluster.h"
+#include "util/strings.h"
 
 namespace lbtrust::net {
 namespace {
 
 using trust::TrustRuntime;
 
-/// Per-node scenario setup, shared verbatim between the simulated and the
+/// Per-node scenario setup, shared verbatim between the in-process and the
 /// socket deployment so any divergence in the converged dumps is the
-/// transport's fault, not the scenario's.
+/// transport's or the schedule's fault, not the scenario's.
 using NodeSetup =
     std::function<util::Status(const std::string& name, TrustRuntime* rt)>;
 
@@ -44,6 +46,18 @@ util::Status SetupLinkedRelay(const std::string& name, TrustRuntime* rt) {
   return util::OkStatus();
 }
 
+/// Node a owes peer b a fat token block on top of the linked credential
+/// bundle (BackpressureDefersAndRecovers).
+util::Status SetupFanout(const std::string& name, TrustRuntime* rt) {
+  if (name != "a") return util::OkStatus();
+  LB_RETURN_IF_ERROR(rt->Load("says(me,b,[| token(N). |]) <- go(N)."));
+  std::string facts;
+  for (int i = 1; i <= 40; ++i) {
+    facts += "go(" + std::to_string(i) + "). ";
+  }
+  return rt->workspace()->AddFactText(facts);
+}
+
 /// Issues the linked-credential pair on a and returns the root hash to
 /// ship: grant fact <- policy rule, link-closed.
 util::Result<std::string> IssueLinked(TrustRuntime* a) {
@@ -54,41 +68,52 @@ util::Result<std::string> IssueLinked(TrustRuntime* a) {
 
 constexpr const char* kNodes[] = {"a", "b", "c"};
 
-/// Runs the scenario on the simulated (in-memory, reliable, in-order)
-/// Cluster — the differential oracle — and returns per-node dumps.
-/// Credential scenarios run under "plaintext": the rsa/hmac import
-/// constraints demand a signed export tuple for every says fact, which
-/// credential-imported says facts (verified by the bundle signature
-/// instead) do not have.
-std::map<std::string, std::string> RunSimulated(const NodeSetup& setup,
-                                                bool linked_credential,
-                                                const std::string& scheme) {
+/// The pinned dumps of `scenario`, per node (golden_mesh_dumps.inc).
+std::map<std::string, std::string> PinnedDumps(const std::string& scenario) {
   std::map<std::string, std::string> dumps;
-  Cluster::Options copts;
-  copts.scheme = scheme;
-  Cluster cluster(copts);
-  TrustRuntime::Options small;
-  small.rsa_bits = 512;
-  for (const char* n : kNodes) {
-    auto node = cluster.AddNode(n, small);
-    EXPECT_TRUE(node.ok()) << node.status().ToString();
-  }
-  EXPECT_TRUE(cluster.Connect().ok());
-  for (const char* n : kNodes) {
-    EXPECT_TRUE(setup(n, cluster.node(n)).ok());
-  }
-  if (linked_credential) {
-    auto hash = IssueLinked(cluster.node("a"));
-    EXPECT_TRUE(hash.ok()) << hash.status().ToString();
-    EXPECT_TRUE(cluster.ShipCredential("a", "b", *hash).ok());
-  }
-  auto stats = cluster.Run();
-  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-  for (const char* n : kNodes) {
-    dumps[n] = datalog::DumpWorkspace(*cluster.node(n)->workspace(),
-                                      /*max_rows=*/0, /*sort_rules=*/true);
+  for (const GoldenMeshDump& golden : kGoldenMeshDumps) {
+    if (golden.scenario == scenario) dumps[golden.node] = golden.dump;
   }
   return dumps;
+}
+
+struct SimResult {
+  std::map<std::string, std::string> dumps;
+  std::map<std::string, size_t> tuples_out;
+  SimCluster::RunStats stats;
+};
+
+/// Runs the scenario in process on a SimCluster scheduled by `seed` and
+/// returns per-node dumps and shipped-tuple counts. Credential scenarios
+/// run under "plaintext": the rsa/hmac import constraints demand a signed
+/// export tuple for every says fact, which credential-imported says facts
+/// (verified by the bundle signature instead) do not have.
+util::Result<SimResult> RunSimulated(const NodeSetup& setup,
+                                     bool linked_credential,
+                                     const std::string& scheme,
+                                     uint64_t seed = 0) {
+  DistributedCluster::Options opts;
+  opts.nodes = {"a", "b", "c"};
+  opts.scheme = scheme;
+  opts.runtime.rsa_bits = 512;
+  LB_ASSIGN_OR_RETURN(std::unique_ptr<SimCluster> cluster,
+                      SimCluster::Create(std::move(opts), seed));
+  for (const char* n : kNodes) {
+    LB_RETURN_IF_ERROR(setup(n, cluster->node(n)));
+  }
+  if (linked_credential) {
+    LB_ASSIGN_OR_RETURN(std::string hash, IssueLinked(cluster->node("a")));
+    LB_RETURN_IF_ERROR(cluster->ShipCredential("a", "b", hash));
+  }
+  SimResult result;
+  LB_ASSIGN_OR_RETURN(result.stats, cluster->RunToConvergence());
+  for (const char* n : kNodes) {
+    result.dumps[n] = datalog::DumpWorkspace(*cluster->node(n)->workspace(),
+                                             /*max_rows=*/0,
+                                             /*sort_rules=*/true);
+    result.tuples_out[n] = cluster->member(n)->stats().tuples_out;
+  }
+  return result;
 }
 
 struct DistResult {
@@ -96,45 +121,82 @@ struct DistResult {
   std::map<std::string, DistributedCluster::RunStats> stats;
 };
 
-/// Runs the same scenario over real localhost sockets: three
-/// DistributedCluster nodes in one process (one thread each — the
-/// transports are single-threaded per node), ephemeral ports, full mesh.
-DistResult RunDistributed(
-    const NodeSetup& setup, bool linked_credential, const std::string& scheme,
-    std::function<Transport::Options(const std::string&)> transport_opts =
-        nullptr,
-    size_t send_queue_limit_for_a = 0) {
-  DistResult result;
-  std::vector<std::unique_ptr<DistributedCluster>> nodes;
-  for (const char* n : kNodes) {
+using Nodes = std::vector<std::unique_ptr<DistributedCluster>>;
+
+/// A full mesh of socket nodes over localhost (ephemeral ports), with
+/// test-speed timers; `tweak` adjusts each node's options.
+Nodes SocketMesh(
+    const std::vector<std::string>& names, const std::string& scheme,
+    const std::function<void(DistributedCluster::Options*)>& tweak = nullptr) {
+  Nodes nodes;
+  for (const std::string& n : names) {
     DistributedCluster::Options opts;
     opts.self = n;
-    opts.nodes = {"a", "b", "c"};
+    opts.nodes = names;
     opts.listen_port = 0;  // ephemeral
     opts.scheme = scheme;
     opts.runtime.rsa_bits = 512;
     opts.convergence_timeout_ms = 20000;
     opts.poll_interval_ms = 2;
     opts.status_heartbeat_ms = 20;
-    if (transport_opts) opts.transport = transport_opts(n);
     opts.transport.reconnect_backoff_min_ms = 1;
-    if (send_queue_limit_for_a != 0 && std::string(n) == "a") {
-      opts.transport.send_queue_limit_bytes = send_queue_limit_for_a;
-    }
+    if (tweak) tweak(&opts);
     auto node = DistributedCluster::Create(std::move(opts));
     EXPECT_TRUE(node.ok()) << node.status().ToString();
-    if (!node.ok()) return result;
+    if (!node.ok()) return {};
     nodes.push_back(std::move(*node));
   }
   for (size_t i = 0; i < nodes.size(); ++i) {
     for (size_t j = 0; j < nodes.size(); ++j) {
       if (i == j) continue;
-      EXPECT_TRUE(nodes[i]
-                      ->AddPeer(kNodes[j], "127.0.0.1",
-                                nodes[j]->listen_port())
-                      .ok());
+      EXPECT_TRUE(
+          nodes[i]->AddPeer(names[j], "127.0.0.1", nodes[j]->listen_port())
+              .ok());
     }
   }
+  return nodes;
+}
+
+struct RunOutcome {
+  util::Status status;
+  DistributedCluster::RunStats stats;
+};
+
+/// One RunToConvergence per node, each on its own thread (the transports
+/// are single-threaded per node).
+std::vector<RunOutcome> RunAll(const Nodes& nodes) {
+  std::vector<RunOutcome> outcomes(nodes.size());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    threads.emplace_back([&, i] {
+      auto r = nodes[i]->RunToConvergence();
+      outcomes[i].status = r.status();
+      if (r.ok()) outcomes[i].stats = *r;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return outcomes;
+}
+
+/// Runs the same scenario over real localhost sockets: three
+/// DistributedCluster nodes in one process, one thread each.
+DistResult RunDistributed(
+    const NodeSetup& setup, bool linked_credential, const std::string& scheme,
+    std::function<Transport::Options(const std::string&)> transport_opts =
+        nullptr,
+    size_t send_queue_limit_for_a = 0) {
+  DistResult result;
+  Nodes nodes = SocketMesh(
+      {"a", "b", "c"}, scheme, [&](DistributedCluster::Options* opts) {
+        if (transport_opts) {
+          opts->transport = transport_opts(opts->self);
+          opts->transport.reconnect_backoff_min_ms = 1;
+        }
+        if (send_queue_limit_for_a != 0 && opts->self == "a") {
+          opts->transport.send_queue_limit_bytes = send_queue_limit_for_a;
+        }
+      });
+  if (nodes.size() != 3) return result;
   for (size_t i = 0; i < nodes.size(); ++i) {
     EXPECT_TRUE(setup(kNodes[i], nodes[i]->runtime()).ok());
   }
@@ -143,22 +205,11 @@ DistResult RunDistributed(
     EXPECT_TRUE(hash.ok()) << hash.status().ToString();
     EXPECT_TRUE(nodes[0]->ShipCredential("b", *hash).ok());
   }
-
-  std::vector<util::Status> statuses(nodes.size(), util::OkStatus());
-  std::vector<DistributedCluster::RunStats> run_stats(nodes.size());
-  std::vector<std::thread> threads;
+  std::vector<RunOutcome> outcomes = RunAll(nodes);
   for (size_t i = 0; i < nodes.size(); ++i) {
-    threads.emplace_back([&, i] {
-      auto r = nodes[i]->RunToConvergence();
-      statuses[i] = r.status();
-      if (r.ok()) run_stats[i] = *r;
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    EXPECT_TRUE(statuses[i].ok())
-        << "node " << kNodes[i] << ": " << statuses[i].ToString();
-    result.stats[kNodes[i]] = run_stats[i];
+    EXPECT_TRUE(outcomes[i].status.ok())
+        << "node " << kNodes[i] << ": " << outcomes[i].status.ToString();
+    result.stats[kNodes[i]] = outcomes[i].stats;
     result.dumps[kNodes[i]] =
         datalog::DumpWorkspace(*nodes[i]->runtime()->workspace(),
                                /*max_rows=*/0, /*sort_rules=*/true);
@@ -174,12 +225,12 @@ void ExpectDumpsIdentical(const std::map<std::string, std::string>& sim,
     ASSERT_NE(it, dist.end()) << "missing node " << name;
     EXPECT_EQ(dump, it->second)
         << "node '" << name
-        << "': socket convergence diverged from simulated";
+        << "': socket convergence diverged from in-process";
   }
 }
 
 TEST(DistributedClusterTest, DelegationConvergesIdenticalToSimulated) {
-  auto sim = RunSimulated(SetupDelegation, /*linked_credential=*/false, "rsa");
+  auto sim = PinnedDumps("delegation");
   auto dist =
       RunDistributed(SetupDelegation, /*linked_credential=*/false, "rsa");
   ExpectDumpsIdentical(sim, dist.dumps);
@@ -193,8 +244,7 @@ TEST(DistributedClusterTest, DelegationConvergesIdenticalToSimulated) {
 }
 
 TEST(DistributedClusterTest, LinkedCredentialConvergesIdenticalToSimulated) {
-  auto sim =
-      RunSimulated(SetupLinkedRelay, /*linked_credential=*/true, "plaintext");
+  auto sim = PinnedDumps("linked");
   auto dist = RunDistributed(SetupLinkedRelay, /*linked_credential=*/true,
                              "plaintext");
   ExpectDumpsIdentical(sim, dist.dumps);
@@ -206,38 +256,6 @@ TEST(DistributedClusterTest, LinkedCredentialConvergesIdenticalToSimulated) {
   EXPECT_GT(dist.stats["b"].transport.credential_bytes_in, 0u);
 }
 
-TEST(DistributedClusterTest, DuplicateDeliveryConvergesIdentical) {
-  // Every reliable frame transmits twice: the engine's set semantics and
-  // content-addressed credential store absorb the duplicates.
-  auto dup = [](const std::string&) {
-    Transport::Options t;
-    t.duplicate_data_frames = true;
-    return t;
-  };
-  auto sim =
-      RunSimulated(SetupLinkedRelay, /*linked_credential=*/true, "plaintext");
-  auto dist = RunDistributed(SetupLinkedRelay, /*linked_credential=*/true,
-                             "plaintext", dup);
-  ExpectDumpsIdentical(sim, dist.dumps);
-  uint64_t duplicates = 0;
-  for (const auto& [name, stats] : dist.stats) {
-    duplicates += stats.transport.duplicate_frames_in;
-  }
-  EXPECT_GE(duplicates, 2u);  // every data/credential frame arrived twice
-}
-
-TEST(DistributedClusterTest, ReorderedDeliveryConvergesIdentical) {
-  auto reorder = [](const std::string&) {
-    Transport::Options t;
-    t.reorder_flush = true;
-    return t;
-  };
-  auto sim = RunSimulated(SetupDelegation, /*linked_credential=*/false, "rsa");
-  auto dist = RunDistributed(SetupDelegation, /*linked_credential=*/false,
-                             "rsa", reorder);
-  ExpectDumpsIdentical(sim, dist.dumps);
-}
-
 TEST(DistributedClusterTest, ForcedReconnectConvergesIdentical) {
   // Node a's first reliable frame tears its connection down right after
   // flushing, losing the ack in flight: the reconnect must resend, the
@@ -247,10 +265,9 @@ TEST(DistributedClusterTest, ForcedReconnectConvergesIdentical) {
     if (name == "a") t.drop_connection_after_data_frames = 1;
     return t;
   };
-  auto sim = RunSimulated(SetupDelegation, /*linked_credential=*/false, "rsa");
   auto dist = RunDistributed(SetupDelegation, /*linked_credential=*/false,
                              "rsa", drop);
-  ExpectDumpsIdentical(sim, dist.dumps);
+  ExpectDumpsIdentical(PinnedDumps("delegation"), dist.dumps);
   EXPECT_GE(dist.stats["a"].transport.reconnects, 1u);
   EXPECT_GE(dist.stats["a"].transport.retries, 1u);
 }
@@ -258,42 +275,142 @@ TEST(DistributedClusterTest, ForcedReconnectConvergesIdentical) {
 TEST(DistributedClusterTest, BackpressureDefersAndRecovers) {
   // Node a owes peer b two reliable frames at startup: the pre-queued
   // credential bundle and one fat token block. Size a's per-peer send
-  // queue from the simulated run's own byte accounting so either frame
+  // queue from the in-process run's own byte accounting so either frame
   // fits alone but not both at once — the data send hits the bounded
   // queue, defers, and is retried once the credential frame is acked.
-  auto fanout = [](const std::string& name, TrustRuntime* rt) {
-    if (name != "a") return util::OkStatus();
-    LB_RETURN_IF_ERROR(rt->Load("says(me,b,[| token(N). |]) <- go(N)."));
-    std::string facts;
-    for (int i = 1; i <= 40; ++i) {
-      facts += "go(" + std::to_string(i) + "). ";
-    }
-    return rt->workspace()->AddFactText(facts);
-  };
-  Cluster::Options copts;
-  copts.scheme = "plaintext";
-  Cluster probe(copts);
-  TrustRuntime::Options small;
-  small.rsa_bits = 512;
-  for (const char* n : kNodes) ASSERT_TRUE(probe.AddNode(n, small).ok());
-  ASSERT_TRUE(probe.Connect().ok());
-  for (const char* n : kNodes) ASSERT_TRUE(fanout(n, probe.node(n)).ok());
-  auto hash = IssueLinked(probe.node("a"));
-  ASSERT_TRUE(hash.ok()) << hash.status().ToString();
-  ASSERT_TRUE(probe.ShipCredential("a", "b", *hash).ok());
-  auto probe_stats = probe.Run();
-  ASSERT_TRUE(probe_stats.ok()) << probe_stats.status().ToString();
-  ASSERT_GT(probe_stats->tuple_bytes, 0u);
-  ASSERT_GT(probe_stats->credential_bytes, 0u);
+  auto probe = RunSimulated(SetupFanout, /*linked_credential=*/true,
+                            "plaintext");
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  ASSERT_EQ(probe->stats.messages, 2u);
   // ~85% of the combined payload holds either single frame but not both.
-  size_t limit =
-      (probe_stats->tuple_bytes + probe_stats->credential_bytes) * 17 / 20;
+  size_t limit = probe->stats.bytes * 17 / 20;
 
-  auto sim = RunSimulated(fanout, /*linked_credential=*/true, "plaintext");
-  auto dist = RunDistributed(fanout, /*linked_credential=*/true, "plaintext",
-                             nullptr, /*send_queue_limit_for_a=*/limit);
-  ExpectDumpsIdentical(sim, dist.dumps);
+  auto dist = RunDistributed(SetupFanout, /*linked_credential=*/true,
+                             "plaintext", nullptr,
+                             /*send_queue_limit_for_a=*/limit);
+  ExpectDumpsIdentical(PinnedDumps("fanout"), dist.dumps);
   EXPECT_GE(dist.stats["a"].deferred_sends, 1u);
+}
+
+TEST(DistributedClusterTest, RejectedBundleIsDroppedAndNextRunConverges) {
+  // b rejects a bundle that is not valid yet at its credential_now. The
+  // frame was acked when b staged it, so dropping it at import leaves a
+  // with nothing unacked: the failed run must not wedge the next one.
+  Nodes nodes = SocketMesh({"a", "b"}, "plaintext",
+                           [](DistributedCluster::Options* opts) {
+                             opts->convergence_timeout_ms = 2000;
+                           });
+  ASSERT_EQ(nodes.size(), 2u);
+  auto hash = nodes[0]->runtime()->Issue("early(1).", {}, /*not_before=*/100);
+  ASSERT_TRUE(hash.ok()) << hash.status().ToString();
+  ASSERT_TRUE(nodes[0]->ShipCredential("b", *hash).ok());
+
+  std::vector<RunOutcome> first = RunAll(nodes);
+  EXPECT_EQ(first[1].status.code(), util::StatusCode::kFailedPrecondition)
+      << first[1].status.ToString();
+  EXPECT_NE(first[1].status.message().find("node 'b'"), std::string::npos)
+      << first[1].status.ToString();
+
+  std::vector<RunOutcome> second = RunAll(nodes);
+  for (size_t i = 0; i < second.size(); ++i) {
+    EXPECT_TRUE(second[i].status.ok())
+        << "node " << kNodes[i] << ": " << second[i].status.ToString();
+  }
+  EXPECT_EQ(*nodes[1]->runtime()->workspace()->Count("early(N)"), 0u);
+}
+
+TEST(SimClusterTest, DefaultScheduleReproducesPinnedDumps) {
+  auto delegation =
+      RunSimulated(SetupDelegation, /*linked_credential=*/false, "rsa");
+  auto linked =
+      RunSimulated(SetupLinkedRelay, /*linked_credential=*/true, "plaintext");
+  auto fanout =
+      RunSimulated(SetupFanout, /*linked_credential=*/true, "plaintext");
+  ASSERT_TRUE(delegation.ok() && linked.ok() && fanout.ok());
+  EXPECT_EQ(delegation->dumps, PinnedDumps("delegation"));
+  EXPECT_EQ(linked->dumps, PinnedDumps("linked"));
+  EXPECT_EQ(fanout->dumps, PinnedDumps("fanout"));
+}
+
+/// Every seed in [1, seeds] must converge to the pinned dumps and ship
+/// exactly what the bulk-synchronous schedule ships, node by node. Seeds
+/// are independent meshes, swept on a few threads; each thread reports
+/// its first failing seed, which replays exactly through RunSimulated.
+void SweepSeeds(const std::string& scenario, const NodeSetup& setup,
+                bool linked_credential, const std::string& scheme,
+                uint64_t seeds) {
+  auto base = RunSimulated(setup, linked_credential, scheme);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ASSERT_EQ(base->dumps, PinnedDumps(scenario));
+  constexpr uint64_t kThreads = 4;
+  std::vector<std::string> failures(kThreads);
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint64_t seed = 1 + t; seed <= seeds; seed += kThreads) {
+        auto run = RunSimulated(setup, linked_credential, scheme, seed);
+        std::string failure =
+            !run.ok()                             ? run.status().ToString()
+            : run->dumps != base->dumps           ? "dumps differ from seed 0"
+            : run->tuples_out != base->tuples_out ? "tuples_out differ"
+                                                  : "";
+        if (!failure.empty()) {
+          failures[t] = util::StrCat(scenario, " seed ", seed, ": ", failure);
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::string& failure : failures) {
+    EXPECT_TRUE(failure.empty()) << failure;
+  }
+  // A seed's schedule replays exactly.
+  auto again = RunSimulated(setup, linked_credential, scheme, seeds);
+  auto replay = RunSimulated(setup, linked_credential, scheme, seeds);
+  ASSERT_TRUE(again.ok() && replay.ok());
+  EXPECT_EQ(again->stats.rounds, replay->stats.rounds);
+  EXPECT_EQ(again->stats.messages, replay->stats.messages);
+}
+
+TEST(SimClusterTest, LaterRunRelaysNewFacts) {
+  // A run starts from the previous run's unanimous confirmation: only the
+  // version each commit bumps keeps those stale confirms from ending the
+  // new run before its deltas have crossed the mesh.
+  for (uint64_t seed = 0; seed <= 100; ++seed) {
+    DistributedCluster::Options opts;
+    opts.nodes = {"a", "b", "c"};
+    opts.runtime.rsa_bits = 512;
+    auto cluster = SimCluster::Create(std::move(opts), seed);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    for (const char* n : kNodes) {
+      ASSERT_TRUE(SetupDelegation(n, (*cluster)->node(n)).ok());
+    }
+    ASSERT_TRUE((*cluster)->RunToConvergence().ok()) << "seed " << seed;
+    ASSERT_TRUE((*cluster)->node("a")->workspace()->AddFactText("go(3).").ok());
+    auto second = (*cluster)->RunToConvergence();
+    ASSERT_TRUE(second.ok()) << "seed " << seed << ": "
+                             << second.status().ToString();
+    EXPECT_EQ(*(*cluster)->node("c")->workspace()->Count("token(N)"), 3u)
+        << "seed " << seed;
+  }
+}
+
+TEST(SimClusterTest, DelegationSeedSweep) {
+  SweepSeeds("delegation", SetupDelegation, /*linked_credential=*/false,
+             "rsa", 1000);
+}
+
+TEST(SimClusterTest, LinkedSeedSweep) {
+  SweepSeeds("linked", SetupLinkedRelay, /*linked_credential=*/true,
+             "plaintext", 1000);
+}
+
+TEST(SimClusterTest, FanoutSeedSweep) {
+  // The one scenario with two reliable frames on a link (a's bundle and
+  // token block to b), so seeds also reorder within a link.
+  SweepSeeds("fanout", SetupFanout, /*linked_credential=*/true, "plaintext",
+             250);
 }
 
 TEST(DistributedClusterTest, RejectsUnknownMeshMembers) {

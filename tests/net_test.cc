@@ -1,7 +1,6 @@
 #include "net/cluster.h"
 
-#include <algorithm>
-#include <set>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,11 +16,33 @@ using datalog::Tuple;
 using datalog::Value;
 using datalog::ValueKind;
 
+/// An in-process mesh of `nodes` with 512-bit keys (nullptr on failure).
+std::unique_ptr<SimCluster> Mesh(std::vector<std::string> nodes,
+                                 const std::string& scheme,
+                                 bool default_placement = true) {
+  DistributedCluster::Options opts;
+  opts.nodes = std::move(nodes);
+  opts.scheme = scheme;
+  opts.default_placement = default_placement;
+  opts.runtime.rsa_bits = 512;
+  auto cluster = SimCluster::Create(std::move(opts));
+  EXPECT_TRUE(cluster.ok()) << cluster.status().ToString();
+  return cluster.ok() ? std::move(*cluster) : nullptr;
+}
+
+/// One tuple through the block codec.
+util::Result<Tuple> RoundTrip(const Tuple& t) {
+  LB_ASSIGN_OR_RETURN(std::vector<Tuple> back,
+                      DeserializeTupleBlock(SerializeTupleBlock({t})));
+  if (back.size() != 1) return util::Internal("expected one row");
+  return back[0];
+}
+
 TEST(WireTest, ScalarRoundTrip) {
   Tuple t = {Value::Int(-42),       Value::Str("a:b|c"),
              Value::Sym("alice"),   Value::Bool(true),
              Value::Double(2.5),    Value()};
-  auto back = DeserializeTuple(SerializeTuple(t));
+  auto back = RoundTrip(t);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(*back, t);
 }
@@ -31,7 +52,7 @@ TEST(WireTest, CodeRoundTrip) {
       "[| says(alice,bob,[| access(P,O,read). |]) <- grant(P,O). |]");
   ASSERT_TRUE(term.ok());
   Tuple t = {term->value};
-  auto back = DeserializeTuple(SerializeTuple(t));
+  auto back = RoundTrip(t);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(*back, t);
   EXPECT_EQ((*back)[0].AsCode().canon, term->value.AsCode().canon);
@@ -39,60 +60,54 @@ TEST(WireTest, CodeRoundTrip) {
 
 TEST(WireTest, PartRefRoundTrip) {
   Tuple t = {Value::Part("export", Value::Sym("alice"))};
-  auto back = DeserializeTuple(SerializeTuple(t));
+  auto back = RoundTrip(t);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, t);
   EXPECT_EQ((*back)[0].AsPart().predicate, "export");
 }
 
-TEST(WireTest, RejectsGarbage) {
-  EXPECT_FALSE(DeserializeTuple("").ok());
-  EXPECT_FALSE(DeserializeTuple("2:i:1:5").ok());      // short
-  EXPECT_FALSE(DeserializeTuple("1:q:1:x").ok());      // unknown kind
-  EXPECT_FALSE(DeserializeTuple("1:i:999:5").ok());    // bad length
-}
-
 TEST(WireTest, MalformedInputsReturnStatusNotCrash) {
-  // Table-driven adversarial inputs: every case must produce a non-OK
+  // Table-driven adversarial values, each the only dictionary entry of an
+  // otherwise well-formed one-row block: every case must produce a non-OK
   // status — never a crash, over-read or runaway allocation.
+  auto block = [](const std::string& value) {
+    return "B:1:" + value + "1:1:0:";
+  };
+  ASSERT_TRUE(DeserializeTupleBlock(block("i:1:5")).ok());  // the frame
   struct Case {
     const char* name;
-    const char* input;
+    const char* value;
   };
   const Case kCases[] = {
       {"empty", ""},
-      {"no count separator", "abc"},
-      {"non-numeric count", "x:i:1:5"},
-      {"oversized count (DoS reserve)", "99999999999999:i:1:5"},
-      {"count overflows size_t", "99999999999999999999999:i:1:5"},
-      {"count larger than input", "9:i:1:5"},
-      {"truncated value header", "1:i"},
-      {"missing value length delimiter", "1:i:5"},
-      {"empty value length", "1:i::x"},
-      {"non-numeric value length", "1:i:zz:x"},
-      {"value length overflows size_t", "1:s:99999999999999999999999:x"},
-      {"value length past end", "1:s:100:abc"},
-      {"huge value length (wraparound)", "1:s:18446744073709551615:x"},
-      {"bad int payload", "1:i:3:abc"},
-      {"int payload with trailing junk", "1:i:4:5abc"},
-      {"empty double payload", "1:d:0:"},
-      {"bad double payload", "1:d:3:abc"},
-      {"double payload trailing junk", "1:d:5:1.5xy"},
-      {"double overflow", "1:d:6:1e9999"},
-      {"bad bool payload", "1:b:1:7"},
-      {"nil with payload", "1:n:1:x"},
-      {"unknown kind tag", "1:z:1:x"},
-      {"part without separator", "1:p:3:abc"},
-      {"part with truncated key", "1:p:6:ex:i:9"},
-      {"part with trailing bytes", "1:p:10:ex:i:1:5xx"},
-      {"code payload without tag", "1:c:1:R"},
-      {"code payload bad tag", "1:c:4:Z:p()"},
-      {"code payload unparsable", "1:c:6:R:((((" },
-      {"trailing bytes after tuple", "1:i:1:5xxx"},
-      {"two values claimed one present", "2:i:1:5"},
+      {"truncated value header", "i"},
+      {"missing value length delimiter", "i:5"},
+      {"empty value length", "i::x"},
+      {"non-numeric value length", "i:zz:x"},
+      {"value length overflows size_t", "s:99999999999999999999999:x"},
+      {"value length past end", "s:100:abc"},
+      {"huge value length (wraparound)", "s:18446744073709551615:x"},
+      {"bad length", "i:999:5"},
+      {"bad int payload", "i:3:abc"},
+      {"int payload with trailing junk", "i:4:5abc"},
+      {"empty double payload", "d:0:"},
+      {"bad double payload", "d:3:abc"},
+      {"double payload trailing junk", "d:5:1.5xy"},
+      {"double overflow", "d:6:1e9999"},
+      {"bad bool payload", "b:1:7"},
+      {"nil with payload", "n:1:x"},
+      {"unknown kind tag", "z:1:x"},
+      {"unknown kind", "q:1:x"},
+      {"part without separator", "p:3:abc"},
+      {"part with truncated key", "p:6:ex:i:9"},
+      {"part with trailing bytes", "p:10:ex:i:1:5xx"},
+      {"code payload without tag", "c:1:R"},
+      {"code payload bad tag", "c:4:Z:p()"},
+      {"code payload unparsable", "c:6:R:(((("},
+      {"trailing bytes after value", "i:1:5xxx"},
   };
   for (const Case& c : kCases) {
-    auto result = DeserializeTuple(c.input);
+    auto result = DeserializeTupleBlock(block(c.value));
     EXPECT_FALSE(result.ok()) << "case '" << c.name << "' should reject";
   }
   // Deeply nested part values (built inside-out with correct lengths) must
@@ -102,7 +117,7 @@ TEST(WireTest, MalformedInputsReturnStatusNotCrash) {
     std::string body = "x:" + nested;
     nested = "p:" + std::to_string(body.size()) + ":" + body;
   }
-  EXPECT_FALSE(DeserializeTuple("1:" + nested).ok());
+  EXPECT_FALSE(DeserializeTupleBlock(block(nested)).ok());
 }
 
 TEST(WireBlockTest, RoundTripWithDictionarySharing) {
@@ -118,10 +133,10 @@ TEST(WireBlockTest, RoundTripWithDictionarySharing) {
   auto back = DeserializeTupleBlock(block);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(*back, tuples);
-  // The dictionary dedups: the block must be smaller than the naive
-  // concatenation of per-tuple serializations.
+  // The dictionary dedups: the block must be smaller than one block per
+  // tuple.
   size_t naive = 0;
-  for (const Tuple& t : tuples) naive += SerializeTuple(t).size();
+  for (const Tuple& t : tuples) naive += SerializeTupleBlock({t}).size();
   EXPECT_LT(block.size(), naive);
   // "alice" is serialized exactly once in the whole message.
   size_t first = block.find("alice");
@@ -142,6 +157,8 @@ TEST(WireBlockTest, MalformedBlocksReturnStatusNotCrash) {
       "B:",                        // missing dictionary count
       "B:zz:",                     // bad dictionary count
       "B:99999999:i:1:5",          // dictionary count exceeds input
+      "B:99999999999999999999999:i:1:5",  // dictionary count overflows
+      "B:2:i:1:51:1:0:",           // two values claimed, one present
       "B:1:i:1:5",                 // missing row count
       "B:1:i:1:5zz:",              // bad row count
       "B:1:i:1:51:",               // missing row arity
@@ -156,68 +173,26 @@ TEST(WireBlockTest, MalformedBlocksReturnStatusNotCrash) {
   }
 }
 
-TEST(WireBlockTest, ShardFilterPartitionsBlock) {
-  std::vector<Tuple> tuples;
-  for (int i = 0; i < 64; ++i) {
-    tuples.push_back({Value::Sym("alice"), Value::Int(i)});
-  }
-  // The full range is byte-identical to the unfiltered serializer.
-  EXPECT_EQ(SerializeTupleBlock(tuples, 0, 4, 4), SerializeTupleBlock(tuples));
-  EXPECT_EQ(SerializeTupleBlock(tuples, 0, 1, 1), SerializeTupleBlock(tuples));
-  // Per-shard sub-blocks partition the batch: disjoint, order-preserving,
-  // and their union is the whole batch.
-  std::vector<Tuple> reassembled;
-  size_t total_rows = 0;
-  for (size_t s = 0; s < 4; ++s) {
-    size_t rows = 0;
-    auto part = DeserializeTupleBlock(
-        SerializeTupleBlock(tuples, s, s + 1, 4, &rows));
-    ASSERT_TRUE(part.ok()) << part.status().ToString();
-    EXPECT_EQ(part->size(), rows);
-    total_rows += rows;
-    for (const Tuple& t : *part) {
-      EXPECT_EQ(WireTupleShard(t, 4), s);
-      reassembled.push_back(t);
-    }
-  }
-  EXPECT_EQ(total_rows, tuples.size());
-  // Routing must actually spread rows (splitmix-backed value hashes).
-  EXPECT_LT(DeserializeTupleBlock(SerializeTupleBlock(tuples, 0, 1, 4))->size(),
-            tuples.size());
-  // Same rows overall; order within each shard matches the batch order.
-  std::sort(reassembled.begin(), reassembled.end(),
-            [](const Tuple& a, const Tuple& b) {
-              return a[1].AsInt() < b[1].AsInt();
-            });
-  EXPECT_EQ(reassembled, tuples);
-}
-
 class SchemeExchangeTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SchemeExchangeTest, TwoPrincipalExchange) {
   // The Figure 2 micro-workload at unit scale: alice exports authenticated
   // facts to bob through says; bob imports, verifies and activates them.
-  Cluster::Options copts;
-  copts.scheme = GetParam();
-  Cluster cluster(copts);
-  trust::TrustRuntime::Options small;
-  small.rsa_bits = 512;
-  ASSERT_TRUE(cluster.AddNode("alice", small).ok());
-  ASSERT_TRUE(cluster.AddNode("bob", small).ok());
-  ASSERT_TRUE(cluster.Connect().ok());
+  auto cluster = Mesh({"alice", "bob"}, GetParam());
+  ASSERT_NE(cluster, nullptr);
 
-  auto* alice = cluster.node("alice");
+  auto* alice = cluster->node("alice");
   ASSERT_TRUE(
       alice->Load("says(me,bob,[| ping(N). |]) <- msg(N).").ok());
   ASSERT_TRUE(alice->workspace()->AddFactText("msg(1). msg(2). msg(3).").ok());
 
-  auto stats = cluster.Run();
+  auto stats = cluster->RunToConvergence();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   // All three exported tuples for bob batch into one dictionary-framed
   // block message (repeated principals ship once per message).
   EXPECT_EQ(stats->messages, 1u);
 
-  auto* bob = cluster.node("bob");
+  auto* bob = cluster->node("bob");
   EXPECT_EQ(*bob->workspace()->Count("ping(N)"), 3u);
   EXPECT_EQ(*bob->workspace()->Count("says(alice,bob,R)"), 3u);
 }
@@ -228,27 +203,21 @@ INSTANTIATE_TEST_SUITE_P(Schemes, SchemeExchangeTest,
 class TamperTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(TamperTest, AuthenticatedSchemesRejectTampering) {
-  Cluster::Options copts;
-  copts.scheme = GetParam();
-  Cluster cluster(copts);
-  trust::TrustRuntime::Options small;
-  small.rsa_bits = 512;
-  ASSERT_TRUE(cluster.AddNode("alice", small).ok());
-  ASSERT_TRUE(cluster.AddNode("bob", small).ok());
-  ASSERT_TRUE(cluster.Connect().ok());
-  ASSERT_TRUE(cluster.node("alice")
+  auto cluster = Mesh({"alice", "bob"}, GetParam());
+  ASSERT_NE(cluster, nullptr);
+  ASSERT_TRUE(cluster->node("alice")
                   ->Load("says(me,bob,[| balance(100). |]) <- go().")
                   .ok());
-  ASSERT_TRUE(cluster.node("alice")->workspace()->AddFactText("go().").ok());
+  ASSERT_TRUE(cluster->node("alice")->workspace()->AddFactText("go().").ok());
 
   // Flip a digit inside the payload: 100 -> 900 (the signature text stays).
-  cluster.InjectTamper("export", [](std::string* payload) {
+  cluster->InjectTamper("export", [](std::string* payload) {
     size_t pos = payload->find("balance(100)");
     ASSERT_NE(pos, std::string::npos);
     (*payload)[pos + 8] = '9';
   });
 
-  auto stats = cluster.Run();
+  auto stats = cluster->RunToConvergence();
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), util::StatusCode::kConstraintViolation);
   EXPECT_NE(stats.status().message().find("bob"), std::string::npos);
@@ -260,129 +229,68 @@ INSTANTIATE_TEST_SUITE_P(AuthSchemes, TamperTest,
 TEST(TamperTest, PlaintextAcceptsTampering) {
   // The flip side of the security/efficiency tradeoff (§2.2): plaintext
   // "says" happily accepts the forged fact.
-  Cluster::Options copts;
-  copts.scheme = "plaintext";
-  Cluster cluster(copts);
-  trust::TrustRuntime::Options small;
-  small.rsa_bits = 512;
-  ASSERT_TRUE(cluster.AddNode("alice", small).ok());
-  ASSERT_TRUE(cluster.AddNode("bob", small).ok());
-  ASSERT_TRUE(cluster.Connect().ok());
-  ASSERT_TRUE(cluster.node("alice")
+  auto cluster = Mesh({"alice", "bob"}, "plaintext");
+  ASSERT_NE(cluster, nullptr);
+  ASSERT_TRUE(cluster->node("alice")
                   ->Load("says(me,bob,[| balance(100). |]) <- go().")
                   .ok());
-  ASSERT_TRUE(cluster.node("alice")->workspace()->AddFactText("go().").ok());
-  cluster.InjectTamper("export", [](std::string* payload) {
+  ASSERT_TRUE(cluster->node("alice")->workspace()->AddFactText("go().").ok());
+  cluster->InjectTamper("export", [](std::string* payload) {
     size_t pos = payload->find("balance(100)");
     ASSERT_NE(pos, std::string::npos);
     (*payload)[pos + 8] = '9';
   });
-  auto stats = cluster.Run();
+  auto stats = cluster->RunToConvergence();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(*cluster.node("bob")->workspace()->Count("balance(900)"), 1u);
+  EXPECT_EQ(*cluster->node("bob")->workspace()->Count("balance(900)"), 1u);
 }
 
 TEST(ClusterTest, MessagesAreDedupedAcrossRounds) {
-  Cluster::Options copts;
-  copts.scheme = "plaintext";
-  Cluster cluster(copts);
-  trust::TrustRuntime::Options small;
-  small.rsa_bits = 512;
-  ASSERT_TRUE(cluster.AddNode("alice", small).ok());
-  ASSERT_TRUE(cluster.AddNode("bob", small).ok());
-  ASSERT_TRUE(cluster.Connect().ok());
-  ASSERT_TRUE(cluster.node("alice")
+  auto cluster = Mesh({"alice", "bob"}, "plaintext");
+  ASSERT_NE(cluster, nullptr);
+  ASSERT_TRUE(cluster->node("alice")
                   ->Load("says(me,bob,[| ping(1). |]) <- go().")
                   .ok());
-  ASSERT_TRUE(cluster.node("alice")->workspace()->AddFactText("go().").ok());
-  auto first = cluster.Run();
+  ASSERT_TRUE(cluster->node("alice")->workspace()->AddFactText("go().").ok());
+  auto first = cluster->RunToConvergence();
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->messages, 1u);
   // A second run with new local facts at alice re-derives the same export
   // but must not re-ship it.
   ASSERT_TRUE(
-      cluster.node("alice")->workspace()->AddFactText("unrelated(9).").ok());
-  auto second = cluster.Run();
+      cluster->node("alice")->workspace()->AddFactText("unrelated(9).").ok());
+  auto second = cluster->RunToConvergence();
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->messages, 0u);
 }
 
-TEST(ClusterTest, ShardedShippingConvergesIdentically) {
-  // ship_shards > 1 splits each (dest, relation) batch into per-shard
-  // messages via the filtered serializer; the receiver must converge on
-  // exactly the same facts, with the same total tuples delivered.
-  auto run = [](size_t ship_shards) {
-    Cluster::Options copts;
-    copts.scheme = "plaintext";
-    copts.ship_shards = ship_shards;
-    Cluster cluster(copts);
-    trust::TrustRuntime::Options small;
-    small.rsa_bits = 512;
-    EXPECT_TRUE(cluster.AddNode("alice", small).ok());
-    EXPECT_TRUE(cluster.AddNode("bob", small).ok());
-    EXPECT_TRUE(cluster.Connect().ok());
-    EXPECT_TRUE(cluster.node("alice")
-                    ->Load("says(me,bob,[| ping(N). |]) <- num(N).")
-                    .ok());
-    for (int i = 0; i < 12; ++i) {
-      EXPECT_TRUE(cluster.node("alice")
-                      ->workspace()
-                      ->AddFactText("num(" + std::to_string(i) + ").")
-                      .ok());
-    }
-    auto stats = cluster.Run();
-    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-    return std::make_pair(*cluster.node("bob")->workspace()->Count("ping(N)"),
-                          stats->tuples);
-  };
-  auto [classic_pings, classic_tuples] = run(1);
-  auto [sharded_pings, sharded_tuples] = run(4);
-  EXPECT_EQ(classic_pings, 12u);
-  EXPECT_EQ(sharded_pings, classic_pings);
-  EXPECT_EQ(sharded_tuples, classic_tuples);
-}
-
 TEST(ClusterTest, ThreeHopRelay) {
   // a says to b; a rule at b forwards to c.
-  Cluster::Options copts;
-  copts.scheme = "hmac";
-  Cluster cluster(copts);
-  trust::TrustRuntime::Options small;
-  small.rsa_bits = 512;
-  for (const char* n : {"a", "b", "c"}) {
-    ASSERT_TRUE(cluster.AddNode(n, small).ok());
-  }
-  ASSERT_TRUE(cluster.Connect().ok());
-  ASSERT_TRUE(cluster.node("a")
+  auto cluster = Mesh({"a", "b", "c"}, "hmac");
+  ASSERT_NE(cluster, nullptr);
+  ASSERT_TRUE(cluster->node("a")
                   ->Load("says(me,b,[| token(1). |]) <- go().")
                   .ok());
-  ASSERT_TRUE(cluster.node("a")->workspace()->AddFactText("go().").ok());
-  ASSERT_TRUE(cluster.node("b")
+  ASSERT_TRUE(cluster->node("a")->workspace()->AddFactText("go().").ok());
+  ASSERT_TRUE(cluster->node("b")
                   ->Load("says(me,c,[| token(N). |]) <- token(N).")
                   .ok());
-  auto stats = cluster.Run();
+  auto stats = cluster->RunToConvergence();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(*cluster.node("c")->workspace()->Count("token(1)"), 1u);
+  EXPECT_EQ(*cluster->node("c")->workspace()->Count("token(1)"), 1u);
   EXPECT_GE(stats->rounds, 2u);
 }
 
 TEST(ClusterTest, CustomPlacementMovesPartitions) {
   // Placement is ordinary data (§3.5): pointing loc(bob) at node "a" keeps
   // bob's export partition on a — nothing is shipped.
-  Cluster::Options copts;
-  copts.scheme = "plaintext";
-  copts.default_placement = false;
-  Cluster cluster(copts);
-  trust::TrustRuntime::Options small;
-  small.rsa_bits = 512;
-  ASSERT_TRUE(cluster.AddNode("a", small).ok());
-  ASSERT_TRUE(cluster.AddNode("bob", small).ok());
-  ASSERT_TRUE(cluster.Connect().ok());
-  auto* a = cluster.node("a");
+  auto cluster = Mesh({"a", "bob"}, "plaintext", /*default_placement=*/false);
+  ASSERT_NE(cluster, nullptr);
+  auto* a = cluster->node("a");
   ASSERT_TRUE(a->Load("ld2: predNode(export[P],N) <- loc(P,N).").ok());
   ASSERT_TRUE(a->workspace()->AddFactText("loc(bob,a).").ok());
   ASSERT_TRUE(a->Load("says(me,bob,[| ping(1). |]) <- go(). go().").ok());
-  auto stats = cluster.Run();
+  auto stats = cluster->RunToConvergence();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->messages, 0u);
   // Re-point bob's partition at node bob and re-run: now it ships.
@@ -390,7 +298,7 @@ TEST(ClusterTest, CustomPlacementMovesPartitions) {
                    "loc", {Value::Sym("bob"), Value::Sym("a")})
                   .ok());
   ASSERT_TRUE(a->workspace()->AddFactText("loc(bob,bob).").ok());
-  auto stats2 = cluster.Run();
+  auto stats2 = cluster->RunToConvergence();
   ASSERT_TRUE(stats2.ok());
   EXPECT_EQ(stats2->messages, 1u);
 }

@@ -111,47 +111,6 @@ TEST(TransportTest, CredentialBytesAccountedSeparately) {
             std::strlen("LBCB2-bundle-bytes"));
 }
 
-TEST(TransportTest, InjectedDuplicatesAreDeliveredAndCounted) {
-  // At-least-once means receivers must tolerate duplicates; the transport
-  // surfaces them (stats) but still delivers, because idempotency lives in
-  // the engine (set semantics + content-addressed credentials), not here.
-  Transport::Options dup;
-  dup.duplicate_data_frames = true;
-  Endpoint a("a", dup), b("b");
-  a.transport.AddPeer("b", "127.0.0.1", b.transport.listen_port());
-
-  ASSERT_TRUE(a.transport.Send("b", DataFrame("export", "x")));
-  ASSERT_TRUE(Pump({&a.transport, &b.transport},
-                   [&] { return b.received.size() >= 2; }));
-
-  EXPECT_EQ(b.received[0].seq, b.received[1].seq);
-  EXPECT_EQ(b.received[0].payload, b.received[1].payload);
-  EXPECT_EQ(b.transport.stats().duplicate_frames_in, 1u);
-  EXPECT_TRUE(Pump({&a.transport, &b.transport},
-                   [&] { return a.transport.AllAcked(); }));
-}
-
-TEST(TransportTest, ReorderedFlushDeliversAllFrames) {
-  // Frames staged within one flush ship in reverse: cross-batch ordering
-  // is not part of the delivery contract, only at-least-once is.
-  Transport::Options reorder;
-  reorder.reorder_flush = true;
-  Endpoint a("a", reorder), b("b");
-  a.transport.AddPeer("b", "127.0.0.1", b.transport.listen_port());
-
-  // Stage three frames before the first poll so one flush carries all.
-  ASSERT_TRUE(a.transport.Send("b", DataFrame("r", "one")));
-  ASSERT_TRUE(a.transport.Send("b", DataFrame("r", "two")));
-  ASSERT_TRUE(a.transport.Send("b", DataFrame("r", "three")));
-  ASSERT_TRUE(Pump({&a.transport, &b.transport}, [&] {
-    return b.received.size() == 3 && a.transport.AllAcked();
-  }));
-
-  EXPECT_EQ(b.received[0].seq, 3u);
-  EXPECT_EQ(b.received[1].seq, 2u);
-  EXPECT_EQ(b.received[2].seq, 1u);
-}
-
 TEST(TransportTest, ForcedDropTriggersReconnectAndResend) {
   // The armed drop closes the carrying connection right after its bytes
   // flush — before any ack can arrive — so the reconnect must retransmit

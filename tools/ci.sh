@@ -116,15 +116,25 @@ for fixture in tests/lint_fixtures/bad_*.lb; do
 done
 echo "ci: lint gates OK (corpus + examples clean, $(ls tests/lint_fixtures/bad_*.lb | wc -l) bad fixtures flagged)"
 
+# The examples that drive an in-process mesh: each must exit 0 (the
+# multidomain example also checks that a re-import costs no RSA).
+for example in secure_routing multidomain_delegation reconfig_auth; do
+  if ! "${BUILD_DIR}/example_${example}"; then
+    echo "ci: example_${example} failed" >&2
+    exit 1
+  fi
+done
+
 # Multi-process distributed smoke: a real 3-node localhost socket mesh per
-# scenario, every converged dump diffed against the simulated cluster, and
-# every node's metrics dump reconciled against the sim oracle's counters.
+# scenario, every converged dump diffed against the in-process run, and
+# every node's metrics dump reconciled against its counters.
 tools/dist_smoke.sh "${BUILD_DIR}"
 
 # Trace export validity: run a sim scenario with the span tracer attached,
 # then check the Chrome trace-event JSON parses and spans nest properly
 # (same-thread spans are RAII scopes, so sorted by start time each span's
-# [ts, ts+dur] interval must nest within — never straddle — open ancestors).
+# [ts, ts+dur] interval must nest within — never straddle — open ancestors),
+# and that every shipped frame's flow start has its finish at the receiver.
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "${TRACE_TMP}"' EXIT
 "${BUILD_DIR}/lbtrust_node" --mode=sim --scenario=delegation \
@@ -142,9 +152,16 @@ for expected in ("fixpoint", "stratum", "rule"):
     assert expected in names, f"no '{expected}' span in {sorted(names)}"
 
 by_tid = {}
+flows = {}
 for e in events:
+    if e["ph"] in ("s", "f"):
+        flows.setdefault(e["id"], []).append(e["ph"])
+        continue
     assert e["ph"] == "X", e
     by_tid.setdefault(e["tid"], []).append((e["ts"], e["ts"] + e["dur"]))
+assert flows, "no ship -> stage flow in the trace"
+for fid, phases in flows.items():
+    assert sorted(phases) == ["f", "s"], f"flow {fid}: {phases}"
 for tid, spans in by_tid.items():
     spans.sort(key=lambda s: (s[0], -s[1]))
     stack = []
@@ -155,7 +172,8 @@ for tid, spans in by_tid.items():
             sys.exit(f"tid {tid}: span [{start},{end}] straddles "
                      f"enclosing span ending at {stack[-1]}")
         stack.append(end)
-print(f"ci: trace OK ({len(events)} spans, {len(by_tid)} threads)")
+print(f"ci: trace OK ({len(events)} events, {len(by_tid)} threads, "
+      f"{len(flows)} flows)")
 EOF
 
 # Cross-node trace validity: dist_smoke merged each scenario's three

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Multi-process distributed smoke: runs each scenario on a real 3-node
 # localhost socket mesh (one lbtrust_node process per node) and diffs every
-# node's converged workspace dump against the simulated in-memory cluster.
-# Any byte of divergence fails the script.
+# node's converged workspace dump against `lbtrust_node --mode=sim`, the
+# same DistributedCluster protocol run in one process on the in-memory
+# transport (SimCluster, bulk-synchronous schedule). Any byte of
+# divergence fails the script.
 #
 # Each node (sim and socket) also dumps its metrics registry
 # (Prometheus text via Workspace::DumpMetrics), and the script reconciles
-# the per-node counters: tuples_out must match the sim oracle exactly
+# the per-node counters: tuples_out must match the sim run exactly
 # (per-destination dedup makes shipping deterministic), while inbound-side
 # counters may exceed it only by transport-level duplicates, which are
 # themselves counted.

@@ -1,11 +1,14 @@
-// Multi-process driver for the socket-backed distributed runtime.
+// Driver for the distributed runtime: one cluster protocol
+// (DistributedCluster), two transports.
 //
-// Two modes sharing one scenario library, so a shell script can run the
-// differential check the in-process tests run with threads:
+// Two modes sharing one scenario library, so a shell script can compare a
+// real multi-process mesh with the in-process one:
 //
 //   lbtrust_node --mode=sim --scenario=delegation --outdir=DIR
-//       Runs the scenario on the simulated (in-memory) Cluster and writes
-//       one canonical dump per node to DIR/<node>.dump.
+//       Runs all three nodes in this process on a SimCluster (in-memory
+//       transport, bulk-synchronous schedule, virtual time) and writes one
+//       canonical dump and one metrics page per node to DIR/<node>.dump
+//       and DIR/<node>.metrics.
 //
 //   lbtrust_node --mode=node --self=a --scenario=delegation
 //       --port=47101 --peers=b=127.0.0.1:47102,c=127.0.0.1:47103
@@ -28,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,8 +48,8 @@
 
 namespace {
 
-using lbtrust::net::Cluster;
 using lbtrust::net::DistributedCluster;
+using lbtrust::net::SimCluster;
 using lbtrust::trust::TrustRuntime;
 using lbtrust::util::Result;
 using lbtrust::util::Status;
@@ -164,51 +168,46 @@ Status RunSim(const Args& args) {
   if (args.outdir.empty()) {
     return lbtrust::util::InvalidArgument("--mode=sim needs --outdir=DIR");
   }
-  Cluster::Options copts;
-  copts.scheme = SchemeFor(args.scenario);
-  Cluster cluster(copts);
-  TrustRuntime::Options small;
-  small.rsa_bits = 512;
-  for (const char* n : kNodes) {
-    LB_RETURN_IF_ERROR(cluster.AddNode(n, small).status());
-  }
-  LB_RETURN_IF_ERROR(cluster.Connect());
+  DistributedCluster::Options opts;
+  opts.nodes = {"a", "b", "c"};
+  opts.scheme = SchemeFor(args.scenario);
+  opts.runtime.rsa_bits = 512;
+  LB_ASSIGN_OR_RETURN(std::unique_ptr<SimCluster> cluster,
+                      SimCluster::Create(std::move(opts)));
   // One tracer across all sim nodes: everything runs on this thread, so
   // fixpoint/stratum/rule spans from the three workspaces nest in one
   // per-thread buffer.
   lbtrust::obs::Tracer tracer;
   if (!args.trace_out.empty()) {
     for (const char* n : kNodes) {
-      cluster.node(n)->workspace()->SetTracer(&tracer);
+      cluster->node(n)->workspace()->SetTracer(&tracer);
     }
   }
   for (const char* n : kNodes) {
-    LB_RETURN_IF_ERROR(SetupNode(args.scenario, n, cluster.node(n)));
+    LB_RETURN_IF_ERROR(SetupNode(args.scenario, n, cluster->node(n)));
   }
   if (args.scenario == "linked") {
-    LB_ASSIGN_OR_RETURN(std::string hash, IssueLinked(cluster.node("a")));
-    LB_RETURN_IF_ERROR(cluster.ShipCredential("a", "b", hash));
+    LB_ASSIGN_OR_RETURN(std::string hash, IssueLinked(cluster->node("a")));
+    LB_RETURN_IF_ERROR(cluster->ShipCredential("a", "b", hash));
   }
-  LB_ASSIGN_OR_RETURN(Cluster::RunStats stats, cluster.Run());
+  LB_ASSIGN_OR_RETURN(SimCluster::RunStats stats,
+                      cluster->RunToConvergence());
   for (const char* n : kNodes) {
     std::string dump = lbtrust::datalog::DumpWorkspace(
-        *cluster.node(n)->workspace(), /*max_rows=*/0, /*sort_rules=*/true);
+        *cluster->node(n)->workspace(), /*max_rows=*/0, /*sort_rules=*/true);
     LB_RETURN_IF_ERROR(
         WriteFile(lbtrust::util::StrCat(args.outdir, "/", n, ".dump"), dump));
-    // The oracle half of dist_smoke.sh's counter reconciliation: same
-    // lbtrust_node_* names the socket nodes dump via --metrics-out.
+    // The in-process half of dist_smoke.sh's counter reconciliation: the
+    // same page the socket nodes dump via --metrics-out.
     LB_RETURN_IF_ERROR(
         WriteFile(lbtrust::util::StrCat(args.outdir, "/", n, ".metrics"),
-                  cluster.node(n)->DumpMetrics()));
+                  cluster->member(n)->DumpMetrics()));
   }
   if (!args.trace_out.empty()) {
     LB_RETURN_IF_ERROR(WriteFile(args.trace_out, tracer.ExportJson()));
   }
-  std::fprintf(stderr,
-               "sim: rounds=%zu messages=%zu tuples=%zu tuple_bytes=%zu "
-               "credential_bytes=%zu\n",
-               stats.rounds, stats.messages, stats.tuples, stats.tuple_bytes,
-               stats.credential_bytes);
+  std::fprintf(stderr, "sim: rounds=%zu messages=%zu tuples=%zu bytes=%zu\n",
+               stats.rounds, stats.messages, stats.tuples, stats.bytes);
   return lbtrust::util::OkStatus();
 }
 
