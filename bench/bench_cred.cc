@@ -51,8 +51,9 @@ Credential MakeCredential(int i) {
 /// VerifySignature runs full RSA.
 void BM_VerifyColdRsa(benchmark::State& state) {
   Credential cred = MakeCredential(0);
+  lbtrust::obs::MetricsRegistry metrics;
   for (auto _ : state) {
-    CredentialStore store;
+    CredentialStore store(&metrics);
     std::string hash = store.Put(cred);
     auto ok = store.VerifySignature(hash, Issuer().keypair().public_key);
     if (!ok.ok() || !*ok) std::abort();
@@ -66,7 +67,8 @@ BENCHMARK(BM_VerifyColdRsa);
 /// speedup that makes repeated imports of shared credential sets cheap.
 void BM_VerifyCacheHit(benchmark::State& state) {
   Credential cred = MakeCredential(0);
-  CredentialStore store;
+  lbtrust::obs::MetricsRegistry metrics;
+  CredentialStore store(&metrics);
   std::string hash = store.Put(cred);
   auto first = store.VerifySignature(hash, Issuer().keypair().public_key);
   if (!first.ok() || !*first) std::abort();

@@ -130,7 +130,8 @@ BENCHMARK(BM_FixpointTraced)->Arg(64)->Arg(128);
 // Must bench within noise of BM_FixpointMetrics.
 void BM_FixpointWithHttpExporter(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  lbtrust::obs::HttpExporter exporter(nullptr);
+  lbtrust::obs::MetricsRegistry metrics;
+  lbtrust::obs::HttpExporter exporter(nullptr, &metrics);
   exporter.Handle("/metrics", [] {
     lbtrust::obs::HttpExporter::Response r;
     r.body = "lbtrust_up 1\n";

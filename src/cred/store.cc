@@ -8,21 +8,38 @@ namespace lbtrust::cred {
 
 using util::Result;
 
+CredentialStore::CredentialStore(obs::MetricsRegistry* metrics) {
+  const char* verify = "lbtrust_credential_verify_total";
+  counters_.puts = metrics->GetCounter("lbtrust_credential_store_puts_total");
+  counters_.dedup_hits =
+      metrics->GetCounter("lbtrust_credential_store_dedup_hits_total");
+  counters_.rsa_verifies = metrics->GetCounter(verify, "cache=\"miss\"");
+  counters_.verify_cache_hits = metrics->GetCounter(verify, "cache=\"hit\"");
+  counters_.swept = metrics->GetCounter("lbtrust_credential_store_swept_total");
+}
+
+CredentialStore::Stats CredentialStore::stats() const {
+  Stats s;
+  s.puts = counters_.puts->value();
+  s.dedup_hits = counters_.dedup_hits->value();
+  s.rsa_verifies = counters_.rsa_verifies->value();
+  s.verify_cache_hits = counters_.verify_cache_hits->value();
+  s.swept = counters_.swept->value();
+  return s;
+}
+
 std::string CredentialStore::Put(Credential cred) {
   std::string hash = CredentialHash(cred);
-  ++stats_.puts;
-  auto [it, inserted] = by_hash_.emplace(hash, std::move(cred));
-  (void)it;
-  if (!inserted) ++stats_.dedup_hits;
+  InsertForReplication(hash, std::move(cred));
   return hash;
 }
 
 void CredentialStore::InsertForReplication(std::string hash,
                                            Credential cred) {
-  ++stats_.puts;
+  counters_.puts->Add();
   auto [it, inserted] = by_hash_.emplace(std::move(hash), std::move(cred));
   (void)it;
-  if (!inserted) ++stats_.dedup_hits;
+  if (!inserted) counters_.dedup_hits->Add();
 }
 
 const Credential* CredentialStore::Get(const std::string& hash) const {
@@ -44,11 +61,11 @@ Result<bool> CredentialStore::VerifySignature(const std::string& hash,
       util::StrCat(hash, "|", crypto::KeyFingerprint(key));
   auto cached = verify_cache_.find(cache_key);
   if (cached != verify_cache_.end()) {
-    ++stats_.verify_cache_hits;
+    counters_.verify_cache_hits->Add();
     return cached->second;
   }
   bool ok = VerifyCredentialSignature(it->second, key);
-  ++stats_.rsa_verifies;
+  counters_.rsa_verifies->Add();
   verify_cache_.emplace(std::move(cache_key), ok);
   return ok;
 }
@@ -115,7 +132,7 @@ size_t CredentialStore::SweepExpired(int64_t now) {
     it = by_hash_.erase(it);
     ++removed;
   }
-  stats_.swept += removed;
+  counters_.swept->Add(removed);
   return removed;
 }
 

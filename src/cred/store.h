@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "cred/credential.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace lbtrust::cred {
@@ -19,13 +20,20 @@ namespace lbtrust::cred {
 /// was verified before touches no public-key arithmetic at all.
 class CredentialStore {
  public:
-  struct Stats {
-    size_t puts = 0;         ///< Put() calls
-    size_t dedup_hits = 0;   ///< Put() calls that found the hash present
-    size_t rsa_verifies = 0; ///< signature checks that ran RSA
-    size_t verify_cache_hits = 0;  ///< signature checks served from cache
-    size_t swept = 0;        ///< credentials removed by SweepExpired()
+  /// Counts into `metrics`, which must outlive the store.
+  explicit CredentialStore(obs::MetricsRegistry* metrics);
+
+  /// The store's counters, as handles or values.
+  template <typename T>
+  struct Counts {
+    T puts{};               ///< Put() calls
+    T dedup_hits{};         ///< Put() calls that found the hash present
+    T rsa_verifies{};       ///< signature checks that ran RSA
+    T verify_cache_hits{};  ///< signature checks served from cache
+    T swept{};              ///< credentials removed by SweepExpired()
   };
+  /// A by-value view of the store's counters.
+  using Stats = Counts<size_t>;
 
   /// Inserts a credential (no signature check here) and returns its content
   /// hash. Re-inserting identical content is a cheap no-op.
@@ -66,7 +74,7 @@ class CredentialStore {
   /// with its cached verification results. Returns the number removed.
   size_t SweepExpired(int64_t now);
 
-  const Stats& stats() const { return stats_; }
+  Stats stats() const;
 
  private:
   void DropVerdicts(const std::string& hash);
@@ -74,7 +82,7 @@ class CredentialStore {
   std::map<std::string, Credential> by_hash_;
   /// (hash + '|' + key fingerprint) -> verification outcome.
   std::map<std::string, bool> verify_cache_;
-  Stats stats_;
+  Counts<obs::Counter*> counters_;
 };
 
 }  // namespace lbtrust::cred

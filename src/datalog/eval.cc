@@ -131,40 +131,54 @@ void EvalWorkerPoolDeleter::operator()(EvalWorkerPool* pool) const {
   delete pool;
 }
 
+EvalCounters::EvalCounters(obs::MetricsRegistry* metrics, size_t shards)
+    : tuples_derived(metrics->GetCounter("lbtrust_tuples_derived_total")),
+      rounds(metrics->GetCounter("lbtrust_eval_rounds_total")),
+      delta_rows(metrics->GetHistogram("lbtrust_fixpoint_delta_rows")),
+      merge_parallel(metrics->GetCounter("lbtrust_merge_parallel_total")),
+      merge_sequential(metrics->GetCounter("lbtrust_merge_sequential_total")),
+      merge_latency(
+          metrics->GetHistogram("lbtrust_merge_latency_microseconds")) {
+  for (size_t shard = 0; shards > 1 && shard < shards; ++shard) {
+    merge_shard_rows.push_back(
+        metrics->GetCounter("lbtrust_merge_shard_rows_total",
+                            util::StrCat("shard=\"", shard, "\"")));
+  }
+}
+
+void InstrumentRule(CompiledRule* rule, obs::MetricsRegistry* metrics) {
+  const std::string labels =
+      util::StrCat("head=\"", obs::LabelEscape(rule->head_pred),
+                   "\",rule=\"", rule->id, "\"");
+  CompiledRule::Counters& c = rule->counters;
+  c.evals = metrics->GetCounter("lbtrust_rule_evals_total", labels);
+  c.derived = metrics->GetCounter("lbtrust_rule_tuples_derived_total", labels);
+  c.probes = metrics->GetCounter("lbtrust_rule_probes_total", labels);
+  c.eval_us = metrics->GetCounter("lbtrust_rule_eval_us_total", labels);
+  for (CompiledLiteral& lit : rule->body) {
+    if (lit.kind != CompiledLiteral::Kind::kRelation &&
+        lit.kind != CompiledLiteral::Kind::kNegation) {
+      continue;
+    }
+    const std::string rel =
+        util::StrCat("relation=\"", obs::LabelEscape(lit.pred), "\"");
+    lit.probes = metrics->GetCounter("lbtrust_relation_probes_total", rel);
+    lit.hits = metrics->GetCounter("lbtrust_relation_probe_hits_total", rel);
+  }
+}
+
 Evaluator::Evaluator(const BuiltinRegistry* builtins, RelationStore* store,
                      ProvenanceStore* provenance, unsigned threads,
                      EvalWorkerPoolHandle* shared_pool,
-                     obs::MetricsRegistry* metrics, obs::Tracer* tracer)
+                     const EvalCounters* counters, obs::Tracer* tracer)
     : builtins_(builtins),
       store_(store),
       provenance_(provenance),
       pool_(store->pool()),
       threads_(threads == 0 ? 1 : threads),
-      metrics_(metrics),
+      counters_(counters),
       tracer_(tracer),
-      workers_slot_(shared_pool != nullptr ? shared_pool : &owned_workers_) {
-  if (metrics_ != nullptr) {
-    tuples_derived_ = metrics_->GetCounter("lbtrust_tuples_derived_total");
-    rounds_total_ = metrics_->GetCounter("lbtrust_eval_rounds_total");
-    delta_rows_ = metrics_->GetHistogram("lbtrust_fixpoint_delta_rows");
-    merge_parallel_ = metrics_->GetCounter("lbtrust_merge_parallel_total");
-    merge_sequential_ = metrics_->GetCounter("lbtrust_merge_sequential_total");
-    merge_latency_ =
-        metrics_->GetHistogram("lbtrust_merge_latency_microseconds");
-  }
-}
-
-obs::Counter* Evaluator::MergeShardCounter(size_t shard) {
-  if (merge_shard_rows_.size() <= shard) {
-    merge_shard_rows_.resize(shard + 1, nullptr);
-  }
-  if (merge_shard_rows_[shard] == nullptr) {
-    merge_shard_rows_[shard] = metrics_->GetCounter(
-        "lbtrust_merge_shard_rows_total",
-        "shard=\"" + std::to_string(shard) + "\"");
-  }
-  return merge_shard_rows_[shard];
-}
+      workers_slot_(shared_pool != nullptr ? shared_pool : &owned_workers_) {}
 
 Evaluator::~Evaluator() = default;
 
@@ -964,59 +978,51 @@ Status Evaluator::EvalRuleOnce(
   return Step(&ctx, 0);
 }
 
-Evaluator::RuleCounters* Evaluator::CountersFor(const CompiledRule* rule) {
-  auto [it, inserted] = rule_counters_.try_emplace(rule);
-  if (inserted) {
-    std::string labels =
-        util::StrCat("head=\"", obs::LabelEscape(rule->head_pred),
-                     "\",rule=\"", rule->id, "\"");
-    it->second.evals = metrics_->GetCounter("lbtrust_rule_evals_total", labels);
-    it->second.derived =
-        metrics_->GetCounter("lbtrust_rule_tuples_derived_total", labels);
-    it->second.probes =
-        metrics_->GetCounter("lbtrust_rule_probes_total", labels);
-    it->second.eval_us =
-        metrics_->GetCounter("lbtrust_rule_eval_us_total", labels);
-  }
-  return &it->second;
-}
-
 void Evaluator::FoldRuleMetrics(const CompiledRule* rule, uint64_t derived,
                                 const uint64_t* probe_tally,
                                 const uint64_t* hit_tally,
                                 uint64_t elapsed_us) {
-  if (metrics_ == nullptr) return;
-  RuleCounters* rc = CountersFor(rule);
+  if (counters_ == nullptr) return;
+  const CompiledRule::Counters& rc = rule->counters;
   uint64_t probes_total = 0;
   for (size_t bi = 0; bi < rule->body.size(); ++bi) {
     if (probe_tally[bi] == 0 && hit_tally[bi] == 0) continue;
     const CompiledLiteral& lit = rule->body[bi];
-    auto [it, inserted] = relation_counters_.try_emplace(lit.pred);
-    if (inserted) {
-      std::string labels =
-          util::StrCat("relation=\"", obs::LabelEscape(lit.pred), "\"");
-      it->second.probes =
-          metrics_->GetCounter("lbtrust_relation_probes_total", labels);
-      it->second.hits =
-          metrics_->GetCounter("lbtrust_relation_probe_hits_total", labels);
-    }
-    it->second.probes->Add(probe_tally[bi]);
-    it->second.hits->Add(hit_tally[bi]);
+    lit.probes->Add(probe_tally[bi]);
+    lit.hits->Add(hit_tally[bi]);
     probes_total += probe_tally[bi];
   }
-  rc->evals->Add(1);
-  rc->derived->Add(derived);
-  rc->probes->Add(probes_total);
-  rc->eval_us->Add(elapsed_us);
-  tuples_derived_->Add(derived);
+  rc.evals->Add(1);
+  rc.derived->Add(derived);
+  rc.probes->Add(probes_total);
+  rc.eval_us->Add(elapsed_us);
+  counters_->tuples_derived->Add(derived);
+}
+
+void Evaluator::FoldChunkMetrics(const CompiledRule* rule, uint64_t derived,
+                                 size_t chunk_begin, size_t chunk_end) {
+  if (counters_ == nullptr) return;
+  tally_probes_.assign(rule->body.size(), 0);
+  tally_hits_.assign(rule->body.size(), 0);
+  uint64_t eval_us = 0;
+  for (size_t ci = chunk_begin; ci < chunk_end; ++ci) {
+    const EmitBuffer& buf = emit_bufs_[ci];
+    eval_us += buf.eval_us;
+    for (size_t bi = 0; bi < buf.probes.size(); ++bi) {
+      tally_probes_[bi] += buf.probes[bi];
+      tally_hits_[bi] += buf.hits[bi];
+    }
+  }
+  FoldRuleMetrics(rule, derived, tally_probes_.data(), tally_hits_.data(),
+                  eval_us);
 }
 
 void Evaluator::RecordRoundDelta(const std::map<std::string, Relation>& delta) {
-  if (metrics_ == nullptr) return;
-  rounds_total_->Add(1);
+  if (counters_ == nullptr) return;
+  counters_->rounds->Add(1);
   uint64_t rows = 0;
   for (const auto& [pred, rel] : delta) rows += rel.size();
-  delta_rows_->Observe(rows);
+  counters_->delta_rows->Observe(rows);
 }
 
 Status Evaluator::RunRuleInto(CompiledRule* rule, int pos,
@@ -1032,7 +1038,7 @@ Status Evaluator::RunRuleInto(CompiledRule* rule, int pos,
   }
   uint64_t* probe_tally = nullptr;
   uint64_t* hit_tally = nullptr;
-  if (metrics_ != nullptr) {
+  if (counters_ != nullptr) {
     tally_probes_.assign(rule->body.size(), 0);
     tally_hits_.assign(rule->body.size(), 0);
     probe_tally = tally_probes_.data();
@@ -1041,7 +1047,7 @@ Status Evaluator::RunRuleInto(CompiledRule* rule, int pos,
   const size_t tuples_before = *total_tuples;
   obs::ScopedSpan span(tracer_, "rule");
   const uint64_t eval_start_us =
-      metrics_ != nullptr ? obs::Tracer::NowMicros() : 0;
+      counters_ != nullptr ? obs::Tracer::NowMicros() : 0;
   Relation* dnext = nullptr;
   Relation* snext = nullptr;
   Status result = EvalRuleOnce(
@@ -1088,7 +1094,7 @@ Status Evaluator::RunRuleInto(CompiledRule* rule, int pos,
       probe_tally, hit_tally);
   const uint64_t derived =
       static_cast<uint64_t>(*total_tuples - tuples_before);
-  if (result.ok() && metrics_ != nullptr) {
+  if (result.ok() && counters_ != nullptr) {
     FoldRuleMetrics(rule, derived, probe_tally, hit_tally,
                     obs::Tracer::NowMicros() - eval_start_us);
   }
@@ -1158,7 +1164,7 @@ Status Evaluator::EvalRuleChunk(CompiledRule* rule, int pos,
   ctx.first_restricted = restricted;
   ctx.first_begin = begin;
   ctx.first_end = end;
-  if (metrics_ != nullptr) {
+  if (counters_ != nullptr) {
     // Chunk-local tallies ride the emit buffer; the sequential merge sums
     // them, so concurrent workers never touch a shared counter.
     buf->probes.assign(rule->body.size(), 0);
@@ -1205,7 +1211,7 @@ Status Evaluator::EvalRuleChunk(CompiledRule* rule, int pos,
     }
     return util::OkStatus();
   };
-  if (metrics_ == nullptr) return Step(&ctx, 0);
+  if (counters_ == nullptr) return Step(&ctx, 0);
   const uint64_t start_us = obs::Tracer::NowMicros();
   Status result = Step(&ctx, 0);
   buf->eval_us = obs::Tracer::NowMicros() - start_us;
@@ -1394,23 +1400,11 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
     const size_t arity = t.rule->head_cols.size();
     obs::ScopedSpan span(tracer_, "rule");
     uint64_t task_derived = 0;
-    uint64_t task_eval_us = 0;
-    if (metrics_ != nullptr) {
-      tally_probes_.assign(t.rule->body.size(), 0);
-      tally_hits_.assign(t.rule->body.size(), 0);
-    }
     Relation* dnext = nullptr;
     Relation* snext = nullptr;
     for (size_t ci = plan.chunk_begin; ci < plan.chunk_end; ++ci) {
       LB_RETURN_IF_ERROR(chunk_status[ci]);
       const EmitBuffer& buf = emit_bufs_[ci];
-      if (metrics_ != nullptr) {
-        task_eval_us += buf.eval_us;
-        for (size_t bi = 0; bi < buf.probes.size(); ++bi) {
-          tally_probes_[bi] += buf.probes[bi];
-          tally_hits_[bi] += buf.hits[bi];
-        }
-      }
       for (size_t r = 0; r < buf.hashes.size(); ++r) {
         const ValueId* row = buf.rows.data() + r * arity;
         const uint64_t h = buf.hashes[r];
@@ -1443,10 +1437,7 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
         }
       }
     }
-    if (metrics_ != nullptr) {
-      FoldRuleMetrics(t.rule, task_derived, tally_probes_.data(),
-                      tally_hits_.data(), task_eval_us);
-    }
+    FoldChunkMetrics(t.rule, task_derived, plan.chunk_begin, plan.chunk_end);
     if (span.enabled()) {
       span.set_args(util::StrCat(
           "\"head\":\"", obs::LabelEscape(t.rule->head_pred),
@@ -1487,7 +1478,7 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
       // single-thread replay for the whole segment.
       if (plan.dnext->shard_count() != nshards ||
           (plan.snext != nullptr && plan.snext->shard_count() != nshards)) {
-        if (metrics_ != nullptr) merge_sequential_->Add(1);
+        if (counters_ != nullptr) counters_->merge_sequential->Add(1);
         for (size_t si = lo; si < hi; ++si) {
           LB_RETURN_IF_ERROR(merge_task_sequential(si));
         }
@@ -1591,22 +1582,8 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
         return util::Internal(
             "fixpoint exceeded tuple budget (diverging program?)");
       }
-      if (metrics_ != nullptr) {
-        tally_probes_.assign(t.rule->body.size(), 0);
-        tally_hits_.assign(t.rule->body.size(), 0);
-        uint64_t task_eval_us = 0;
-        for (size_t ci = plans[ti].chunk_begin; ci < plans[ti].chunk_end;
-             ++ci) {
-          const EmitBuffer& buf = emit_bufs_[ci];
-          task_eval_us += buf.eval_us;
-          for (size_t bi = 0; bi < buf.probes.size(); ++bi) {
-            tally_probes_[bi] += buf.probes[bi];
-            tally_hits_[bi] += buf.hits[bi];
-          }
-        }
-        FoldRuleMetrics(t.rule, task_derived, tally_probes_.data(),
-                        tally_hits_.data(), task_eval_us);
-      }
+      FoldChunkMetrics(t.rule, task_derived, plans[ti].chunk_begin,
+                       plans[ti].chunk_end);
       if (span.enabled()) {
         span.set_args(util::StrCat(
             "\"head\":\"", obs::LabelEscape(t.rule->head_pred),
@@ -1614,12 +1591,14 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
             ",\"derived\":", task_derived));
       }
     }
-    if (metrics_ != nullptr) {
-      merge_parallel_->Add(1);
+    if (counters_ != nullptr) {
+      counters_->merge_parallel->Add(1);
       for (size_t s = 0; s < nshards; ++s) {
-        if (shard_rows[s] > 0) MergeShardCounter(s)->Add(shard_rows[s]);
+        if (shard_rows[s] > 0 && s < counters_->merge_shard_rows.size()) {
+          counters_->merge_shard_rows[s]->Add(shard_rows[s]);
+        }
       }
-      merge_latency_->Observe(static_cast<uint64_t>(
+      counters_->merge_latency->Observe(static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - merge_start)
               .count()));
@@ -1658,7 +1637,7 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
       any_parallel = true;
       merge_status = merge_segment_parallel(ti, seg_end, nshards);
     } else {
-      if (metrics_ != nullptr) merge_sequential_->Add(1);
+      if (counters_ != nullptr) counters_->merge_sequential->Add(1);
       for (size_t si = ti; si < seg_end && merge_status.ok(); ++si) {
         merge_status = merge_task_sequential(si);
       }

@@ -98,6 +98,11 @@ struct CompiledLiteral {
   mutable const RelationStore* cached_store = nullptr;
   mutable uint64_t cached_gen = 0;
   mutable Relation* cached_rel = nullptr;
+
+  /// Selectivity counters of a relation or negation literal, set by
+  /// InstrumentRule.
+  obs::Counter* probes = nullptr;
+  obs::Counter* hits = nullptr;
 };
 
 /// A rule compiled against a builtin registry: the lowering of its
@@ -148,6 +153,14 @@ struct CompiledRule {
   };
   OrderProbes probes_full;
   std::map<int, OrderProbes> probes_delta;  ///< keyed like order_delta
+
+  /// Per-rule counters, set by InstrumentRule; EXPLAIN reads them.
+  struct Counters {
+    obs::Counter* evals = nullptr;
+    obs::Counter* derived = nullptr;
+    obs::Counter* probes = nullptr;
+    obs::Counter* eval_us = nullptr;  ///< cumulative evaluation wall time
+  } counters;
 };
 
 /// Compiles a single-head rule by lowering its PlanRule plan. Fails with
@@ -156,6 +169,28 @@ struct CompiledRule {
 /// input, kTypeError past the column cap or on a builtin's arity).
 util::Result<std::unique_ptr<CompiledRule>> CompileRule(
     const Rule& rule, const BuiltinRegistry& builtins);
+
+/// Names and resolves `rule`'s per-rule and per-relation counters in
+/// `metrics`, once per rule, when it is installed.
+void InstrumentRule(CompiledRule* rule, obs::MetricsRegistry* metrics);
+
+/// The evaluator-wide counters, resolved once per workspace and shared by
+/// every Evaluator it constructs.
+struct EvalCounters {
+  /// `shards`: the store's shard count.
+  EvalCounters(obs::MetricsRegistry* metrics, size_t shards);
+
+  obs::Counter* tuples_derived;
+  obs::Counter* rounds;
+  obs::Histogram* delta_rows;
+  /// Parallel vs sequential merges, and parallel-segment merge latency.
+  obs::Counter* merge_parallel;
+  obs::Counter* merge_sequential;
+  obs::Histogram* merge_latency;
+  /// Rows replayed per shard, so shard skew shows up in every dump; empty
+  /// for an unsharded store, which never merges in parallel.
+  std::vector<obs::Counter*> merge_shard_rows;
+};
 
 class EvalWorkerPool;
 
@@ -214,15 +249,14 @@ class Evaluator {
   /// for its own lifetime. Either way the pool is created lazily, sized
   /// to the largest parallel round actually seen, and never spawns more
   /// than `threads - 1` workers.
-  /// `metrics` (nullable) receives per-rule/per-relation evaluation
-  /// counters — probes, probe hits, tuples derived, round/delta sizes (the
-  /// selectivity feed for cost-based join ordering). `tracer` (nullable)
-  /// receives per-stratum and per-rule spans. Both default off; a null
-  /// pointer keeps every hot path at a single predictable branch.
+  /// `counters` (nullable) turns instrumentation on: rounds, deltas and
+  /// merges count there, each rule's probes, hits and tuples derived into
+  /// its own handles. `tracer` (nullable) receives per-stratum and
+  /// per-rule spans. A null pointer keeps every hot path at one branch.
   Evaluator(const BuiltinRegistry* builtins, RelationStore* store,
             ProvenanceStore* provenance = nullptr, unsigned threads = 1,
             EvalWorkerPoolHandle* shared_pool = nullptr,
-            obs::MetricsRegistry* metrics = nullptr,
+            const EvalCounters* counters = nullptr,
             obs::Tracer* tracer = nullptr);
   ~Evaluator();
 
@@ -360,27 +394,16 @@ class Evaluator {
                              const Limits& limits, Relation* full,
                              EmitBuffer* buf);
 
-  /// Registry handles for one rule, resolved lazily (registry mutex) on
-  /// the rule's first evaluation by this Evaluator, then reused across
-  /// rounds and strata.
-  struct RuleCounters {
-    obs::Counter* evals = nullptr;
-    obs::Counter* derived = nullptr;
-    obs::Counter* probes = nullptr;
-    obs::Counter* eval_us = nullptr;  ///< cumulative evaluation wall time
-  };
-  struct RelationCounters {
-    obs::Counter* probes = nullptr;
-    obs::Counter* hits = nullptr;
-  };
-  RuleCounters* CountersFor(const CompiledRule* rule);
-  /// Folds one rule evaluation's plain tallies into registry counters:
+  /// Folds one rule evaluation's plain tallies into the rule's counters:
   /// per-relation probes/hits (selectivity feed), per-rule totals, and
   /// `elapsed_us` of evaluation wall time (the EXPLAIN cost column).
   /// No-op when metrics are off.
   void FoldRuleMetrics(const CompiledRule* rule, uint64_t derived,
                        const uint64_t* probe_tally, const uint64_t* hit_tally,
                        uint64_t elapsed_us);
+  /// FoldRuleMetrics over one task's emit_bufs_[chunk_begin, chunk_end).
+  void FoldChunkMetrics(const CompiledRule* rule, uint64_t derived,
+                        size_t chunk_begin, size_t chunk_end);
   /// Observes the row count of every relation in `delta` on the delta-size
   /// histogram and counts one evaluation round.
   void RecordRoundDelta(const std::map<std::string, Relation>& delta);
@@ -390,23 +413,8 @@ class Evaluator {
   ProvenanceStore* provenance_;
   ValuePool* pool_;
   unsigned threads_;
-  obs::MetricsRegistry* metrics_;
+  const EvalCounters* counters_;
   obs::Tracer* tracer_;
-  obs::Counter* tuples_derived_ = nullptr;
-  obs::Counter* rounds_total_ = nullptr;
-  obs::Histogram* delta_rows_ = nullptr;
-  /// Merge-path instrumentation: parallel vs sequential merge counts, the
-  /// per-parallel-segment merge latency distribution (sequential inline
-  /// replays skip the clock entirely), and per-shard replayed-row counters
-  /// (`lbtrust_merge_shard_rows_total{shard=...}`, resolved lazily per
-  /// shard index) so shard skew shows up in every metrics dump.
-  obs::Counter* merge_parallel_ = nullptr;
-  obs::Counter* merge_sequential_ = nullptr;
-  obs::Histogram* merge_latency_ = nullptr;
-  std::vector<obs::Counter*> merge_shard_rows_;
-  obs::Counter* MergeShardCounter(size_t shard);
-  std::unordered_map<const CompiledRule*, RuleCounters> rule_counters_;
-  std::unordered_map<std::string, RelationCounters> relation_counters_;
   /// Sequential-path tally scratch (RunRuleInto), reused across calls.
   std::vector<uint64_t> tally_probes_;
   std::vector<uint64_t> tally_hits_;

@@ -47,52 +47,19 @@ std::vector<ScheduleEntry> FullSchedule(const CompiledRule& rule) {
   return out;
 }
 
-std::string RuleLabels(const CompiledRule& rule) {
-  return util::StrCat("head=\"", obs::LabelEscape(rule.head_pred),
-                      "\",rule=\"", rule.id, "\"");
-}
-
-/// Measured counters for one rule. Reads go through GetCounter, which
-/// creates-if-missing — an unevaluated rule reads as zeros, never errors.
-struct Measured {
-  uint64_t evals = 0, derived = 0, probes = 0, eval_us = 0;
-  struct RelationStats {
-    std::string relation;
-    uint64_t probes = 0, hits = 0;
-  };
-  std::vector<RelationStats> relations;
-};
-
-Measured ReadMeasured(const CompiledRule& rule,
-                      obs::MetricsRegistry* metrics) {
-  Measured m;
-  const std::string labels = RuleLabels(rule);
-  m.evals = metrics->GetCounter("lbtrust_rule_evals_total", labels)->value();
-  m.derived =
-      metrics->GetCounter("lbtrust_rule_tuples_derived_total", labels)->value();
-  m.probes = metrics->GetCounter("lbtrust_rule_probes_total", labels)->value();
-  m.eval_us =
-      metrics->GetCounter("lbtrust_rule_eval_us_total", labels)->value();
+/// The literals whose selectivity EXPLAIN reports: relation and negation
+/// literals, one per relation.
+std::vector<const CompiledLiteral*> MeasuredLiterals(const CompiledRule& rule) {
+  std::vector<const CompiledLiteral*> out;
   std::set<std::string> seen;
   for (const CompiledLiteral& lit : rule.body) {
-    if (lit.kind != CompiledLiteral::Kind::kRelation &&
-        lit.kind != CompiledLiteral::Kind::kNegation) {
-      continue;
+    if ((lit.kind == CompiledLiteral::Kind::kRelation ||
+         lit.kind == CompiledLiteral::Kind::kNegation) &&
+        seen.insert(lit.pred).second) {
+      out.push_back(&lit);
     }
-    if (!seen.insert(lit.pred).second) continue;
-    const std::string rel_labels =
-        util::StrCat("relation=\"", obs::LabelEscape(lit.pred), "\"");
-    Measured::RelationStats stats;
-    stats.relation = lit.pred;
-    stats.probes =
-        metrics->GetCounter("lbtrust_relation_probes_total", rel_labels)
-            ->value();
-    stats.hits =
-        metrics->GetCounter("lbtrust_relation_probe_hits_total", rel_labels)
-            ->value();
-    m.relations.push_back(std::move(stats));
   }
-  return m;
+  return out;
 }
 
 std::string Ratio(uint64_t hits, uint64_t probes) {
@@ -104,7 +71,7 @@ std::string Ratio(uint64_t hits, uint64_t probes) {
   return buf;
 }
 
-std::string RenderText(const CompiledRule& rule, obs::MetricsRegistry* metrics,
+std::string RenderText(const CompiledRule& rule, bool measured,
                        const std::vector<Diagnostic>* diagnostics) {
   std::string out = util::StrCat("rule ", rule.id, " [head=", rule.head_pred,
                                  rule.parallel_safe ? ", parallel-safe" : "",
@@ -125,16 +92,17 @@ std::string RenderText(const CompiledRule& rule, obs::MetricsRegistry* metrics,
     for (int bi : order) out += util::StrCat(" ", bi);
     out.push_back('\n');
   }
-  if (metrics == nullptr) {
+  if (!measured) {
     out += "  measured: (metrics disabled)\n";
   } else {
-    Measured m = ReadMeasured(rule, metrics);
-    out += util::StrCat("  measured: evals=", m.evals, " derived=", m.derived,
-                        " probes=", m.probes, " eval_us=", m.eval_us, "\n");
-    for (const auto& rel : m.relations) {
-      out += util::StrCat("    ", rel.relation, ": probes=", rel.probes,
-                          " hits=", rel.hits, " selectivity=",
-                          Ratio(rel.hits, rel.probes), "\n");
+    const CompiledRule::Counters& c = rule.counters;
+    out += util::StrCat("  measured: evals=", c.evals->value(), " derived=",
+                        c.derived->value(), " probes=", c.probes->value(),
+                        " eval_us=", c.eval_us->value(), "\n");
+    for (const CompiledLiteral* lit : MeasuredLiterals(rule)) {
+      const uint64_t probes = lit->probes->value(), hits = lit->hits->value();
+      out += util::StrCat("    ", lit->pred, ": probes=", probes, " hits=",
+                          hits, " selectivity=", Ratio(hits, probes), "\n");
     }
   }
   if (diagnostics != nullptr && !diagnostics->empty()) {
@@ -147,7 +115,7 @@ std::string RenderText(const CompiledRule& rule, obs::MetricsRegistry* metrics,
   return out;
 }
 
-std::string RenderJson(const CompiledRule& rule, obs::MetricsRegistry* metrics,
+std::string RenderJson(const CompiledRule& rule, bool measured,
                        const std::vector<Diagnostic>* diagnostics) {
   std::string out = util::StrCat("{\"rule\":", rule.id, ",\"head\":\"",
                                  obs::LabelEscape(rule.head_pred),
@@ -177,18 +145,21 @@ std::string RenderJson(const CompiledRule& rule, obs::MetricsRegistry* metrics,
     out += "]}";
   }
   out += "]";
-  if (metrics != nullptr) {
-    Measured m = ReadMeasured(rule, metrics);
-    out += util::StrCat(",\"measured\":{\"evals\":", m.evals,
-                        ",\"derived\":", m.derived, ",\"probes\":", m.probes,
-                        ",\"eval_us\":", m.eval_us, ",\"selectivity\":[");
+  if (measured) {
+    const CompiledRule::Counters& c = rule.counters;
+    out += util::StrCat(",\"measured\":{\"evals\":", c.evals->value(),
+                        ",\"derived\":", c.derived->value(),
+                        ",\"probes\":", c.probes->value(),
+                        ",\"eval_us\":", c.eval_us->value(),
+                        ",\"selectivity\":[");
     first = true;
-    for (const auto& rel : m.relations) {
+    for (const CompiledLiteral* lit : MeasuredLiterals(rule)) {
       if (!first) out.push_back(',');
       first = false;
-      out += util::StrCat("{\"relation\":\"", obs::LabelEscape(rel.relation),
-                          "\",\"probes\":", rel.probes, ",\"hits\":", rel.hits,
-                          ",\"ratio\":", Ratio(rel.hits, rel.probes), "}");
+      const uint64_t probes = lit->probes->value(), hits = lit->hits->value();
+      out += util::StrCat("{\"relation\":\"", obs::LabelEscape(lit->pred),
+                          "\",\"probes\":", probes, ",\"hits\":", hits,
+                          ",\"ratio\":", Ratio(hits, probes), "}");
     }
     out += "]}";
   }
@@ -207,18 +178,17 @@ std::string RenderJson(const CompiledRule& rule, obs::MetricsRegistry* metrics,
 
 }  // namespace
 
-std::string ExplainCompiledRule(const CompiledRule& rule,
-                                obs::MetricsRegistry* metrics,
+std::string ExplainCompiledRule(const CompiledRule& rule, bool measured,
                                 ExplainFormat format,
                                 const std::vector<Diagnostic>* diagnostics) {
   return format == ExplainFormat::kJson
-             ? RenderJson(rule, metrics, diagnostics)
-             : RenderText(rule, metrics, diagnostics);
+             ? RenderJson(rule, measured, diagnostics)
+             : RenderText(rule, measured, diagnostics);
 }
 
 std::string ExplainCompiledRules(
-    const std::vector<const CompiledRule*>& rules,
-    obs::MetricsRegistry* metrics, ExplainFormat format,
+    const std::vector<const CompiledRule*>& rules, bool measured,
+    ExplainFormat format,
     const std::vector<std::vector<Diagnostic>>* diagnostics) {
   auto rule_diags = [&](size_t i) -> const std::vector<Diagnostic>* {
     if (diagnostics == nullptr || i >= diagnostics->size()) return nullptr;
@@ -228,7 +198,7 @@ std::string ExplainCompiledRules(
     std::string out;
     for (size_t i = 0; i < rules.size(); ++i) {
       if (rules[i] == nullptr) continue;
-      out += RenderText(*rules[i], metrics, rule_diags(i));
+      out += RenderText(*rules[i], measured, rule_diags(i));
     }
     return out;
   }
@@ -238,7 +208,7 @@ std::string ExplainCompiledRules(
     if (rules[i] == nullptr) continue;
     if (!first) out.push_back(',');
     first = false;
-    out += RenderJson(*rules[i], metrics, rule_diags(i));
+    out += RenderJson(*rules[i], measured, rule_diags(i));
   }
   out += "]}";
   return out;

@@ -6,7 +6,6 @@
 
 #include "datalog/eval.h"
 #include "datalog/lint.h"
-#include "obs/metrics.h"
 
 namespace lbtrust::datalog {
 
@@ -19,19 +18,17 @@ enum class ExplainFormat { kText, kJson };
 /// probe mask at every scheduled position (RulePlan's ground-column mask:
 /// a column counts as bound iff it is a constant or every variable in it
 /// was bound by an earlier literal — the masks the parallel evaluator
-/// derives its index needs from), and — when `metrics`
-/// is non-null — the measured side: per-rule cumulative
-/// evals/derived/probes/eval-time counters and per-relation probe/hit
-/// selectivities (`lbtrust_relation_{probes,probe_hits}_total`). This is
-/// the Prepare()-time stats feed cost-based join ordering consumes
+/// derives its index needs from), and — when `measured`, which needs an
+/// instrumented rule (InstrumentRule) — the measured side, read from its
+/// handles: per-rule cumulative evals/derived/probes/eval-time counters
+/// and per-relation probe/hit selectivities. This is the Prepare()-time stats feed cost-based join ordering consumes
 /// (ROADMAP item 5): plan = what the static scheduler chose, selectivity =
 /// what the workload measured, disagreement = reorder opportunity.
 /// `diagnostics` (optional) are this rule's lint findings: the JSON form
 /// always carries a `"diagnostics"` array (empty when null/none) so
 /// consumers can rely on the shape; text prints a `diagnostics:` section
 /// only when non-empty.
-std::string ExplainCompiledRule(const CompiledRule& rule,
-                                obs::MetricsRegistry* metrics,
+std::string ExplainCompiledRule(const CompiledRule& rule, bool measured,
                                 ExplainFormat format,
                                 const std::vector<Diagnostic>* diagnostics =
                                     nullptr);
@@ -40,8 +37,8 @@ std::string ExplainCompiledRule(const CompiledRule& rule,
 /// `diagnostics`, when non-null, is aligned with `rules` (per-rule lint
 /// findings; shorter is fine — missing entries render empty).
 std::string ExplainCompiledRules(
-    const std::vector<const CompiledRule*>& rules,
-    obs::MetricsRegistry* metrics, ExplainFormat format,
+    const std::vector<const CompiledRule*>& rules, bool measured,
+    ExplainFormat format,
     const std::vector<std::vector<Diagnostic>>* diagnostics = nullptr);
 
 }  // namespace lbtrust::datalog

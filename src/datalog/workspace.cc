@@ -49,7 +49,8 @@ Workspace::Workspace(Options options)
   store_.set_default_shards(
       ResolveShards(options_.shards, options_.threads));
   if (options_.metrics) {
-    metrics_ = std::make_unique<obs::MetricsRegistry>();
+    eval_counters_ = std::make_unique<EvalCounters>(metrics_.get(),
+                                                    store_.default_shards());
     fixpoints_full_ =
         metrics_->GetCounter("lbtrust_fixpoints_total", "path=\"full\"");
     fixpoints_delta_ =
@@ -273,6 +274,9 @@ Status Workspace::InstallResolved(Rule rule, const std::string& owner,
 
   auto installed = std::make_unique<InstalledRule>();
   LB_ASSIGN_OR_RETURN(installed->compiled, CompileRule(rule, builtins_));
+  if (options_.metrics) {
+    InstrumentRule(installed->compiled.get(), metrics_.get());
+  }
   installed->rule = std::move(rule);
   installed->canon = canon;
   installed->owner = owner;
@@ -685,7 +689,7 @@ Status Workspace::RunRules() {
   Evaluator evaluator(&builtins_, &store_,
                       options_.track_provenance ? &provenance_ : nullptr,
                       ResolveThreads(options_.threads), &worker_pool_,
-                      metrics_.get(), tracer_);
+                      eval_counters_.get(), tracer_);
   return evaluator.Run(compiled, *strat, options_.limits,
                        options_.naive_eval);
 }
@@ -697,7 +701,7 @@ Status Workspace::RunRulesDelta(std::map<std::string, Relation> seed) {
   LB_ASSIGN_OR_RETURN(const Stratification* strat, CurrentStratification());
   Evaluator evaluator(&builtins_, &store_, /*provenance=*/nullptr,
                       ResolveThreads(options_.threads), &worker_pool_,
-                      metrics_.get(), tracer_);
+                      eval_counters_.get(), tracer_);
   return evaluator.RunIncremental(compiled, *strat, options_.limits,
                                   std::move(seed));
 }
@@ -835,16 +839,10 @@ void Workspace::CheckConstraints() {
 Status Workspace::Fixpoint() {
   obs::ScopedSpan span(tracer_, "fixpoint");
   const uint64_t start_us =
-      metrics_ != nullptr ? obs::Tracer::NowMicros() : 0;
-  const int full_before = full_eval_rounds_;
-  const int delta_before = delta_eval_rounds_;
+      options_.metrics ? obs::Tracer::NowMicros() : 0;
   Status status = FixpointImpl();
-  if (metrics_ != nullptr) {
+  if (options_.metrics) {
     fixpoint_latency_us_->Observe(obs::Tracer::NowMicros() - start_us);
-    fixpoints_full_->Add(
-        static_cast<uint64_t>(full_eval_rounds_ - full_before));
-    fixpoints_delta_->Add(
-        static_cast<uint64_t>(delta_eval_rounds_ - delta_before));
   }
   if (span.enabled()) {
     span.set_args(util::StrCat(
@@ -867,7 +865,7 @@ Status Workspace::FixpointImpl() {
       // empty delta set means the store is already the fixpoint and rule
       // evaluation is skipped outright.
       last_fixpoint_incremental_ = true;
-      ++delta_eval_rounds_;
+      if (options_.metrics) fixpoints_delta_->Add();
       std::map<std::string, Relation> seed;
       for (auto& [pred, rel] : edb_delta_) {
         Relation* dst = store_.GetOrCreate(pred, rel.arity());
@@ -889,7 +887,7 @@ Status Workspace::FixpointImpl() {
     } else {
       // Full rebuild: clear the store and recompute from the EDB.
       last_fixpoint_incremental_ = false;
-      ++full_eval_rounds_;
+      if (options_.metrics) fixpoints_full_->Add();
       store_valid_ = false;
       edb_delta_.clear();
       LB_RETURN_IF_ERROR(PrepareStore());
@@ -915,7 +913,7 @@ Status Workspace::FixpointImpl() {
 }
 
 std::string Workspace::DumpMetrics() {
-  if (metrics_ == nullptr) return "# metrics disabled\n";
+  if (!options_.metrics) return "# metrics disabled\n";
   // Refresh point-in-time gauges from the visible store before rendering;
   // counters and histograms are already live.
   for (const auto& [name, rel] : store_.relations()) {
@@ -980,7 +978,8 @@ std::string Workspace::ExplainRules(ExplainFormat format) {
       }
     }
   }
-  return ExplainCompiledRules(compiled, metrics_.get(), format, &diagnostics);
+  return ExplainCompiledRules(compiled, options_.metrics, format,
+                              &diagnostics);
 }
 
 std::vector<std::pair<std::string, size_t>> Workspace::RelationRowCounts()
@@ -1017,7 +1016,12 @@ size_t PreparedQuery::num_columns() const {
 }
 
 std::string PreparedQuery::Explain(ExplainFormat format) const {
-  return ExplainCompiledRule(*compiled_, workspace_->metrics(), format);
+  const bool measured = workspace_->options_.metrics;
+  // A query is not an installed rule: resolve its handles on demand.
+  if (measured && compiled_->counters.evals == nullptr) {
+    InstrumentRule(compiled_.get(), workspace_->metrics());
+  }
+  return ExplainCompiledRule(*compiled_, measured, format);
 }
 
 Status PreparedQuery::ForEach(const std::function<bool(const Tuple&)>& cb) {

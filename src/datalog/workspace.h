@@ -228,10 +228,10 @@ class Workspace {
     /// Disables the delta-aware fixpoint path (witnesses are rebuilt
     /// per full evaluation).
     bool track_provenance = false;
-    /// Own a metrics registry and instrument evaluation, commits and
-    /// prepared queries. When false every hot-path instrumentation site
-    /// collapses to one null-pointer test and DumpMetrics() reports the
-    /// registry as disabled.
+    /// Instrument evaluation, commits and prepared queries, and render
+    /// DumpMetrics() and EXPLAIN's measurements. When false every engine
+    /// instrumentation site collapses to one branch, and DumpMetrics() and
+    /// EXPLAIN report metrics as disabled. The registry exists either way.
     bool metrics = true;
     /// Static analysis at program ingress (Load/LoadAs and
     /// Transaction::AddProgram). kWarn (default) lints every routed
@@ -360,16 +360,12 @@ class Workspace {
   bool last_fixpoint_incremental() const {
     return last_fixpoint_incremental_;
   }
-  /// Cumulative counts of full-rebuild vs delta-seeded evaluation rounds.
-  int full_eval_rounds() const { return full_eval_rounds_; }
-  int delta_eval_rounds() const { return delta_eval_rounds_; }
 
   // --- Observability --------------------------------------------------------
 
-  /// The workspace-owned metrics registry, or nullptr when
-  /// Options::metrics is false. Other layers (trust runtime, transports)
-  /// register their counters here so one DumpMetrics() call covers the
-  /// whole node.
+  /// The workspace-owned metrics registry, never null: the storage of
+  /// every counter of the node. Other layers resolve their handles here
+  /// when they are constructed, so one DumpMetrics() covers the node.
   obs::MetricsRegistry* metrics() const { return metrics_.get(); }
 
   /// Attaches a span tracer (not owned; pass nullptr to detach). Fixpoint,
@@ -508,13 +504,12 @@ class Workspace {
   bool rules_dirty_ = true;    ///< rule/constraint churn since last run
   bool edb_removed_ = false;   ///< a fact retraction since last run
   bool last_fixpoint_incremental_ = false;
-  int full_eval_rounds_ = 0;
-  int delta_eval_rounds_ = 0;
 
-  /// Observability. The registry is heap-owned so handles held by other
-  /// layers stay stable; all handle pointers below are registry-owned and
-  /// null iff metrics_ is null.
-  std::unique_ptr<obs::MetricsRegistry> metrics_;
+  /// Observability. The handle pointers below are registry-owned and null
+  /// iff Options::metrics is false.
+  std::unique_ptr<obs::MetricsRegistry> metrics_ =
+      std::make_unique<obs::MetricsRegistry>();
+  std::unique_ptr<EvalCounters> eval_counters_;
   obs::Tracer* tracer_ = nullptr;
   obs::Counter* fixpoints_full_ = nullptr;
   obs::Counter* fixpoints_delta_ = nullptr;

@@ -111,15 +111,12 @@ bool SimTransport::Send(const std::string& peer, Frame frame) {
     return false;
   }
   frame.from = self_;
-  ++stats_.frames_out;
   if (frame.reliable()) {
     frame.seq = ++next_seq_[peer];
     unacked_.emplace(peer, frame.seq);
-    ++stats_.data_frames_out;
-    (frame.kind == Frame::Kind::kData ? stats_.tuple_bytes_out
-                                      : stats_.credential_bytes_out) +=
-        frame.payload.size();
+    wire_.Queued(frame);
   }
+  wire_.Sent(frame.kind);
   network_->Enqueue(peer, std::move(frame));
   return true;
 }
@@ -130,18 +127,10 @@ void SimTransport::Broadcast(const Frame& frame) {
 
 Status SimTransport::Receive(const Frame& frame, bool lose_ack,
                              bool repeat) {
-  ++stats_.frames_in;
+  wire_.Received(frame, repeat);
   if (frame.kind == Frame::Kind::kAck) {
-    ++stats_.acks_in;
     unacked_.erase({frame.from, frame.seq});
     return util::OkStatus();
-  }
-  if (frame.reliable()) {
-    ++stats_.data_frames_in;
-    (frame.kind == Frame::Kind::kData ? stats_.tuple_bytes_in
-                                      : stats_.credential_bytes_in) +=
-        frame.payload.size();
-    if (repeat) ++stats_.duplicate_frames_in;
   }
   if (handler_) LB_RETURN_IF_ERROR(handler_(frame));
   if (!frame.reliable() || lose_ack) return util::OkStatus();
@@ -150,8 +139,7 @@ Status SimTransport::Receive(const Frame& frame, bool lose_ack,
   ack.kind = Frame::Kind::kAck;
   ack.seq = frame.seq;
   ack.from = self_;
-  ++stats_.frames_out;
-  ++stats_.acks_out;
+  wire_.Sent(ack.kind);
   network_->Enqueue(frame.from, std::move(ack));
   return util::OkStatus();
 }
@@ -178,8 +166,9 @@ Result<std::unique_ptr<SimCluster>> SimCluster::Create(
       if (peer != name) peers.push_back(peer);
     }
     auto& endpoint = sim->endpoints_[name];
-    endpoint =
-        std::make_unique<SimTransport>(name, std::move(peers), sim.get());
+    endpoint = std::make_unique<SimTransport>(
+        name, std::move(peers), sim.get(),
+        node->runtime()->workspace()->metrics());
     LB_RETURN_IF_ERROR(node->Attach(mesh, endpoint.get()));
   }
   return sim;
@@ -299,11 +288,11 @@ Result<SimCluster::RunStats> SimCluster::RunToConvergence() {
   }
   RunStats totals;  // since creation
   for (auto& [name, node] : nodes_) {
-    const TransportStats& wire = endpoints_.at(name)->stats();
-    node->stats_.transport = wire;
-    totals.messages += wire.data_frames_out;
-    totals.bytes += wire.tuple_bytes_out + wire.credential_bytes_out;
-    totals.tuples += node->stats_.tuples_out;
+    const DistributedCluster::RunStats stats = node->stats();
+    totals.messages += stats.transport.data_frames_out;
+    totals.bytes +=
+        stats.transport.tuple_bytes_out + stats.transport.credential_bytes_out;
+    totals.tuples += stats.tuples_out;
   }
   run.messages = totals.messages - counted_.messages;
   run.tuples = totals.tuples - counted_.tuples;

@@ -55,12 +55,15 @@ class SimCluster;
 /// and stay unacked until the receiver's handler has staged them and its
 /// ack has crossed the network back. Frames leave the endpoint as soon as
 /// they are sent, so send queues are always empty and Send() never refuses
-/// a mesh peer.
+/// a mesh peer. Counts into its node's registry, as Transport does.
 class SimTransport final : public Network {
  public:
   SimTransport(std::string self, std::vector<std::string> peers,
-               SimCluster* network)
-      : self_(std::move(self)), peers_(std::move(peers)), network_(network) {}
+               SimCluster* network, obs::MetricsRegistry* metrics)
+      : self_(std::move(self)),
+        peers_(std::move(peers)),
+        network_(network),
+        wire_(metrics) {}
 
   void set_handler(FrameHandler handler) override {
     handler_ = std::move(handler);
@@ -69,7 +72,6 @@ class SimTransport final : public Network {
   void Broadcast(const Frame& frame) override;
   bool AllAcked() const override { return unacked_.empty(); }
   bool SendQueuesEmpty() const override { return true; }
-  const TransportStats& stats() const override { return stats_; }
 
  private:
   friend class SimCluster;
@@ -84,7 +86,7 @@ class SimTransport final : public Network {
   FrameHandler handler_;
   std::map<std::string, uint64_t> next_seq_;
   std::set<std::pair<std::string, uint64_t>> unacked_;  ///< (peer, seq)
-  TransportStats stats_;
+  WireCounters wire_;
 };
 
 /// An in-process mesh (§3.5): one DistributedCluster per node, each
@@ -182,7 +184,8 @@ class SimCluster {
   std::map<LaneKey, std::deque<InFlight>> lanes_;
   std::string tamper_relation_;
   std::function<void(std::string*)> tamper_;
-  /// Declared before nodes_: the nodes hold pointers to their endpoints.
+  /// Declared before nodes_: the nodes hold pointers to their endpoints,
+  /// and an endpoint's counters live in its node's registry.
   std::map<std::string, std::unique_ptr<SimTransport>> endpoints_;
   std::map<std::string, std::unique_ptr<DistributedCluster>> nodes_;
   int64_t now_ms_ = 0;  ///< virtual time

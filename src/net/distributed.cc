@@ -16,6 +16,29 @@ using trust::TrustRuntime;
 using util::Result;
 using util::Status;
 
+DistributedCluster::DistributedCluster(
+    Options options, std::unique_ptr<trust::TrustRuntime> runtime)
+    : options_(std::move(options)),
+      runtime_(std::move(runtime)),
+      wire_(runtime_->workspace()->metrics()) {
+  obs::MetricsRegistry* metrics = runtime_->workspace()->metrics();
+  counters_.fixpoints = metrics->GetCounter("lbtrust_node_fixpoints_total");
+  counters_.tuples_in = metrics->GetCounter("lbtrust_node_tuples_in_total");
+  counters_.tuples_out = metrics->GetCounter("lbtrust_node_tuples_out_total");
+  counters_.credential_imports =
+      metrics->GetCounter("lbtrust_node_credential_imports_total");
+  counters_.deferred_sends =
+      metrics->GetCounter("lbtrust_node_deferred_sends_total");
+  // Build identity and uptime: the two gauges every scraper alerts on.
+  metrics
+      ->GetGauge("lbtrust_build_info",
+                 util::StrCat("version=\"", obs::kBuildVersion,
+                              "\",compiler=\"",
+                              obs::LabelEscape(obs::BuildCompiler()), "\""))
+      ->Set(1);
+  uptime_ = metrics->GetGauge("lbtrust_uptime_seconds");
+}
+
 Result<std::unique_ptr<DistributedCluster>> DistributedCluster::NewNode(
     Options options) {
   if (options.self.empty()) {
@@ -28,13 +51,12 @@ Result<std::unique_ptr<DistributedCluster>> DistributedCluster::NewNode(
     return util::InvalidArgument(
         util::StrCat("self '", options.self, "' is not in the mesh"));
   }
-  std::unique_ptr<DistributedCluster> dc(
-      new DistributedCluster(std::move(options)));
-  dc->options_.nodes = nodes;  // sorted + deduped: termination counts on it
-  dc->options_.runtime.principal = dc->options_.self;
-  LB_ASSIGN_OR_RETURN(dc->runtime_,
-                      TrustRuntime::Create(dc->options_.runtime));
-  return dc;
+  options.nodes = nodes;  // sorted + deduped: termination counts on it
+  options.runtime.principal = options.self;
+  LB_ASSIGN_OR_RETURN(std::unique_ptr<TrustRuntime> runtime,
+                      TrustRuntime::Create(options.runtime));
+  return std::unique_ptr<DistributedCluster>(
+      new DistributedCluster(std::move(options), std::move(runtime)));
 }
 
 Status DistributedCluster::Attach(
@@ -70,7 +92,8 @@ Result<std::unique_ptr<DistributedCluster>> DistributedCluster::Create(
                                     opts.runtime.rsa_bits));
     mesh.emplace_back(name, pair.public_key);
   }
-  dc->socket_ = std::make_unique<Transport>(opts.self, opts.transport);
+  dc->socket_ = std::make_unique<Transport>(
+      opts.self, opts.transport, dc->runtime_->workspace()->metrics());
   LB_RETURN_IF_ERROR(dc->Attach(mesh, dc->socket_.get()));
   // A (re)connect may have lost our last status/confirm broadcast; resend
   // both so the peer's termination state converges without waiting for the
@@ -89,7 +112,8 @@ Status DistributedCluster::StartHttp() {
   if (options_.http_port < 0) return util::OkStatus();
   // Share the transport's loop: every page renders on the fixpoint thread
   // between waves, so handlers read engine state with no synchronization.
-  http_ = std::make_unique<obs::HttpExporter>(socket_->loop());
+  http_ = std::make_unique<obs::HttpExporter>(
+      socket_->loop(), runtime_->workspace()->metrics());
   http_->Handle("/metrics", [this] {
     obs::HttpExporter::Response r;
     r.content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -140,13 +164,14 @@ Status DistributedCluster::StartHttp() {
 
 std::string DistributedCluster::StatusJson() {
   const int64_t uptime_ms = EventLoop::NowMs() - start_ms_;
+  const RunStats stats = this->stats();
   std::string out = util::StrCat(
       "{\"node\":\"", obs::LabelEscape(options_.self), "\",\"version\":\"",
       obs::kBuildVersion, "\",\"compiler\":\"",
       obs::LabelEscape(obs::BuildCompiler()), "\",\"uptime_seconds\":",
       uptime_ms / 1000, ".", (uptime_ms / 100) % 10,
-      ",\"fixpoints\":", stats_.fixpoints, ",\"tuples_in\":", stats_.tuples_in,
-      ",\"tuples_out\":", stats_.tuples_out, ",\"peers\":[");
+      ",\"fixpoints\":", stats.fixpoints, ",\"tuples_in\":", stats.tuples_in,
+      ",\"tuples_out\":", stats.tuples_out, ",\"peers\":[");
   bool first = true;
   const std::vector<Transport::PeerState> peers =
       socket_ != nullptr ? socket_->peer_states()
@@ -203,8 +228,8 @@ Status DistributedCluster::ShipCredential(const std::string& to_node,
   frame.relation = "credential";
   LB_ASSIGN_OR_RETURN(frame.payload, runtime_->ExportCredential(hash));
   if (obs::Tracer* tracer = runtime_->workspace()->tracer()) {
-    frame.trace = util::StrCat(options_.self, ":", stats_.fixpoints, ":",
-                               ++flow_seq_);
+    frame.trace = util::StrCat(options_.self, ":",
+                               counters_.fixpoints->value(), ":", ++flow_seq_);
     const uint64_t now_us = obs::Tracer::NowMicros();
     obs::ScopedSpan ship(tracer, "ship");
     ship.set_args(util::StrCat("\"credential\":\"", obs::LabelEscape(hash),
@@ -236,7 +261,7 @@ Status DistributedCluster::OnFrame(const Frame& frame) {
       }
       LB_ASSIGN_OR_RETURN(std::vector<datalog::Tuple> tuples,
                           DeserializeTupleBlock(frame.payload));
-      stats_.tuples_in += tuples.size();
+      counters_.tuples_in->Add(tuples.size());
       if (stage.enabled()) {
         stage.set_args(util::StrCat(
             "\"relation\":\"", obs::LabelEscape(frame.relation),
@@ -296,14 +321,15 @@ void DistributedCluster::ShipPlaced() {
     frame.from = options_.self;
     frame.relation = std::move(batch.relation);
     frame.payload = SerializeTupleBlock(batch.tuples);
-    stats_.tuples_out += batch.tuples.size();
+    counters_.tuples_out->Add(batch.tuples.size());
     if (tracer != nullptr) {
       // Stamp the frame with a mesh-unique correlation id and open the
       // flow inside a "ship" span: after dist_smoke merges the per-node
       // trace files, this links the sender's fixpoint wave to the
-      // receiver's import slice. The wave number is stats_.fixpoints
+      // receiver's import slice. The wave number is the fixpoint count
       // (incremented just before ShipPlaced runs).
-      frame.trace = util::StrCat(options_.self, ":", stats_.fixpoints, ":",
+      frame.trace = util::StrCat(options_.self, ":",
+                                 counters_.fixpoints->value(), ":",
                                  ++flow_seq_);
       const uint64_t now_us = obs::Tracer::NowMicros();
       obs::ScopedSpan ship(tracer, "ship");
@@ -321,7 +347,7 @@ void DistributedCluster::SendReliable(const std::string& dest, Frame frame) {
   // Bounded send queues: a full queue defers the frame (never drops it);
   // RetryDeferred() retries after the next poll drained the queue.
   if (!net_->Send(dest, frame)) {
-    ++stats_.deferred_sends;
+    counters_.deferred_sends->Add();
     deferred_.emplace_back(dest, std::move(frame));
   }
 }
@@ -400,7 +426,7 @@ Status DistributedCluster::Commit() {
                     util::StrCat("credential bundle from '", from,
                                  "' dropped: ", st.message()));
     }
-    ++stats_.credential_imports;
+    counters_.credential_imports->Add();
   }
   return runtime_->HasInbox() ? runtime_->CommitInbox()
                               : runtime_->Fixpoint();
@@ -416,7 +442,7 @@ Result<bool> DistributedCluster::Step(int64_t now_ms) {
                                             "': ", st.message()));
     }
     ++version_;
-    ++stats_.fixpoints;
+    counters_.fixpoints->Add();
     ShipPlaced();
   }
 
@@ -524,36 +550,22 @@ Result<DistributedCluster::RunStats> DistributedCluster::RunToConvergence() {
     Status st = socket_->Poll(5);
     if (!st.ok()) break;  // peers tearing down concurrently is expected
   }
-  stats_.transport = socket_->stats();
-  return stats_;
+  return stats();
 }
 
-void DistributedCluster::SyncMetrics() {
-  obs::MetricsRegistry* reg = runtime_->workspace()->metrics();
-  if (reg == nullptr) return;
-  auto set = [reg](const char* name, size_t value) {
-    reg->GetCounter(name)->Set(static_cast<uint64_t>(value));
-  };
-  set("lbtrust_node_fixpoints_total", stats_.fixpoints);
-  set("lbtrust_node_tuples_in_total", stats_.tuples_in);
-  set("lbtrust_node_tuples_out_total", stats_.tuples_out);
-  set("lbtrust_node_credential_imports_total", stats_.credential_imports);
-  set("lbtrust_node_deferred_sends_total", stats_.deferred_sends);
-  // Build identity + uptime: the two gauges every scraper alerts on.
-  reg->GetGauge("lbtrust_build_info",
-                util::StrCat("version=\"", obs::kBuildVersion,
-                             "\",compiler=\"",
-                             obs::LabelEscape(obs::BuildCompiler()), "\""))
-      ->Set(1);
-  reg->GetGauge("lbtrust_uptime_seconds")
-      ->Set((EventLoop::NowMs() - start_ms_) / 1000);
-  SyncTransportMetrics(net_->stats(), reg);
-  if (http_ != nullptr) http_->SyncMetrics(reg);
-  runtime_->SyncMetrics();
+DistributedCluster::RunStats DistributedCluster::stats() const {
+  RunStats s;
+  s.fixpoints = counters_.fixpoints->value();
+  s.tuples_in = counters_.tuples_in->value();
+  s.tuples_out = counters_.tuples_out->value();
+  s.credential_imports = counters_.credential_imports->value();
+  s.deferred_sends = counters_.deferred_sends->value();
+  s.transport = wire_.Read();
+  return s;
 }
 
 std::string DistributedCluster::DumpMetrics() {
-  SyncMetrics();
+  uptime_->Set((EventLoop::NowMs() - start_ms_) / 1000);
   return runtime_->workspace()->DumpMetrics();
 }
 

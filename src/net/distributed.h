@@ -96,15 +96,20 @@ class DistributedCluster {
     std::function<void()> on_tick;
   };
 
-  struct RunStats {
-    size_t fixpoints = 0;
-    size_t tuples_in = 0;   ///< tuples delivered to this node
-    size_t tuples_out = 0;  ///< tuples shipped from this node
-    size_t credential_imports = 0;
+  /// The node's own counters, as handles or values.
+  template <typename T>
+  struct NodeCounts {
+    T fixpoints{};
+    T tuples_in{};   ///< tuples delivered to this node
+    T tuples_out{};  ///< tuples shipped from this node
+    T credential_imports{};
     /// Reliable sends refused by the bounded queue and retried later.
-    size_t deferred_sends = 0;
+    T deferred_sends{};
+  };
+  /// A by-value view of the node's counters in its registry.
+  struct RunStats : NodeCounts<size_t> {
     /// Wire-level counters (bytes/frames in+out, retries, reconnects,
-    /// duplicates) — satellite 1's byte accounting for the socket path.
+    /// duplicates).
     TransportStats transport;
   };
 
@@ -158,24 +163,19 @@ class DistributedCluster {
   /// RunToConvergence() concurrently for the run to terminate.
   util::Result<RunStats> RunToConvergence();
 
-  const RunStats& stats() const { return stats_; }
+  RunStats stats() const;
 
-  /// Mirrors this node's run counters (lbtrust_node_*), its transport's
-  /// wire counters (lbtrust_transport_*), and the trust runtime's
-  /// credential/crypto counters into the node's workspace metrics registry.
-  /// No-op when the runtime's workspace has metrics disabled.
-  void SyncMetrics();
-
-  /// SyncMetrics() + the workspace exposition: the full per-node metrics
-  /// page a scraper (or SIGUSR1 dump) sees. Socket nodes and SimCluster
-  /// nodes expose identical metric names, so dist_smoke.sh can diff them.
+  /// The per-node metrics page a scraper (or SIGUSR1 dump) sees. Socket
+  /// and SimCluster nodes register the same series, apart from the HTTP
+  /// server's `lbtrust_http_*`; dist_smoke.sh checks it.
   std::string DumpMetrics();
 
  private:
   friend class SimCluster;
 
-  explicit DistributedCluster(Options options)
-      : options_(std::move(options)) {}
+  /// `runtime`'s registry holds the node's counters.
+  DistributedCluster(Options options,
+                     std::unique_ptr<trust::TrustRuntime> runtime);
 
   /// Validates the options and builds the runtime (no mesh, no network).
   static util::Result<std::unique_ptr<DistributedCluster>> NewNode(
@@ -229,6 +229,9 @@ class DistributedCluster {
   /// loop, so it must shut down first.
   std::unique_ptr<obs::HttpExporter> http_;
   int64_t start_ms_ = 0;  ///< construction time (uptime base)
+  NodeCounts<obs::Counter*> counters_;
+  WireCounters wire_;  ///< read for RunStats; net_ counts into it
+  obs::Gauge* uptime_ = nullptr;
   /// Per-node sequence for trace-correlation ids ("self:wave:seq").
   uint64_t flow_seq_ = 0;
   /// Cross-round dedup of shipped tuples (interned row ids), kept by
@@ -249,7 +252,6 @@ class DistributedCluster {
   /// The last status broadcast and when it went out (heartbeat).
   std::string last_status_payload_;
   int64_t last_status_ms_ = 0;
-  RunStats stats_;
 };
 
 }  // namespace lbtrust::net

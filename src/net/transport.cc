@@ -36,8 +36,90 @@ bool FillAddr(const std::string& host, uint16_t port, sockaddr_in* addr) {
 
 }  // namespace
 
-Transport::Transport(std::string self, Options options)
-    : self_(std::move(self)), options_(std::move(options)) {}
+namespace {
+
+/// Calls `f(name, labels, handle, value)` for every wire counter: the one
+/// list that names the `lbtrust_transport_*` series.
+template <typename Handles, typename F>
+void ForEachWireSeries(Handles& h, TransportStats& v, F f) {
+  const char* out = "direction=\"out\"";
+  const char* in = "direction=\"in\"";
+  f("lbtrust_transport_bytes_total", out, h.bytes_out, v.bytes_out);
+  f("lbtrust_transport_bytes_total", in, h.bytes_in, v.bytes_in);
+  f("lbtrust_transport_frames_total", out, h.frames_out, v.frames_out);
+  f("lbtrust_transport_frames_total", in, h.frames_in, v.frames_in);
+  f("lbtrust_transport_data_frames_total", out, h.data_frames_out,
+    v.data_frames_out);
+  f("lbtrust_transport_data_frames_total", in, h.data_frames_in,
+    v.data_frames_in);
+  f("lbtrust_transport_tuple_bytes_total", out, h.tuple_bytes_out,
+    v.tuple_bytes_out);
+  f("lbtrust_transport_tuple_bytes_total", in, h.tuple_bytes_in,
+    v.tuple_bytes_in);
+  f("lbtrust_transport_credential_bytes_total", out, h.credential_bytes_out,
+    v.credential_bytes_out);
+  f("lbtrust_transport_credential_bytes_total", in, h.credential_bytes_in,
+    v.credential_bytes_in);
+  f("lbtrust_transport_acks_total", out, h.acks_out, v.acks_out);
+  f("lbtrust_transport_acks_total", in, h.acks_in, v.acks_in);
+  f("lbtrust_transport_retries_total", "", h.retries, v.retries);
+  f("lbtrust_transport_reconnects_total", "", h.reconnects, v.reconnects);
+  f("lbtrust_transport_duplicate_frames_in_total", "", h.duplicate_frames_in,
+    v.duplicate_frames_in);
+  f("lbtrust_transport_oversize_rejects_total", "", h.oversize_rejects,
+    v.oversize_rejects);
+  f("lbtrust_transport_deadline_closes_total", "", h.deadline_closes,
+    v.deadline_closes);
+}
+
+}  // namespace
+
+WireCounters::WireCounters(obs::MetricsRegistry* metrics) {
+  TransportStats unused;
+  ForEachWireSeries(*this, unused,
+                    [metrics](const char* name, const char* labels,
+                              obs::Counter*& handle, uint64_t&) {
+                      handle = metrics->GetCounter(name, labels);
+                    });
+}
+
+void WireCounters::Queued(const Frame& frame) {
+  (frame.kind == Frame::Kind::kData ? tuple_bytes_out : credential_bytes_out)
+      ->Add(frame.payload.size());
+}
+
+void WireCounters::Sent(Frame::Kind kind) {
+  frames_out->Add();
+  if (kind == Frame::Kind::kData || kind == Frame::Kind::kCredential) {
+    data_frames_out->Add();
+  } else if (kind == Frame::Kind::kAck) {
+    acks_out->Add();
+  }
+}
+
+void WireCounters::Received(const Frame& frame, bool repeat) {
+  frames_in->Add();
+  if (frame.kind == Frame::Kind::kAck) {
+    acks_in->Add();
+  } else if (frame.reliable()) {
+    data_frames_in->Add();
+    (frame.kind == Frame::Kind::kData ? tuple_bytes_in : credential_bytes_in)
+        ->Add(frame.payload.size());
+    if (repeat) duplicate_frames_in->Add();
+  }
+}
+
+TransportStats WireCounters::Read() const {
+  TransportStats s;
+  ForEachWireSeries(*this, s,
+                    [](const char*, const char*, obs::Counter* handle,
+                       uint64_t& value) { value = handle->value(); });
+  return s;
+}
+
+Transport::Transport(std::string self, Options options,
+                     obs::MetricsRegistry* metrics)
+    : self_(std::move(self)), options_(std::move(options)), wire_(metrics) {}
 
 Transport::~Transport() { Shutdown(); }
 
@@ -196,7 +278,7 @@ void Transport::OnConnectWritable(int fd) {
     conn->connected = true;
     UpdateMask(conn, EPOLLIN);
   }
-  if (peer.ever_connected) ++stats_.reconnects;
+  if (peer.ever_connected) wire_.reconnects->Add();
   peer.ever_connected = true;
   peer.backoff_ms = options_.reconnect_backoff_min_ms;
   // Handshake: identify ourselves, then mark every retained reliable frame
@@ -205,7 +287,7 @@ void Transport::OnConnectWritable(int fd) {
   hello.kind = Frame::Kind::kHello;
   hello.from = self_;
   conn->out += EncodeFrame(hello);
-  ++stats_.frames_out;
+  wire_.Sent(hello.kind);
   size_t resent = 0;
   peer.pending_bytes = 0;
   for (auto& [seq, entry] : peer.unacked) {
@@ -213,7 +295,7 @@ void Transport::OnConnectWritable(int fd) {
     entry.transmitted = false;
     peer.pending_bytes += entry.bytes.size();
   }
-  stats_.retries += resent;
+  wire_.retries->Add(resent);
   if (on_connect_) on_connect_(conn->peer);
   FlushStaged(&peer);
   FlushConn(fd);
@@ -285,7 +367,7 @@ bool Transport::Send(const std::string& peer_name, Frame frame) {
       return true;
     }
     conn->out += EncodeFrame(frame);
-    ++stats_.frames_out;
+    wire_.Sent(frame.kind);
     return true;
   }
   std::string encoded_probe = EncodeFrame(frame);  // seq 0 sizing probe
@@ -296,12 +378,7 @@ bool Transport::Send(const std::string& peer_name, Frame frame) {
     return false;  // backpressure: caller retries after the next Poll
   }
   frame.seq = peer.next_seq++;
-  // Logical payload accounting (once per frame, not per retransmission).
-  if (frame.kind == Frame::Kind::kData) {
-    stats_.tuple_bytes_out += frame.payload.size();
-  } else {
-    stats_.credential_bytes_out += frame.payload.size();
-  }
+  wire_.Queued(frame);
   Unacked entry;
   entry.bytes = EncodeFrame(frame);
   peer.pending_bytes += entry.bytes.size();
@@ -360,8 +437,7 @@ void Transport::FlushStaged(Peer* peer) {
     if (entry.transmitted) continue;
     entry.transmitted = true;
     conn->out += entry.bytes;
-    ++stats_.frames_out;
-    ++stats_.data_frames_out;
+    wire_.Sent(Frame::Kind::kData);  // every unacked entry is reliable
   }
   peer->pending_bytes = 0;
 }
@@ -372,7 +448,7 @@ void Transport::FlushConn(int fd) {
   while (!conn->out.empty()) {
     ssize_t n = send(fd, conn->out.data(), conn->out.size(), MSG_NOSIGNAL);
     if (n > 0) {
-      stats_.bytes_out += static_cast<uint64_t>(n);
+      wire_.bytes_out->Add(static_cast<uint64_t>(n));
       conn->out.erase(0, static_cast<size_t>(n));
       continue;
     }
@@ -390,13 +466,13 @@ void Transport::OnConnReadable(int fd) {
   for (;;) {
     ssize_t n = read(fd, chunk, sizeof(chunk));
     if (n > 0) {
-      stats_.bytes_in += static_cast<uint64_t>(n);
+      wire_.bytes_in->Add(static_cast<uint64_t>(n));
       if (!conn->parser->Append(std::string_view(chunk,
                                                  static_cast<size_t>(n)))) {
         // Oversize or malformed header: cut the peer off before any body
         // allocation happened.
         if (conn->parser->error().find("exceeds cap") != std::string::npos) {
-          ++stats_.oversize_rejects;
+          wire_.oversize_rejects->Add();
         }
         CloseConn(fd, /*schedule_reconnect=*/conn->outbound);
         return;
@@ -441,7 +517,9 @@ void Transport::OnConnReadable(int fd) {
 util::Status Transport::HandleFrame(int fd, Frame frame) {
   Conn* conn = FindConn(fd);
   if (conn == nullptr) return util::OkStatus();
-  ++stats_.frames_in;
+  const bool repeat =
+      frame.reliable() && !delivered_in_[frame.from].insert(frame.seq).second;
+  wire_.Received(frame, repeat);
   switch (frame.kind) {
     case Frame::Kind::kHello:
       conn->peer = frame.from;
@@ -450,7 +528,6 @@ util::Status Transport::HandleFrame(int fd, Frame frame) {
       if (handler_) return handler_(frame);
       return util::OkStatus();
     case Frame::Kind::kAck: {
-      ++stats_.acks_in;
       auto it = peers_.find(frame.from.empty() ? conn->peer : frame.from);
       if (it != peers_.end()) {
         auto entry = it->second.unacked.find(frame.seq);
@@ -465,15 +542,6 @@ util::Status Transport::HandleFrame(int fd, Frame frame) {
     }
     case Frame::Kind::kData:
     case Frame::Kind::kCredential: {
-      ++stats_.data_frames_in;
-      if (frame.kind == Frame::Kind::kData) {
-        stats_.tuple_bytes_in += frame.payload.size();
-      } else {
-        stats_.credential_bytes_in += frame.payload.size();
-      }
-      if (!delivered_in_[frame.from].insert(frame.seq).second) {
-        ++stats_.duplicate_frames_in;
-      }
       if (handler_) {
         // Ack only after the handler staged the payload: an ack therefore
         // implies the tuples/credentials are durable at the receiver.
@@ -486,8 +554,7 @@ util::Status Transport::HandleFrame(int fd, Frame frame) {
       conn = FindConn(fd);
       if (conn != nullptr) {
         conn->out += EncodeFrame(ack);
-        ++stats_.frames_out;
-        ++stats_.acks_out;
+        wire_.Sent(ack.kind);
         FlushConn(fd);
       }
       return util::OkStatus();
@@ -536,7 +603,7 @@ void Transport::HousekeepConnections() {
     }
   }
   for (int fd : stalled) {
-    ++stats_.deadline_closes;
+    wire_.deadline_closes->Add();
     Conn* conn = FindConn(fd);
     CloseConn(fd, /*schedule_reconnect=*/conn != nullptr && conn->outbound);
   }
@@ -552,40 +619,6 @@ Status Transport::Poll(int timeout_ms) {
     return st;
   }
   return util::OkStatus();
-}
-
-void SyncTransportMetrics(const TransportStats& stats,
-                          obs::MetricsRegistry* registry) {
-  if (registry == nullptr) return;
-  auto set = [registry](const char* name, const char* labels,
-                        uint64_t value) {
-    registry->GetCounter(name, labels)->Set(value);
-  };
-  set("lbtrust_transport_bytes_total", "direction=\"out\"", stats.bytes_out);
-  set("lbtrust_transport_bytes_total", "direction=\"in\"", stats.bytes_in);
-  set("lbtrust_transport_frames_total", "direction=\"out\"",
-      stats.frames_out);
-  set("lbtrust_transport_frames_total", "direction=\"in\"", stats.frames_in);
-  set("lbtrust_transport_data_frames_total", "direction=\"out\"",
-      stats.data_frames_out);
-  set("lbtrust_transport_data_frames_total", "direction=\"in\"",
-      stats.data_frames_in);
-  set("lbtrust_transport_tuple_bytes_total", "direction=\"out\"",
-      stats.tuple_bytes_out);
-  set("lbtrust_transport_tuple_bytes_total", "direction=\"in\"",
-      stats.tuple_bytes_in);
-  set("lbtrust_transport_credential_bytes_total", "direction=\"out\"",
-      stats.credential_bytes_out);
-  set("lbtrust_transport_credential_bytes_total", "direction=\"in\"",
-      stats.credential_bytes_in);
-  set("lbtrust_transport_acks_total", "direction=\"out\"", stats.acks_out);
-  set("lbtrust_transport_acks_total", "direction=\"in\"", stats.acks_in);
-  set("lbtrust_transport_retries_total", "", stats.retries);
-  set("lbtrust_transport_reconnects_total", "", stats.reconnects);
-  set("lbtrust_transport_duplicate_frames_in_total", "",
-      stats.duplicate_frames_in);
-  set("lbtrust_transport_oversize_rejects_total", "", stats.oversize_rejects);
-  set("lbtrust_transport_deadline_closes_total", "", stats.deadline_closes);
 }
 
 }  // namespace lbtrust::net

@@ -17,34 +17,45 @@
 
 namespace lbtrust::net {
 
-/// Wire-level counters, exposed verbatim through DistributedCluster's
-/// RunStats so benches can report wire efficiency (bytes/tuple etc.).
-struct TransportStats {
-  uint64_t bytes_out = 0, bytes_in = 0;    ///< raw socket bytes
-  uint64_t frames_out = 0, frames_in = 0;  ///< all frame kinds
-  uint64_t data_frames_out = 0, data_frames_in = 0;
-  uint64_t tuple_bytes_out = 0, tuple_bytes_in = 0;  ///< kData payloads
-  uint64_t credential_bytes_out = 0, credential_bytes_in = 0;
-  uint64_t acks_out = 0, acks_in = 0;
+/// A node's wire counters, as handles (WireCounters) or values.
+template <typename T>
+struct WireFields {
+  T bytes_out{}, bytes_in{};    ///< raw socket bytes
+  T frames_out{}, frames_in{};  ///< all frame kinds
+  T data_frames_out{}, data_frames_in{};
+  T tuple_bytes_out{}, tuple_bytes_in{};  ///< kData payloads
+  T credential_bytes_out{}, credential_bytes_in{};
+  T acks_out{}, acks_in{};
   /// Reliable frames re-enqueued after a reconnect (at-least-once resend).
-  uint64_t retries = 0;
+  T retries{};
   /// Successful connection re-establishments (beyond each peer's first).
-  uint64_t reconnects = 0;
+  T reconnects{};
   /// Reliable frames received more than once (same peer, same seq) —
   /// harmless by construction: the engine's per-tuple cross-round dedup
   /// and the content-addressed credential store are idempotent.
-  uint64_t duplicate_frames_in = 0;
-  uint64_t oversize_rejects = 0;  ///< connections dropped for oversize frames
-  uint64_t deadline_closes = 0;   ///< connections dropped for read stalls
+  T duplicate_frames_in{};
+  T oversize_rejects{};  ///< connections dropped for oversize frames
+  T deadline_closes{};   ///< connections dropped for read stalls
 };
 
-/// Mirrors `stats` into `registry` as `lbtrust_transport_*` counters
-/// (mirror-on-dump: the transport keeps its plain struct on the hot path
-/// and this copies it into registry handles at exposition time). No-op on
-/// a null registry. DistributedCluster and the sim-vs-socket tooling call
-/// this so every deployment exposes the same metric names.
-void SyncTransportMetrics(const TransportStats& stats,
-                          obs::MetricsRegistry* registry);
+/// A by-value view of the wire counters, exposed through RunStats so
+/// benches can report wire efficiency (bytes/tuple etc.).
+using TransportStats = WireFields<uint64_t>;
+
+/// The wire counters, resolved in a node's registry. Both transports count
+/// frames through Queued/Sent/Received, so which frame counts as what is
+/// decided once; socket-only counters are added to directly.
+struct WireCounters : WireFields<obs::Counter*> {
+  explicit WireCounters(obs::MetricsRegistry* metrics);
+
+  /// A reliable frame was queued: its payload counts once.
+  void Queued(const Frame& frame);
+  /// A frame was handed to the wire; a retransmission counts again.
+  void Sent(Frame::Kind kind);
+  /// A frame arrived; `repeat`: a reliable frame already received.
+  void Received(const Frame& frame, bool repeat);
+  TransportStats Read() const;
+};
 
 /// The network calls the cluster protocol (DistributedCluster) makes.
 /// Transport implements them over TCP sockets, SimTransport in memory, so
@@ -67,7 +78,6 @@ class Network {
   virtual bool AllAcked() const = 0;
   /// True when no queued bytes remain unflushed (all peers).
   virtual bool SendQueuesEmpty() const = 0;
-  virtual const TransportStats& stats() const = 0;
 
  protected:
   ~Network() = default;  // owners hold the concrete transport
@@ -112,7 +122,9 @@ class Transport final : public Network {
   /// frames were re-queued — the runtime rebroadcasts its protocol status.
   using ConnectHandler = std::function<void(const std::string& peer)>;
 
-  Transport(std::string self, Options options);
+  /// Counts into `metrics`, which must outlive the transport.
+  Transport(std::string self, Options options,
+            obs::MetricsRegistry* metrics);
   ~Transport();
 
   Transport(const Transport&) = delete;
@@ -169,8 +181,6 @@ class Transport final : public Network {
   /// inbound frames to the handler. Returns the first fatal error a
   /// handler reported, or a socket-layer internal error.
   util::Status Poll(int timeout_ms);
-
-  const TransportStats& stats() const override { return stats_; }
 
   /// Closes every connection and the listener (idempotent).
   void Shutdown();
@@ -232,7 +242,7 @@ class Transport final : public Network {
   /// detection for stats; duplicates are still delivered to the handler to
   /// exercise end-to-end idempotency).
   std::map<std::string, std::unordered_set<uint64_t>> delivered_in_;
-  TransportStats stats_;
+  WireCounters wire_;
   util::Status deferred_error_;
   uint64_t reliable_frames_queued_ = 0;  ///< for the forced-drop knob
   std::string drop_pending_peer_;        ///< armed forced drop (knob)

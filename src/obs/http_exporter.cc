@@ -34,11 +34,19 @@ const char* ReasonPhrase(int status) {
 
 }  // namespace
 
-HttpExporter::HttpExporter(net::EventLoop* loop)
-    : HttpExporter(loop, Options()) {}
+HttpExporter::HttpExporter(net::EventLoop* loop, MetricsRegistry* metrics)
+    : HttpExporter(loop, metrics, Options()) {}
 
-HttpExporter::HttpExporter(net::EventLoop* loop, Options options)
+HttpExporter::HttpExporter(net::EventLoop* loop, MetricsRegistry* metrics,
+                           Options options)
     : loop_(loop), options_(options) {
+  const char* responses = "lbtrust_http_responses_total";
+  requests_ = metrics->GetCounter("lbtrust_http_requests_total");
+  responses_ok_ = metrics->GetCounter(responses, "code=\"200\"");
+  responses_error_ = metrics->GetCounter(responses, "code=\"error\"");
+  deadline_closes_ = metrics->GetCounter("lbtrust_http_deadline_closes_total");
+  oversize_rejects_ =
+      metrics->GetCounter("lbtrust_http_oversize_rejects_total");
   if (loop_ == nullptr) {
     owned_loop_ = std::make_unique<net::EventLoop>();
     loop_ = owned_loop_.get();
@@ -113,7 +121,7 @@ void HttpExporter::Housekeep() {
     }
   }
   for (int fd : stalled) {
-    ++stats_.deadline_closes;
+    deadline_closes_->Add();
     LBTRUST_LOG(LogLevel::kDebug, "http: closing stalled connection fd=%d",
                 fd);
     CloseConn(fd);
@@ -156,7 +164,7 @@ void HttpExporter::OnConnReadable(int fd) {
       // costs at most max_request_bytes + one read() chunk of memory.
       if (conn->in.size() + static_cast<size_t>(n) >
           options_.max_request_bytes) {
-        ++stats_.oversize_rejects;
+        oversize_rejects_->Add();
         StageResponse(fd, conn, Response{431, "text/plain; charset=utf-8",
                                          "request headers too large\n"});
         return;
@@ -177,7 +185,7 @@ void HttpExporter::MaybeRespond(int fd, Conn* conn) {
   size_t end = conn->in.find("\r\n\r\n");
   if (end == std::string::npos) end = conn->in.find("\n\n");
   if (end == std::string::npos) return;
-  ++stats_.requests;
+  requests_->Add();
   std::string_view head(conn->in.data(), end);
   size_t eol = head.find('\n');
   std::string_view request_line =
@@ -216,11 +224,7 @@ void HttpExporter::MaybeRespond(int fd, Conn* conn) {
 void HttpExporter::StageResponse(int fd, Conn* conn,
                                  const Response& response) {
   conn->responding = true;
-  if (response.status == 200) {
-    ++stats_.responses_ok;
-  } else {
-    ++stats_.responses_error;
-  }
+  (response.status == 200 ? responses_ok_ : responses_error_)->Add();
   std::string out = util::StrCat("HTTP/1.1 ", response.status, " ",
                                  ReasonPhrase(response.status), "\r\n");
   out += util::StrCat("Content-Type: ", response.content_type, "\r\n");
@@ -263,19 +267,6 @@ void HttpExporter::CloseConn(int fd) {
   }
   close(fd);
   conns_.erase(it);
-}
-
-void HttpExporter::SyncMetrics(MetricsRegistry* registry) const {
-  if (registry == nullptr) return;
-  registry->GetCounter("lbtrust_http_requests_total")->Set(stats_.requests);
-  registry->GetCounter("lbtrust_http_responses_total", "code=\"200\"")
-      ->Set(stats_.responses_ok);
-  registry->GetCounter("lbtrust_http_responses_total", "code=\"error\"")
-      ->Set(stats_.responses_error);
-  registry->GetCounter("lbtrust_http_deadline_closes_total")
-      ->Set(stats_.deadline_closes);
-  registry->GetCounter("lbtrust_http_oversize_rejects_total")
-      ->Set(stats_.oversize_rejects);
 }
 
 }  // namespace lbtrust::obs

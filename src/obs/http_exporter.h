@@ -27,6 +27,9 @@ namespace lbtrust::obs {
 /// scrapers only delay their own response (the kernel buffers the request
 /// until the next poll).
 ///
+/// It counts into the registry it is constructed with, which must
+/// outlive it.
+///
 /// Construction picks the loop mode:
 ///  - external loop (`loop != nullptr`): fds register on the caller's loop
 ///    and the caller's own poll drives this server; call Housekeep()
@@ -56,8 +59,9 @@ class HttpExporter {
   /// bounded — the server is unavailable while a handler runs.
   using Handler = std::function<Response()>;
 
-  explicit HttpExporter(net::EventLoop* loop);
-  HttpExporter(net::EventLoop* loop, Options options);
+  HttpExporter(net::EventLoop* loop, MetricsRegistry* metrics);
+  HttpExporter(net::EventLoop* loop, MetricsRegistry* metrics,
+               Options options);
   ~HttpExporter();
 
   HttpExporter(const HttpExporter&) = delete;
@@ -79,19 +83,6 @@ class HttpExporter {
   /// Closes connections stalled past the read deadline. Cheap; call once
   /// per owner loop iteration.
   void Housekeep();
-
-  struct Stats {
-    uint64_t requests = 0;        ///< complete requests parsed
-    uint64_t responses_ok = 0;    ///< 200s served
-    uint64_t responses_error = 0; ///< 4xx/5xx served
-    uint64_t deadline_closes = 0; ///< slow-loris closes
-    uint64_t oversize_rejects = 0;
-  };
-  const Stats& stats() const { return stats_; }
-
-  /// Mirrors stats into `registry` as `lbtrust_http_*` counters (no-op on
-  /// null), same mirror-on-dump pattern as SyncTransportMetrics.
-  void SyncMetrics(MetricsRegistry* registry) const;
 
   /// Open request/response connections (tests).
   size_t open_connections() const { return conns_.size(); }
@@ -124,7 +115,11 @@ class HttpExporter {
   int listen_fd_ = -1;
   uint16_t listen_port_ = 0;
   std::map<int, Conn> conns_;
-  Stats stats_;
+  Counter* requests_;          ///< complete requests parsed
+  Counter* responses_ok_;      ///< 200s served
+  Counter* responses_error_;   ///< 4xx/5xx served
+  Counter* deadline_closes_;   ///< slow-loris closes
+  Counter* oversize_rejects_;
 };
 
 }  // namespace lbtrust::obs

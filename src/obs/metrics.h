@@ -11,16 +11,14 @@
 
 namespace lbtrust::obs {
 
-/// Monotone counter. Handles are registered once (mutex-guarded) and then
-/// updated lock-free: Add() is a single relaxed atomic add, cheap enough
-/// for per-probe hot paths. Set() exists for the mirror-on-dump pattern —
-/// subsystems that already keep plain-struct stats (TransportStats,
-/// CredentialStore::Stats, CryptoStats) copy them into registry handles at
-/// exposition time instead of double-counting on their hot paths.
+/// Monotone counter, and the only storage of the value it counts.
+/// Handles are registered once (mutex-guarded) by the module that counts,
+/// and then updated lock-free: Add() is a single relaxed atomic add, cheap
+/// enough for per-probe hot paths. Stats structs such as TransportStats
+/// are by-value views read from these handles, never copies written back.
 class Counter {
  public:
   void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  void Set(uint64_t v) { value_.store(v, std::memory_order_relaxed); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

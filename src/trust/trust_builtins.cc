@@ -1,6 +1,7 @@
 #include "trust/trust_builtins.h"
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,22 +45,41 @@ struct Caches {
 
 }  // namespace
 
-void RegisterCryptoBuiltins(datalog::Workspace* ws, const KeyStore* keystore,
-                            std::shared_ptr<CryptoStats> stats) {
+CryptoCounters::CryptoCounters(obs::MetricsRegistry* metrics) {
+  const char* name = "lbtrust_crypto_ops_total";
+  rsa_signs = metrics->GetCounter(name, "op=\"rsa_sign\"");
+  rsa_verifies = metrics->GetCounter(name, "op=\"rsa_verify\"");
+  hmac_signs = metrics->GetCounter(name, "op=\"hmac_sign\"");
+  hmac_verifies = metrics->GetCounter(name, "op=\"hmac_verify\"");
+  cache_hits = metrics->GetCounter("lbtrust_crypto_cache_hits_total");
+}
+
+CryptoStats CryptoCounters::Read() const {
+  CryptoStats s;
+  s.rsa_signs = rsa_signs->value();
+  s.rsa_verifies = rsa_verifies->value();
+  s.hmac_signs = hmac_signs->value();
+  s.hmac_verifies = hmac_verifies->value();
+  s.cache_hits = cache_hits->value();
+  return s;
+}
+
+CryptoCounters RegisterCryptoBuiltins(datalog::Workspace* ws,
+                                      const KeyStore* keystore) {
   auto caches = std::make_shared<Caches>();
-  if (!stats) stats = std::make_shared<CryptoStats>();
+  const CryptoCounters counts(ws->metrics());
 
   ws->RegisterBuiltin(
       "rsasign", 3, {"bfb", "bbb"},
-      [keystore, caches, stats](const std::vector<std::optional<Value>>& args,
-                                const datalog::EmitFn& emit) -> Status {
+      [keystore, caches, counts](const std::vector<std::optional<Value>>& args,
+                                 const datalog::EmitFn& emit) -> Status {
         std::string msg = MessageBytes(*args[0]);
         std::string handle = MessageBytes(*args[2]);
         auto key = std::make_pair(msg, handle);
         auto it = caches->rsa_sign.find(key);
         std::string sig_hex;
         if (it != caches->rsa_sign.end()) {
-          ++stats->cache_hits;
+          counts.cache_hits->Add();
           sig_hex = it->second;
         } else {
           const crypto::RsaPrivateKey* priv = keystore->FindPrivate(handle);
@@ -68,7 +88,7 @@ void RegisterCryptoBuiltins(datalog::Workspace* ws, const KeyStore* keystore,
                 util::StrCat("unknown private key handle '", handle, "'"));
           }
           LB_ASSIGN_OR_RETURN(std::string sig, crypto::RsaSign(*priv, msg));
-          ++stats->rsa_signs;
+          counts.rsa_signs->Add();
           sig_hex = util::HexEncode(sig);
           caches->rsa_sign.emplace(key, sig_hex);
         }
@@ -78,8 +98,8 @@ void RegisterCryptoBuiltins(datalog::Workspace* ws, const KeyStore* keystore,
 
   ws->RegisterBuiltin(
       "rsaverify", 3, {"bbb"},
-      [keystore, caches, stats](const std::vector<std::optional<Value>>& args,
-                                const datalog::EmitFn& emit) -> Status {
+      [keystore, caches, counts](const std::vector<std::optional<Value>>& args,
+                                 const datalog::EmitFn& emit) -> Status {
         std::string msg = MessageBytes(*args[0]);
         std::string sig_hex = MessageBytes(*args[1]);
         std::string handle = MessageBytes(*args[2]);
@@ -88,7 +108,7 @@ void RegisterCryptoBuiltins(datalog::Workspace* ws, const KeyStore* keystore,
         bool ok;
         auto it = caches->rsa_verify.find(cache_key);
         if (it != caches->rsa_verify.end()) {
-          ++stats->cache_hits;
+          counts.cache_hits->Add();
           ok = it->second;
         } else {
           const crypto::RsaPublicKey* pub = keystore->FindPublic(handle);
@@ -96,7 +116,7 @@ void RegisterCryptoBuiltins(datalog::Workspace* ws, const KeyStore* keystore,
           std::string sig;
           if (!util::HexDecode(sig_hex, &sig)) return util::OkStatus();
           ok = crypto::RsaVerify(*pub, msg, sig);
-          ++stats->rsa_verifies;
+          counts.rsa_verifies->Add();
           caches->rsa_verify.emplace(cache_key, ok);
         }
         if (ok) emit({*args[0], *args[1], *args[2]});
@@ -105,15 +125,15 @@ void RegisterCryptoBuiltins(datalog::Workspace* ws, const KeyStore* keystore,
 
   ws->RegisterBuiltin(
       "hmacsign", 3, {"bbf", "bbb"},
-      [keystore, caches, stats](const std::vector<std::optional<Value>>& args,
-                                const datalog::EmitFn& emit) -> Status {
+      [keystore, caches, counts](const std::vector<std::optional<Value>>& args,
+                                 const datalog::EmitFn& emit) -> Status {
         std::string msg = MessageBytes(*args[0]);
         std::string handle = MessageBytes(*args[1]);
         auto key = std::make_pair(msg, handle);
         auto it = caches->hmac_sign.find(key);
         std::string tag_hex;
         if (it != caches->hmac_sign.end()) {
-          ++stats->cache_hits;
+          counts.cache_hits->Add();
           tag_hex = it->second;
         } else {
           const std::string* secret = keystore->FindSecret(handle);
@@ -121,7 +141,7 @@ void RegisterCryptoBuiltins(datalog::Workspace* ws, const KeyStore* keystore,
             return util::CryptoError(
                 util::StrCat("unknown shared secret handle '", handle, "'"));
           }
-          ++stats->hmac_signs;
+          counts.hmac_signs->Add();
           tag_hex = util::HexEncode(crypto::HmacSha1(*secret, msg));
           caches->hmac_sign.emplace(key, tag_hex);
         }
@@ -131,14 +151,14 @@ void RegisterCryptoBuiltins(datalog::Workspace* ws, const KeyStore* keystore,
 
   ws->RegisterBuiltin(
       "hmacverify", 3, {"bbb"},
-      [keystore, stats](const std::vector<std::optional<Value>>& args,
-                        const datalog::EmitFn& emit) -> Status {
+      [keystore, counts](const std::vector<std::optional<Value>>& args,
+                         const datalog::EmitFn& emit) -> Status {
         std::string msg = MessageBytes(*args[0]);
         std::string tag_hex = MessageBytes(*args[1]);
         std::string handle = MessageBytes(*args[2]);
         const std::string* secret = keystore->FindSecret(handle);
         if (secret == nullptr) return util::OkStatus();
-        ++stats->hmac_verifies;
+        counts.hmac_verifies->Add();
         std::string expected =
             util::HexEncode(crypto::HmacSha1(*secret, msg));
         if (crypto::ConstantTimeEquals(expected, tag_hex)) {
@@ -203,6 +223,7 @@ void RegisterCryptoBuiltins(datalog::Workspace* ws, const KeyStore* keystore,
         }
         return util::OkStatus();
       });
+  return counts;
 }
 
 }  // namespace lbtrust::trust

@@ -1,23 +1,26 @@
 #ifndef LBTRUST_TRUST_TRUST_BUILTINS_H_
 #define LBTRUST_TRUST_TRUST_BUILTINS_H_
 
-#include <memory>
-
 #include "datalog/workspace.h"
+#include "obs/metrics.h"
 #include "trust/keystore.h"
 
 namespace lbtrust::trust {
 
-/// Per-workspace cache so that full recomputation across fixpoint rounds
-/// does not redo public-key operations (RSA signing dominates Figure 2;
-/// caching keeps repeated fixpoints incremental in crypto cost). Counters
-/// are exposed for the benchmarks.
-struct CryptoStats {
-  size_t rsa_signs = 0;
-  size_t rsa_verifies = 0;
-  size_t hmac_signs = 0;
-  size_t hmac_verifies = 0;
-  size_t cache_hits = 0;
+/// The crypto builtins' counters, as handles or values. The builtins keep
+/// a per-workspace cache so that full recomputation across fixpoint rounds
+/// does not redo public-key operations (RSA signing dominates Figure 2).
+template <typename T>
+struct CryptoFields {
+  T rsa_signs{}, rsa_verifies{}, hmac_signs{}, hmac_verifies{}, cache_hits{};
+};
+/// A by-value view of the crypto builtins' counters.
+using CryptoStats = CryptoFields<size_t>;
+
+/// The crypto builtins' counters, resolved in the workspace's registry.
+struct CryptoCounters : CryptoFields<obs::Counter*> {
+  explicit CryptoCounters(obs::MetricsRegistry* metrics);
+  CryptoStats Read() const;
 };
 
 /// Registers the paper's cryptographic built-ins on a workspace:
@@ -32,11 +35,10 @@ struct CryptoStats {
 ///   decrypt(C,K,M)    inverse; fails (no solution) on tamper
 ///
 /// Message bytes are the canonical form for code values, the raw text for
-/// strings/symbols, and the printed form otherwise.
-/// `stats` may be null. Returns the stats object owned by the caller.
-void RegisterCryptoBuiltins(datalog::Workspace* workspace,
-                            const KeyStore* keystore,
-                            std::shared_ptr<CryptoStats> stats);
+/// strings/symbols, and the printed form otherwise. Returns the handles
+/// the builtins count into.
+CryptoCounters RegisterCryptoBuiltins(datalog::Workspace* workspace,
+                                      const KeyStore* keystore);
 
 }  // namespace lbtrust::trust
 

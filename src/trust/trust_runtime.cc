@@ -22,14 +22,18 @@ Result<crypto::RsaKeyPair> TrustRuntime::DeriveKeyPair(
   return crypto::RsaGenerateKeyPair(rsa_bits, &rng);
 }
 
+TrustRuntime::TrustRuntime(Options options)
+    : options_(std::move(options)),
+      workspace_(std::make_unique<datalog::Workspace>(options_.workspace)),
+      crypto_(RegisterCryptoBuiltins(workspace_.get(), &keystore_)),
+      credstore_(workspace_->metrics()) {}
+
 Result<std::unique_ptr<TrustRuntime>> TrustRuntime::Create(Options options) {
   if (options.principal.empty()) {
     return util::InvalidArgument("principal name must not be empty");
   }
+  options.workspace.principal = options.principal;
   std::unique_ptr<TrustRuntime> rt(new TrustRuntime(options));
-  rt->options_.workspace.principal = rt->options_.principal;
-  rt->workspace_ =
-      std::make_unique<datalog::Workspace>(rt->options_.workspace);
   datalog::Workspace* ws = rt->workspace_.get();
 
   LB_ASSIGN_OR_RETURN(
@@ -40,8 +44,6 @@ Result<std::unique_ptr<TrustRuntime>> TrustRuntime::Create(Options options) {
   std::string pub_handle =
       rt->keystore_.AddRsaPublicKey(rt->keypair_.public_key);
 
-  rt->stats_ = std::make_shared<CryptoStats>();
-  RegisterCryptoBuiltins(ws, &rt->keystore_, rt->stats_);
   if (rt->options_.enable_meta_model) {
     LB_RETURN_IF_ERROR(meta::EnableMetaModel(ws));
   }
@@ -252,33 +254,6 @@ Status TrustRuntime::CommitInbox() {
   datalog::Transaction txn = std::move(*inbox_);
   inbox_.reset();
   return txn.Commit();
-}
-
-void TrustRuntime::SyncMetrics() {
-  obs::MetricsRegistry* reg = workspace_->metrics();
-  if (reg == nullptr) return;
-  auto set = [reg](const char* name, const char* labels, size_t value) {
-    reg->GetCounter(name, labels)->Set(static_cast<uint64_t>(value));
-  };
-  const cred::CredentialStore::Stats& cs = credstore_.stats();
-  set("lbtrust_credential_store_puts_total", "", cs.puts);
-  set("lbtrust_credential_store_dedup_hits_total", "", cs.dedup_hits);
-  set("lbtrust_credential_verify_total", "cache=\"miss\"", cs.rsa_verifies);
-  set("lbtrust_credential_verify_total", "cache=\"hit\"",
-      cs.verify_cache_hits);
-  set("lbtrust_credential_store_swept_total", "", cs.swept);
-  const CryptoStats& crypto = *stats_;
-  set("lbtrust_crypto_ops_total", "op=\"rsa_sign\"", crypto.rsa_signs);
-  set("lbtrust_crypto_ops_total", "op=\"rsa_verify\"", crypto.rsa_verifies);
-  set("lbtrust_crypto_ops_total", "op=\"hmac_sign\"", crypto.hmac_signs);
-  set("lbtrust_crypto_ops_total", "op=\"hmac_verify\"",
-      crypto.hmac_verifies);
-  set("lbtrust_crypto_cache_hits_total", "", crypto.cache_hits);
-}
-
-std::string TrustRuntime::DumpMetrics() {
-  SyncMetrics();
-  return workspace_->DumpMetrics();
 }
 
 }  // namespace lbtrust::trust

@@ -75,7 +75,7 @@ class TrustRuntime {
   datalog::Workspace* workspace() { return workspace_.get(); }
   KeyStore* keystore() { return &keystore_; }
   const crypto::RsaKeyPair& keypair() const { return keypair_; }
-  const CryptoStats& crypto_stats() const { return *stats_; }
+  CryptoStats crypto_stats() const { return crypto_.Read(); }
 
   /// Installs (or swaps in) an authentication scheme. Returns the number
   /// of clauses that changed relative to the previously installed scheme
@@ -132,18 +132,6 @@ class TrustRuntime {
   /// verification, codegen and constraint checks).
   util::Status Fixpoint() { return workspace_->Fixpoint(); }
 
-  // --- Observability -------------------------------------------------------
-
-  /// Mirrors the credential-store and crypto-builtin counters into the
-  /// workspace metrics registry (no-op when Options::workspace.metrics is
-  /// off). Counters are mirrored on demand — the crypto hot paths keep
-  /// their plain size_t stats and pay nothing per operation.
-  void SyncMetrics();
-
-  /// SyncMetrics() + the workspace's Prometheus-style exposition: one call
-  /// covers engine, trust and credential metrics for this principal.
-  std::string DumpMetrics();
-
   // --- Async import hooks (net transports) --------------------------------
   // A network runtime stages inbound tuple blocks between fixpoints and
   // commits them as one batch; calls must come from the thread driving the
@@ -159,13 +147,14 @@ class TrustRuntime {
   util::Status CommitInbox();
 
  private:
-  explicit TrustRuntime(Options options) : options_(std::move(options)) {}
+  /// Builds the workspace first: the others count into its registry.
+  explicit TrustRuntime(Options options);
 
   Options options_;
   std::unique_ptr<datalog::Workspace> workspace_;
   KeyStore keystore_;
   crypto::RsaKeyPair keypair_;
-  std::shared_ptr<CryptoStats> stats_;
+  CryptoCounters crypto_;
   std::string scheme_name_;
   std::string scheme_text_;  // installed clauses, for swap-out
   cred::CredentialStore credstore_;

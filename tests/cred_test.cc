@@ -186,7 +186,8 @@ TEST(CredentialTest, LegacyV1BundleStillParses) {
 
 TEST(CredentialStoreTest, PutDeduplicatesByContent) {
   auto alice = MakeRuntime("alice");
-  CredentialStore store;
+  obs::MetricsRegistry metrics;
+  CredentialStore store(&metrics);
   Credential cred;
   cred.issuer = "alice";
   cred.key_fingerprint = crypto::KeyFingerprint(alice->keypair().public_key);
@@ -203,7 +204,8 @@ TEST(CredentialStoreTest, PutDeduplicatesByContent) {
 
 TEST(CredentialStoreTest, VerificationIsMemoizedPerHash) {
   auto alice = MakeRuntime("alice");
-  CredentialStore store;
+  obs::MetricsRegistry metrics;
+  CredentialStore store(&metrics);
   Credential cred;
   cred.issuer = "alice";
   cred.key_fingerprint = crypto::KeyFingerprint(alice->keypair().public_key);

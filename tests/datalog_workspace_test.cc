@@ -287,20 +287,22 @@ TEST(TransactionTest, EdbOnlyCommitTakesDeltaPath) {
                       "edge(0,1).")
                   .ok());
   ASSERT_TRUE(ws.Fixpoint().ok());
-  int full_before = ws.full_eval_rounds();
+  const obs::Counter* full_rounds =
+      ws.metrics()->GetCounter("lbtrust_fixpoints_total", "path=\"full\"");
+  const uint64_t full_before = full_rounds->value();
   Transaction txn = ws.Begin();
   txn.AddFact("edge", {Value::Int(1), Value::Int(2)})
       .AddFact("edge", {Value::Int(2), Value::Int(3)});
   ASSERT_TRUE(txn.Commit().ok());
   // The commit fixpoint seeded from deltas instead of rebuilding.
   EXPECT_TRUE(ws.last_fixpoint_incremental());
-  EXPECT_EQ(ws.full_eval_rounds(), full_before);
+  EXPECT_EQ(full_rounds->value(), full_before);
   EXPECT_EQ(*ws.Count("path(0,Y)"), 3u);
   // Rule churn falls back to the full rebuild.
   ASSERT_TRUE(ws.AddRuleText("sym(Y,X) <- edge(X,Y).").ok());
   ASSERT_TRUE(ws.Fixpoint().ok());
   EXPECT_FALSE(ws.last_fixpoint_incremental());
-  EXPECT_EQ(ws.full_eval_rounds(), full_before + 1);
+  EXPECT_EQ(full_rounds->value(), full_before + 1);
 }
 
 TEST(TransactionTest, AbortDiscardsStagedOps) {

@@ -396,6 +396,78 @@ TEST(SimClusterTest, LaterRunRelaysNewFacts) {
   }
 }
 
+/// Checks every field of `node`'s stats() view, transport counters
+/// included, against its series read straight from the node's registry.
+void ExpectStatsAreRegistrySeries(DistributedCluster* node) {
+  obs::MetricsRegistry* reg = node->runtime()->workspace()->metrics();
+  auto series = [reg](const char* name, const char* labels = "") {
+    return static_cast<size_t>(reg->GetCounter(name, labels)->value());
+  };
+  const DistributedCluster::RunStats s = node->stats();
+  EXPECT_EQ(s.fixpoints, series("lbtrust_node_fixpoints_total"));
+  EXPECT_EQ(s.tuples_in, series("lbtrust_node_tuples_in_total"));
+  EXPECT_EQ(s.tuples_out, series("lbtrust_node_tuples_out_total"));
+  EXPECT_EQ(s.credential_imports,
+            series("lbtrust_node_credential_imports_total"));
+  EXPECT_EQ(s.deferred_sends, series("lbtrust_node_deferred_sends_total"));
+  const TransportStats& t = s.transport;
+  const char* out = "direction=\"out\"";
+  const char* in = "direction=\"in\"";
+  EXPECT_EQ(t.bytes_out, series("lbtrust_transport_bytes_total", out));
+  EXPECT_EQ(t.bytes_in, series("lbtrust_transport_bytes_total", in));
+  EXPECT_EQ(t.frames_out, series("lbtrust_transport_frames_total", out));
+  EXPECT_EQ(t.frames_in, series("lbtrust_transport_frames_total", in));
+  EXPECT_EQ(t.data_frames_out,
+            series("lbtrust_transport_data_frames_total", out));
+  EXPECT_EQ(t.data_frames_in,
+            series("lbtrust_transport_data_frames_total", in));
+  EXPECT_EQ(t.tuple_bytes_out,
+            series("lbtrust_transport_tuple_bytes_total", out));
+  EXPECT_EQ(t.tuple_bytes_in,
+            series("lbtrust_transport_tuple_bytes_total", in));
+  EXPECT_EQ(t.credential_bytes_out,
+            series("lbtrust_transport_credential_bytes_total", out));
+  EXPECT_EQ(t.credential_bytes_in,
+            series("lbtrust_transport_credential_bytes_total", in));
+  EXPECT_EQ(t.acks_out, series("lbtrust_transport_acks_total", out));
+  EXPECT_EQ(t.acks_in, series("lbtrust_transport_acks_total", in));
+  EXPECT_EQ(t.retries, series("lbtrust_transport_retries_total"));
+  EXPECT_EQ(t.reconnects, series("lbtrust_transport_reconnects_total"));
+  EXPECT_EQ(t.duplicate_frames_in,
+            series("lbtrust_transport_duplicate_frames_in_total"));
+  EXPECT_EQ(t.oversize_rejects,
+            series("lbtrust_transport_oversize_rejects_total"));
+  EXPECT_EQ(t.deadline_closes,
+            series("lbtrust_transport_deadline_closes_total"));
+}
+
+TEST(SimClusterTest, StatsAreTheRegistrySeriesBetweenRuns) {
+  // No dump in between: the registry is the counters' storage, so it is
+  // current after every run.
+  DistributedCluster::Options opts;
+  opts.nodes = {"a", "b", "c"};
+  opts.runtime.rsa_bits = 512;
+  auto cluster = SimCluster::Create(std::move(opts), /*seed=*/7);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  for (const char* n : kNodes) {
+    ASSERT_TRUE(SetupDelegation(n, (*cluster)->node(n)).ok());
+  }
+  for (int run = 0; run < 2; ++run) {
+    if (run == 1) {
+      ASSERT_TRUE(
+          (*cluster)->node("a")->workspace()->AddFactText("go(3).").ok());
+    }
+    ASSERT_TRUE((*cluster)->RunToConvergence().ok()) << "run " << run;
+    for (const char* n : kNodes) {
+      SCOPED_TRACE(util::StrCat("run ", run, " node ", n));
+      ExpectStatsAreRegistrySeries((*cluster)->member(n));
+    }
+    EXPECT_EQ((*cluster)->member("a")->stats().tuples_out,
+              static_cast<size_t>(2 + run));
+    EXPECT_GT((*cluster)->member("c")->stats().transport.data_frames_in, 0u);
+  }
+}
+
 TEST(SimClusterTest, DelegationSeedSweep) {
   SweepSeeds("delegation", SetupDelegation, /*linked_credential=*/false,
              "rsa", 1000);

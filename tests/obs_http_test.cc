@@ -94,7 +94,7 @@ std::string BodyOf(const std::string& response) {
 class HttpExporterTest : public testing::Test {
  protected:
   void Start(HttpExporter::Options options = HttpExporter::Options()) {
-    exporter_ = std::make_unique<HttpExporter>(nullptr, options);
+    exporter_ = std::make_unique<HttpExporter>(nullptr, &registry_, options);
     exporter_->Handle("/metrics", [] {
       HttpExporter::Response r;
       r.body = "lbtrust_up 1\n";
@@ -104,6 +104,12 @@ class HttpExporterTest : public testing::Test {
     ASSERT_NE(exporter_->listen_port(), 0);
   }
 
+  /// A series of the registry the exporter counts into.
+  uint64_t Count(const char* name, const char* labels = "") {
+    return registry_.GetCounter(name, labels)->value();
+  }
+
+  MetricsRegistry registry_;  ///< declared first: outlives the exporter
   std::unique_ptr<HttpExporter> exporter_;
 };
 
@@ -114,8 +120,8 @@ TEST_F(HttpExporterTest, ServesRegisteredHandler) {
   EXPECT_EQ(StatusLine(response), "HTTP/1.1 200 OK");
   EXPECT_EQ(BodyOf(response), "lbtrust_up 1\n");
   EXPECT_NE(response.find("Connection: close\r\n"), std::string::npos);
-  EXPECT_EQ(exporter_->stats().requests, 1u);
-  EXPECT_EQ(exporter_->stats().responses_ok, 1u);
+  EXPECT_EQ(Count("lbtrust_http_requests_total"), 1u);
+  EXPECT_EQ(Count("lbtrust_http_responses_total", "code=\"200\""), 1u);
 }
 
 TEST_F(HttpExporterTest, QueryStringIsStrippedBeforeMatching) {
@@ -137,7 +143,7 @@ TEST_F(HttpExporterTest, MalformedRequestLinesGet400) {
     std::string response = RoundTrip(exporter_.get(), request);
     EXPECT_EQ(StatusLine(response), "HTTP/1.1 400 Bad Request") << request;
   }
-  EXPECT_EQ(exporter_->stats().responses_error, 4u);
+  EXPECT_EQ(Count("lbtrust_http_responses_total", "code=\"error\""), 4u);
 }
 
 TEST_F(HttpExporterTest, UnknownPathGets404) {
@@ -166,7 +172,7 @@ TEST_F(HttpExporterTest, OversizedHeadersRejectedAtTheCap) {
   std::string response = RoundTrip(exporter_.get(), request);
   EXPECT_EQ(StatusLine(response),
             "HTTP/1.1 431 Request Header Fields Too Large");
-  EXPECT_EQ(exporter_->stats().oversize_rejects, 1u);
+  EXPECT_EQ(Count("lbtrust_http_oversize_rejects_total"), 1u);
   EXPECT_EQ(exporter_->open_connections(), 0u);
 }
 
@@ -177,10 +183,11 @@ TEST_F(HttpExporterTest, SlowLorisClosedByReadDeadline) {
   int fd = DialLocal(exporter_->listen_port());
   ASSERT_GE(fd, 0);
   SendAll(fd, "GET /metr");  // stalls mid-request, forever
-  for (int i = 0; i < 100 && exporter_->stats().deadline_closes == 0; ++i) {
+  for (int i = 0;
+       i < 100 && Count("lbtrust_http_deadline_closes_total") == 0; ++i) {
     exporter_->Poll(5);
   }
-  EXPECT_EQ(exporter_->stats().deadline_closes, 1u);
+  EXPECT_EQ(Count("lbtrust_http_deadline_closes_total"), 1u);
   EXPECT_EQ(exporter_->open_connections(), 0u);
   // The server hung up without writing anything.
   char buf[64];
@@ -200,7 +207,7 @@ TEST_F(HttpExporterTest, ScrapeDuringActiveFixpointStaysParseable) {
   ASSERT_TRUE(ws.Load("path(X,Y) <- edge(X,Y).\n"
                       "path(X,Z) <- path(X,Y), edge(Y,Z).\n")
                   .ok());
-  exporter_ = std::make_unique<HttpExporter>(nullptr);
+  exporter_ = std::make_unique<HttpExporter>(nullptr, &registry_);
   exporter_->Handle("/metrics", [&ws] {
     HttpExporter::Response r;
     r.body = ws.DumpMetrics();
@@ -226,7 +233,7 @@ TEST_F(HttpExporterTest, ScrapeDuringActiveFixpointStaysParseable) {
   });
 
   int next_node = 0;
-  while (exporter_->stats().responses_ok < kScrapes) {
+  while (Count("lbtrust_http_responses_total", "code=\"200\"") < kScrapes) {
     // Grow the edge chain and re-run the fixpoint: the handler renders a
     // different (larger) page on every scrape.
     auto txn = ws.Begin();
@@ -252,21 +259,16 @@ TEST_F(HttpExporterTest, ScrapeDuringActiveFixpointStaysParseable) {
   }
 }
 
-TEST_F(HttpExporterTest, SyncMetricsMirrorsStats) {
+TEST_F(HttpExporterTest, CountsIntoItsRegistry) {
   Start();
   RoundTrip(exporter_.get(), "GET /metrics HTTP/1.1\r\n\r\n");
   RoundTrip(exporter_.get(), "GET /nope HTTP/1.1\r\n\r\n");
-  MetricsRegistry registry;
-  exporter_->SyncMetrics(&registry);
-  EXPECT_EQ(registry.GetCounter("lbtrust_http_requests_total")->value(), 2u);
-  EXPECT_EQ(
-      registry.GetCounter("lbtrust_http_responses_total", "code=\"200\"")
-          ->value(),
-      1u);
-  EXPECT_EQ(
-      registry.GetCounter("lbtrust_http_responses_total", "code=\"error\"")
-          ->value(),
-      1u);
+  EXPECT_EQ(Count("lbtrust_http_requests_total"), 2u);
+  EXPECT_EQ(Count("lbtrust_http_responses_total", "code=\"200\""), 1u);
+  EXPECT_EQ(Count("lbtrust_http_responses_total", "code=\"error\""), 1u);
+  std::string text = registry_.RenderText();
+  EXPECT_NE(text.find("lbtrust_http_requests_total 2\n"), std::string::npos)
+      << text;
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "datalog/workspace.h"
 #include "obs/trace.h"
 #include "trust/trust_runtime.h"
+#include "util/strings.h"
 
 namespace lbtrust {
 namespace {
@@ -104,9 +105,12 @@ TEST(ObsWorkspaceTest, MetricsOffDisablesRegistryAndDump) {
   Workspace::Options opts;
   opts.metrics = false;
   Workspace ws(opts);
-  EXPECT_EQ(ws.metrics(), nullptr);
   ASSERT_TRUE(ws.Load(kClosure).ok());
   ASSERT_TRUE(ws.Fixpoint().ok());
+  // The registry exists (other layers count into it), but the engine
+  // registers no series.
+  ASSERT_NE(ws.metrics(), nullptr);
+  EXPECT_EQ(ws.metrics()->RenderText(), "");
   EXPECT_EQ(ws.DumpMetrics(), "# metrics disabled\n");
   // The off path computes the same fixpoint.
   auto count = ws.Count("path(X,Y)");
@@ -159,7 +163,7 @@ TEST(ObsTrustTest, RuntimeDumpCoversCredentialAndCryptoCounters) {
   auto hash = (*rt)->Issue("grant(bob,file1,read).");
   ASSERT_TRUE(hash.ok());
 
-  std::string page = (*rt)->DumpMetrics();
+  std::string page = (*rt)->workspace()->DumpMetrics();
   EXPECT_TRUE(Contains(page, "lbtrust_credential_store_puts_total 1\n"))
       << page;
   EXPECT_TRUE(Contains(page, "lbtrust_crypto_ops_total{op=\"rsa_sign\"}"))
@@ -168,6 +172,52 @@ TEST(ObsTrustTest, RuntimeDumpCoversCredentialAndCryptoCounters) {
       << page;
   // Engine metrics share the same page (unified registry).
   EXPECT_TRUE(Contains(page, "lbtrust_fixpoints_total")) << page;
+}
+
+TEST(ObsTrustTest, RegistryIsCurrentWithoutADump) {
+  trust::TrustRuntime::Options opts;
+  opts.principal = "alice";
+  opts.rsa_bits = 512;
+  auto rt = trust::TrustRuntime::Create(opts);
+  ASSERT_TRUE(rt.ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        (*rt)->Issue(util::StrCat("grant(bob,file", i, ",read).")).ok());
+  }
+  // The crypto builtins count too: one RSA signature and its check.
+  ASSERT_TRUE((*rt)->Load("signed(S) <- rsaprivkey(me,K), "
+                          "rsasign(\"hello\",S,K).\n"
+                          "checked(S) <- signed(S), rsapubkey(me,K), "
+                          "rsaverify(\"hello\",S,K).")
+                  .ok());
+  ASSERT_TRUE((*rt)->Fixpoint().ok());
+
+  obs::MetricsRegistry* reg = (*rt)->workspace()->metrics();
+  auto series = [reg](const char* name, const char* labels = "") {
+    return static_cast<size_t>(reg->GetCounter(name, labels)->value());
+  };
+  EXPECT_EQ(series("lbtrust_credential_store_puts_total"), 3u);
+  const cred::CredentialStore::Stats cs = (*rt)->credentials()->stats();
+  EXPECT_EQ(cs.puts, series("lbtrust_credential_store_puts_total"));
+  EXPECT_EQ(cs.dedup_hits,
+            series("lbtrust_credential_store_dedup_hits_total"));
+  EXPECT_EQ(cs.rsa_verifies,
+            series("lbtrust_credential_verify_total", "cache=\"miss\""));
+  EXPECT_EQ(cs.verify_cache_hits,
+            series("lbtrust_credential_verify_total", "cache=\"hit\""));
+  EXPECT_EQ(cs.swept, series("lbtrust_credential_store_swept_total"));
+  const trust::CryptoStats crypto = (*rt)->crypto_stats();
+  EXPECT_EQ(crypto.rsa_signs, 1u);
+  EXPECT_EQ(crypto.rsa_verifies, 1u);
+  EXPECT_EQ(crypto.rsa_signs,
+            series("lbtrust_crypto_ops_total", "op=\"rsa_sign\""));
+  EXPECT_EQ(crypto.rsa_verifies,
+            series("lbtrust_crypto_ops_total", "op=\"rsa_verify\""));
+  EXPECT_EQ(crypto.hmac_signs,
+            series("lbtrust_crypto_ops_total", "op=\"hmac_sign\""));
+  EXPECT_EQ(crypto.hmac_verifies,
+            series("lbtrust_crypto_ops_total", "op=\"hmac_verify\""));
+  EXPECT_EQ(crypto.cache_hits, series("lbtrust_crypto_cache_hits_total"));
 }
 
 }  // namespace
