@@ -14,8 +14,7 @@ using util::Status;
 namespace {
 
 constexpr std::string_view kCredMagic = "LBC1";
-constexpr std::string_view kBundleMagic = "LBCB1";
-constexpr std::string_view kBundleMagicV2 = "LBCB2";
+constexpr std::string_view kBundleMagic = "LBCB2";
 
 void AppendField(std::string* out, std::string_view bytes) {
   util::AppendLengthPrefixed(out, bytes);
@@ -134,28 +133,7 @@ Status ReadBundleCount(std::string_view* text, size_t* out,
   return util::OkStatus();
 }
 
-Result<std::vector<Credential>> ParseBundleV1(std::string_view text) {
-  size_t count = 0;
-  LB_RETURN_IF_ERROR(ReadBundleCount(&text, &count, "count"));
-  // Each serialized credential needs at least the magic + 7 "0:" fields.
-  if (count > text.size()) {
-    return util::ParseError("bundle: count exceeds input size");
-  }
-  std::vector<Credential> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    std::string_view field;
-    LB_RETURN_IF_ERROR(ReadField(&text, &field));
-    LB_ASSIGN_OR_RETURN(Credential cred, ParseCredential(field));
-    out.push_back(std::move(cred));
-  }
-  if (!text.empty()) {
-    return util::ParseError("bundle: trailing bytes");
-  }
-  return out;
-}
-
-Result<std::vector<Credential>> ParseBundleV2(std::string_view text) {
+Result<std::vector<Credential>> ParseBundleRecords(std::string_view text) {
   // Records copy dictionary strings, so a few record bytes can reference a
   // large dictionary entry many times; cap the total materialized bytes so
   // a hostile bundle cannot amplify a small input into gigabytes of copies
@@ -252,7 +230,7 @@ Result<std::vector<Credential>> ParseBundleV2(std::string_view text) {
 }  // namespace
 
 std::string SerializeBundle(const std::vector<Credential>& credentials) {
-  // v2: a bundle-level string dictionary. Issuers, key fingerprints, link
+  // A bundle-level string dictionary. Issuers, key fingerprints, link
   // hashes and payloads repeat heavily across a linked credential set (a
   // link IS another member's 64-hex hash), so each distinct string ships
   // once; records then reference dictionary indices. Signatures are unique
@@ -283,7 +261,7 @@ std::string SerializeBundle(const std::vector<Credential>& credentials) {
     append_count(&records, intern(cred.payload));
     AppendField(&records, util::HexEncode(cred.signature));
   }
-  std::string out(kBundleMagicV2);
+  std::string out(kBundleMagic);
   out.append(std::to_string(dict.size()));
   out.push_back(':');
   for (const std::string& entry : dict) AppendField(&out, entry);
@@ -294,13 +272,10 @@ std::string SerializeBundle(const std::vector<Credential>& credentials) {
 }
 
 Result<std::vector<Credential>> ParseBundle(std::string_view text) {
-  if (util::StartsWith(text, kBundleMagicV2)) {
-    return ParseBundleV2(text.substr(kBundleMagicV2.size()));
+  if (!util::StartsWith(text, kBundleMagic)) {
+    return util::ParseError("not a credential bundle (missing LBCB2 magic)");
   }
-  if (util::StartsWith(text, kBundleMagic)) {
-    return ParseBundleV1(text.substr(kBundleMagic.size()));
-  }
-  return util::ParseError("not a credential bundle (missing LBCB magic)");
+  return ParseBundleRecords(text.substr(kBundleMagic.size()));
 }
 
 }  // namespace lbtrust::cred

@@ -40,10 +40,18 @@ namespace lbtrust::cred {
 /// is the 32-byte SHA-256 digest of the canonical bytes.
 ///
 /// A *bundle* ships a root credential together with its transitive link
-/// closure (root first, dependencies after, deduplicated):
+/// closure (root first, dependencies after, deduplicated). Each distinct
+/// issuer, key fingerprint, link hash and payload ships once, in a
+/// dictionary of fields (first-use order); records refer to it by index:
 ///
-///   bundle := "LBCB1" <decimal-count> ':' field*   (one field per
-///                                                   serialized credential)
+///   bundle := "LBCB2" <dict-count> ':' field* <count> ':' record*
+///   record := idx(issuer) idx(key) field(nbf) field(exp)
+///             <link-count> ':' idx(link)* idx(payload) field(sig)
+///   idx    := <decimal dictionary index> ':'
+///
+/// nbf and exp are fields 3 and 4 above; sig is the signature in lowercase
+/// hex. Receivers rebuild each credential's canonical form, so hashes and
+/// signatures do not depend on the container.
 struct Credential {
   std::string issuer;           ///< principal name of the signer
   std::string key_fingerprint;  ///< crypto::KeyFingerprint of signer's key

@@ -34,10 +34,6 @@ bool FillAddr(const std::string& host, uint16_t port, sockaddr_in* addr) {
   return inet_pton(AF_INET, host.c_str(), &addr->sin_addr) == 1;
 }
 
-}  // namespace
-
-namespace {
-
 /// Calls `f(name, labels, handle, value)` for every wire counter: the one
 /// list that names the `lbtrust_transport_*` series.
 template <typename Handles, typename F>

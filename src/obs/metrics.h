@@ -82,9 +82,9 @@ class Histogram {
 /// Name + label-keyed registry of the three instrument kinds, with
 /// Prometheus-style text exposition. Registration (GetCounter / GetGauge /
 /// GetHistogram) takes a mutex and deduplicates on (name, labels), so
-/// callers fetch handles once — at compile/setup time or memoized per
-/// evaluation — and hot paths touch only the returned handle. Handles live
-/// in deques and stay valid for the registry's lifetime.
+/// callers fetch handles once — when they are constructed, or when a rule
+/// is installed — and hot paths touch only the returned handle. Handles
+/// live in deques and stay valid for the registry's lifetime.
 ///
 /// `labels` is a pre-formatted Prometheus label body without braces, e.g.
 /// `rule="3"` or `relation="edge"` (see LabelEscape for values that may

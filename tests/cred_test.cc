@@ -130,6 +130,19 @@ TEST(CredentialTest, MalformedInputsReturnStatus) {
   EXPECT_FALSE(ParseBundle("LBCB2").ok());
   EXPECT_FALSE(ParseBundle("LBCB29999999999:").ok());
   EXPECT_FALSE(ParseBundle("LBCB20:1:0:").ok());  // index into empty dict
+
+  // A well-formed bundle in the retired LBCB1 container is not a bundle.
+  Credential cred;
+  cred.issuer = "alice";
+  cred.key_fingerprint = "0123456789abcdef";
+  cred.payload = "grant(bob,file1,read).";
+  const std::string member = SerializeCredential(cred);
+  ASSERT_TRUE(ParseCredential(member).ok());
+  auto v1 = ParseBundle(util::StrCat("LBCB11:", member.size(), ":", member));
+  ASSERT_FALSE(v1.ok());
+  EXPECT_NE(v1.status().message().find("not a credential bundle"),
+            std::string::npos)
+      << v1.status().ToString();
 }
 
 TEST(CredentialTest, BundleV2RoundTripSharesDictionary) {
@@ -161,25 +174,6 @@ TEST(CredentialTest, BundleV2RoundTripSharesDictionary) {
   size_t fp = bundle.find(base.key_fingerprint);
   ASSERT_NE(fp, std::string::npos);
   EXPECT_EQ(bundle.find(base.key_fingerprint, fp + 1), std::string::npos);
-}
-
-TEST(CredentialTest, LegacyV1BundleStillParses) {
-  auto alice = MakeRuntime("alice");
-  Credential cred;
-  cred.issuer = "alice";
-  cred.key_fingerprint = crypto::KeyFingerprint(alice->keypair().public_key);
-  cred.payload = "grant(bob,file1,read).";
-  ASSERT_TRUE(SignCredential(&cred, alice->keypair().private_key).ok());
-  // Hand-build the v1 container around the (unchanged) credential codec.
-  std::string serialized = SerializeCredential(cred);
-  std::string v1 = "LBCB11:";
-  v1 += std::to_string(serialized.size());
-  v1.push_back(':');
-  v1 += serialized;
-  auto back = ParseBundle(v1);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ASSERT_EQ(back->size(), 1u);
-  EXPECT_EQ(CredentialHash((*back)[0]), CredentialHash(cred));
 }
 
 // --- Store layer ----------------------------------------------------------

@@ -15,7 +15,8 @@
 #              does not exist yet; an existing build dir is reused as-is,
 #              so you can point it at a RelWithDebInfo tree for
 #              apples-to-apples before/after runs)
-#   out-json   defaults to BENCH_PR9.json in the repo root
+#   out-json   defaults to bench_report.json in build-dir; name a
+#              BENCH_PR*.json capture explicitly to replace it
 # Environment:
 #   BENCH_BUILD_TYPE   CMake build type for a fresh build dir (Release)
 #   BENCH_TARGETS      space-separated bench binaries (bench_engine
@@ -26,7 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-bench}"
-OUT="${2:-BENCH_PR9.json}"
+OUT="${2:-${BUILD_DIR}/bench_report.json}"
 TARGETS=(${BENCH_TARGETS:-bench_engine bench_relation bench_dist bench_obs bench_crypto})
 MIN_TIME="${BENCH_MIN_TIME:-0.2}"
 

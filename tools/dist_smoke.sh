@@ -6,12 +6,16 @@
 # transport (SimCluster, bulk-synchronous schedule). Any byte of
 # divergence fails the script.
 #
-# Each node (sim and socket) also dumps its metrics registry
-# (Prometheus text via Workspace::DumpMetrics), and the script reconciles
-# the per-node counters: tuples_out must match the sim run exactly
+# Each node (sim and socket) also dumps its metrics page
+# (DistributedCluster::DumpMetrics). Every counter on it is live: the
+# registry is the counters' only storage. The script reconciles the
+# per-node counters: tuples_out must match the sim run exactly
 # (per-destination dedup makes shipping deterministic), while inbound-side
 # counters may exceed it only by transport-level duplicates, which are
-# themselves counted.
+# themselves counted. It also checks metric-name parity: each socket node
+# registers exactly the series (name plus labels) its sim counterpart does,
+# apart from the HTTP server's lbtrust_http_* (sim nodes serve no HTTP), so
+# a counter one transport registers and the other does not fails the run.
 #
 # Live introspection (ISSUE 9): socket nodes serve HTTP on port+3..port+5
 # and keep serving after convergence until /quitquitquit. The script
@@ -173,6 +177,8 @@ EOF
   #     but counted), never undershoot — and when the transport saw zero
   #     duplicate frames they must be exact too.
   #   - relation cardinality gauges must match exactly.
+  #   - the set of series (name plus labels) must match, lbtrust_http_*
+  #     aside.
   python3 - "${sim}" "${dist}" <<'EOF'
 import sys
 
@@ -214,10 +220,16 @@ for n in "abc":
         if name.startswith("lbtrust_relation_rows{"):
             check(n, name, sim[name] == dist.get(name), sim[name],
                   dist.get(name))
+    sim_series = {s for s in sim if not s.startswith("lbtrust_http_")}
+    dist_series = {s for s in dist if not s.startswith("lbtrust_http_")}
+    check(n, "series parity (sim only, socket only)",
+          sim_series == dist_series, sorted(sim_series - dist_series),
+          sorted(dist_series - sim_series))
 
 sys.exit(1 if failed else 0)
 EOF
-  echo "== dist_smoke: ${scenario}: per-node counters reconcile with sim"
+  echo "== dist_smoke: ${scenario}: per-node counters reconcile with sim," \
+    "same series on 3/3 nodes"
 
   # Cross-node trace correlation: merge the three per-node Chrome traces
   # into one file (pid = node), keyed so a sender's ship flow ('s', id
