@@ -118,8 +118,8 @@ def cell(median, q1, q3):
 
 print(f"perf_ab: {workload}, base {base_sha} vs this checkout, {pairs} "
       f"pairs of {seconds} s runs, seeds {seed0}..{seed0 + pairs - 1}")
-print(f"{'metric':<15} {'unit':<5} {'base median [q1, q3]':<28} "
-      f"{'change median [q1, q3]':<28} {'wins':<7} verdict")
+print(f"{'metric':<15} {'unit':<5} {'base median [q1, q3]':<33} "
+      f"{'change median [q1, q3]':<33} {'wins':<7} verdict")
 need = math.ceil(0.9 * pairs)
 for metric in bench["end_to_end"]:
     name, bound = metric["name"], metric["bound"]
@@ -143,8 +143,8 @@ for metric in bench["end_to_end"]:
         verdict = f"unresolved (base IQR/median {spread:.2f} > {bound})"
     else:
         verdict = "flat"
-    print(f"{name:<15} {metric['unit']:<5} {cell(bmed, bq1, bq3):<28} "
-          f"{cell(cmed, cq1, cq3):<28} {f'{wins}/{pairs}':<7} {verdict}")
+    print(f"{name:<15} {metric['unit']:<5} {cell(bmed, bq1, bq3):<33} "
+          f"{cell(cmed, cq1, cq3):<33} {f'{wins}/{pairs}':<7} {verdict}")
 for side in ("base", "change"):
     attempted = sum(r["attempted"] for r in runs[side])
     failed = sum(r["failed"] for r in runs[side])
