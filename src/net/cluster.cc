@@ -114,9 +114,9 @@ bool SimTransport::Send(const std::string& peer, Frame frame) {
   if (frame.reliable()) {
     frame.seq = ++next_seq_[peer];
     unacked_.emplace(peer, frame.seq);
-    wire_.Queued(frame);
+    wire_->Queued(frame);
   }
-  wire_.Sent(frame.kind);
+  wire_->Sent(frame.kind);
   network_->Enqueue(peer, std::move(frame));
   return true;
 }
@@ -127,7 +127,7 @@ void SimTransport::Broadcast(const Frame& frame) {
 
 Status SimTransport::Receive(const Frame& frame, bool lose_ack,
                              bool repeat) {
-  wire_.Received(frame, repeat);
+  wire_->Received(frame, repeat);
   if (frame.kind == Frame::Kind::kAck) {
     unacked_.erase({frame.from, frame.seq});
     return util::OkStatus();
@@ -139,7 +139,7 @@ Status SimTransport::Receive(const Frame& frame, bool lose_ack,
   ack.kind = Frame::Kind::kAck;
   ack.seq = frame.seq;
   ack.from = self_;
-  wire_.Sent(ack.kind);
+  wire_->Sent(ack.kind);
   network_->Enqueue(frame.from, std::move(ack));
   return util::OkStatus();
 }
@@ -166,9 +166,8 @@ Result<std::unique_ptr<SimCluster>> SimCluster::Create(
       if (peer != name) peers.push_back(peer);
     }
     auto& endpoint = sim->endpoints_[name];
-    endpoint = std::make_unique<SimTransport>(
-        name, std::move(peers), sim.get(),
-        node->runtime()->workspace()->metrics());
+    endpoint = std::make_unique<SimTransport>(name, std::move(peers),
+                                              sim.get(), &node->wire_);
     LB_RETURN_IF_ERROR(node->Attach(mesh, endpoint.get()));
   }
   return sim;

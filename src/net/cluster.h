@@ -55,15 +55,15 @@ class SimCluster;
 /// and stay unacked until the receiver's handler has staged them and its
 /// ack has crossed the network back. Frames leave the endpoint as soon as
 /// they are sent, so send queues are always empty and Send() never refuses
-/// a mesh peer. Counts into its node's registry, as Transport does.
+/// a mesh peer. Counts into its node's wire counters, as Transport does.
 class SimTransport final : public Network {
  public:
   SimTransport(std::string self, std::vector<std::string> peers,
-               SimCluster* network, obs::MetricsRegistry* metrics)
+               SimCluster* network, WireCounters* wire)
       : self_(std::move(self)),
         peers_(std::move(peers)),
         network_(network),
-        wire_(metrics) {}
+        wire_(wire) {}
 
   void set_handler(FrameHandler handler) override {
     handler_ = std::move(handler);
@@ -86,7 +86,7 @@ class SimTransport final : public Network {
   FrameHandler handler_;
   std::map<std::string, uint64_t> next_seq_;
   std::set<std::pair<std::string, uint64_t>> unacked_;  ///< (peer, seq)
-  WireCounters wire_;
+  WireCounters* wire_;
 };
 
 /// An in-process mesh (§3.5): one DistributedCluster per node, each
@@ -184,8 +184,9 @@ class SimCluster {
   std::map<LaneKey, std::deque<InFlight>> lanes_;
   std::string tamper_relation_;
   std::function<void(std::string*)> tamper_;
-  /// Declared before nodes_: the nodes hold pointers to their endpoints,
-  /// and an endpoint's counters live in its node's registry.
+  /// Declared before nodes_, so the nodes, which hold pointers to their
+  /// endpoints, are destroyed first. An endpoint counts into its node's
+  /// wire counters, but only while a run steps it.
   std::map<std::string, std::unique_ptr<SimTransport>> endpoints_;
   std::map<std::string, std::unique_ptr<DistributedCluster>> nodes_;
   int64_t now_ms_ = 0;  ///< virtual time

@@ -92,8 +92,8 @@ Result<std::unique_ptr<DistributedCluster>> DistributedCluster::Create(
                                     opts.runtime.rsa_bits));
     mesh.emplace_back(name, pair.public_key);
   }
-  dc->socket_ = std::make_unique<Transport>(
-      opts.self, opts.transport, dc->runtime_->workspace()->metrics());
+  dc->socket_ =
+      std::make_unique<Transport>(opts.self, opts.transport, &dc->wire_);
   LB_RETURN_IF_ERROR(dc->Attach(mesh, dc->socket_.get()));
   // A (re)connect may have lost our last status/confirm broadcast; resend
   // both so the peer's termination state converges without waiting for the

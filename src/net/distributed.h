@@ -223,6 +223,9 @@ class DistributedCluster {
 
   Options options_;
   std::unique_ptr<trust::TrustRuntime> runtime_;
+  /// The node's wire counters: net_ counts into them, RunStats reads them.
+  /// Declared before socket_, which holds a pointer to them.
+  WireCounters wire_;
   std::unique_ptr<Transport> socket_;  ///< null under SimCluster
   Network* net_ = nullptr;             ///< socket_ or a SimTransport
   /// Declared after socket_: the exporter's fds live on the transport's
@@ -230,7 +233,6 @@ class DistributedCluster {
   std::unique_ptr<obs::HttpExporter> http_;
   int64_t start_ms_ = 0;  ///< construction time (uptime base)
   NodeCounts<obs::Counter*> counters_;
-  WireCounters wire_;  ///< read for RunStats; net_ counts into it
   obs::Gauge* uptime_ = nullptr;
   /// Per-node sequence for trace-correlation ids ("self:wave:seq").
   uint64_t flow_seq_ = 0;

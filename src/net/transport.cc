@@ -113,9 +113,8 @@ TransportStats WireCounters::Read() const {
   return s;
 }
 
-Transport::Transport(std::string self, Options options,
-                     obs::MetricsRegistry* metrics)
-    : self_(std::move(self)), options_(std::move(options)), wire_(metrics) {}
+Transport::Transport(std::string self, Options options, WireCounters* wire)
+    : self_(std::move(self)), options_(std::move(options)), wire_(wire) {}
 
 Transport::~Transport() { Shutdown(); }
 
@@ -274,7 +273,7 @@ void Transport::OnConnectWritable(int fd) {
     conn->connected = true;
     UpdateMask(conn, EPOLLIN);
   }
-  if (peer.ever_connected) wire_.reconnects->Add();
+  if (peer.ever_connected) wire_->reconnects->Add();
   peer.ever_connected = true;
   peer.backoff_ms = options_.reconnect_backoff_min_ms;
   // Handshake: identify ourselves, then mark every retained reliable frame
@@ -283,7 +282,7 @@ void Transport::OnConnectWritable(int fd) {
   hello.kind = Frame::Kind::kHello;
   hello.from = self_;
   conn->out += EncodeFrame(hello);
-  wire_.Sent(hello.kind);
+  wire_->Sent(hello.kind);
   size_t resent = 0;
   peer.pending_bytes = 0;
   for (auto& [seq, entry] : peer.unacked) {
@@ -291,7 +290,7 @@ void Transport::OnConnectWritable(int fd) {
     entry.transmitted = false;
     peer.pending_bytes += entry.bytes.size();
   }
-  wire_.retries->Add(resent);
+  wire_->retries->Add(resent);
   if (on_connect_) on_connect_(conn->peer);
   FlushStaged(&peer);
   FlushConn(fd);
@@ -363,7 +362,7 @@ bool Transport::Send(const std::string& peer_name, Frame frame) {
       return true;
     }
     conn->out += EncodeFrame(frame);
-    wire_.Sent(frame.kind);
+    wire_->Sent(frame.kind);
     return true;
   }
   std::string encoded_probe = EncodeFrame(frame);  // seq 0 sizing probe
@@ -374,7 +373,7 @@ bool Transport::Send(const std::string& peer_name, Frame frame) {
     return false;  // backpressure: caller retries after the next Poll
   }
   frame.seq = peer.next_seq++;
-  wire_.Queued(frame);
+  wire_->Queued(frame);
   Unacked entry;
   entry.bytes = EncodeFrame(frame);
   peer.pending_bytes += entry.bytes.size();
@@ -433,7 +432,7 @@ void Transport::FlushStaged(Peer* peer) {
     if (entry.transmitted) continue;
     entry.transmitted = true;
     conn->out += entry.bytes;
-    wire_.Sent(Frame::Kind::kData);  // every unacked entry is reliable
+    wire_->Sent(Frame::Kind::kData);  // every unacked entry is reliable
   }
   peer->pending_bytes = 0;
 }
@@ -444,7 +443,7 @@ void Transport::FlushConn(int fd) {
   while (!conn->out.empty()) {
     ssize_t n = send(fd, conn->out.data(), conn->out.size(), MSG_NOSIGNAL);
     if (n > 0) {
-      wire_.bytes_out->Add(static_cast<uint64_t>(n));
+      wire_->bytes_out->Add(static_cast<uint64_t>(n));
       conn->out.erase(0, static_cast<size_t>(n));
       continue;
     }
@@ -462,13 +461,13 @@ void Transport::OnConnReadable(int fd) {
   for (;;) {
     ssize_t n = read(fd, chunk, sizeof(chunk));
     if (n > 0) {
-      wire_.bytes_in->Add(static_cast<uint64_t>(n));
+      wire_->bytes_in->Add(static_cast<uint64_t>(n));
       if (!conn->parser->Append(std::string_view(chunk,
                                                  static_cast<size_t>(n)))) {
         // Oversize or malformed header: cut the peer off before any body
         // allocation happened.
         if (conn->parser->error().find("exceeds cap") != std::string::npos) {
-          wire_.oversize_rejects->Add();
+          wire_->oversize_rejects->Add();
         }
         CloseConn(fd, /*schedule_reconnect=*/conn->outbound);
         return;
@@ -515,7 +514,7 @@ util::Status Transport::HandleFrame(int fd, Frame frame) {
   if (conn == nullptr) return util::OkStatus();
   const bool repeat =
       frame.reliable() && !delivered_in_[frame.from].insert(frame.seq).second;
-  wire_.Received(frame, repeat);
+  wire_->Received(frame, repeat);
   switch (frame.kind) {
     case Frame::Kind::kHello:
       conn->peer = frame.from;
@@ -550,7 +549,7 @@ util::Status Transport::HandleFrame(int fd, Frame frame) {
       conn = FindConn(fd);
       if (conn != nullptr) {
         conn->out += EncodeFrame(ack);
-        wire_.Sent(ack.kind);
+        wire_->Sent(ack.kind);
         FlushConn(fd);
       }
       return util::OkStatus();
@@ -599,7 +598,7 @@ void Transport::HousekeepConnections() {
     }
   }
   for (int fd : stalled) {
-    wire_.deadline_closes->Add();
+    wire_->deadline_closes->Add();
     Conn* conn = FindConn(fd);
     CloseConn(fd, /*schedule_reconnect=*/conn != nullptr && conn->outbound);
   }

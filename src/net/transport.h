@@ -42,9 +42,10 @@ struct WireFields {
 /// benches can report wire efficiency (bytes/tuple etc.).
 using TransportStats = WireFields<uint64_t>;
 
-/// The wire counters, resolved in a node's registry. Both transports count
-/// frames through Queued/Sent/Received, so which frame counts as what is
-/// decided once; socket-only counters are added to directly.
+/// The wire counters, resolved once in a node's registry: the node owns the
+/// block and its transport counts into it. Both transports count frames
+/// through Queued/Sent/Received, so which frame counts as what is decided
+/// once; socket-only counters are added to directly.
 struct WireCounters : WireFields<obs::Counter*> {
   explicit WireCounters(obs::MetricsRegistry* metrics);
 
@@ -122,9 +123,8 @@ class Transport final : public Network {
   /// frames were re-queued — the runtime rebroadcasts its protocol status.
   using ConnectHandler = std::function<void(const std::string& peer)>;
 
-  /// Counts into `metrics`, which must outlive the transport.
-  Transport(std::string self, Options options,
-            obs::MetricsRegistry* metrics);
+  /// Counts into `wire`, which must outlive the transport.
+  Transport(std::string self, Options options, WireCounters* wire);
   ~Transport();
 
   Transport(const Transport&) = delete;
@@ -242,7 +242,7 @@ class Transport final : public Network {
   /// detection for stats; duplicates are still delivered to the handler to
   /// exercise end-to-end idempotency).
   std::map<std::string, std::unordered_set<uint64_t>> delivered_in_;
-  WireCounters wire_;
+  WireCounters* wire_;
   util::Status deferred_error_;
   uint64_t reliable_frames_queued_ = 0;  ///< for the forced-drop knob
   std::string drop_pending_peer_;        ///< armed forced drop (knob)

@@ -47,7 +47,7 @@ Frame DataFrame(const std::string& relation, const std::string& payload) {
 struct Endpoint {
   explicit Endpoint(const std::string& name,
                     Transport::Options options = {})
-      : transport(name, options, &metrics) {
+      : transport(name, options, &wire) {
     transport.set_handler([this](const Frame& frame) {
       if (frame.kind == Frame::Kind::kData ||
           frame.kind == Frame::Kind::kCredential) {
@@ -58,10 +58,10 @@ struct Endpoint {
     EXPECT_TRUE(transport.Listen("127.0.0.1", 0).ok());
   }
 
-  /// The transport's counters, read from the registry it counts into.
-  TransportStats stats() { return WireCounters(&metrics).Read(); }
+  TransportStats stats() const { return wire.Read(); }
 
   obs::MetricsRegistry metrics;  ///< declared first: outlives `transport`
+  WireCounters wire{&metrics};   ///< the handles `transport` counts into
   Transport transport;
   std::vector<Frame> received;
 };
