@@ -21,7 +21,8 @@ enum class ExplainFormat { kText, kJson };
 /// derives its index needs from), and — when `measured`, which needs an
 /// instrumented rule (InstrumentRule) — the measured side, read from its
 /// handles: per-rule cumulative evals/derived/probes/eval-time counters
-/// and per-relation probe/hit selectivities. This is the Prepare()-time stats feed cost-based join ordering consumes
+/// and per-relation probe/hit selectivities. This is the Prepare()-time
+/// stats feed cost-based join ordering consumes
 /// (ROADMAP item 5): plan = what the static scheduler chose, selectivity =
 /// what the workload measured, disagreement = reorder opportunity.
 /// `diagnostics` (optional) are this rule's lint findings: the JSON form

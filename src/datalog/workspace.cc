@@ -1008,6 +1008,9 @@ Result<PreparedQuery> Workspace::Prepare(std::string_view atom_text) {
   query.body = {Literal{resolved, false}};
   LB_ASSIGN_OR_RETURN(std::unique_ptr<CompiledRule> compiled,
                       CompileRule(query, builtins_));
+  // PreparedQuery::Explain reads these handles; resolve them once here, as
+  // for an installed rule.
+  if (options_.metrics) InstrumentRule(compiled.get(), metrics_.get());
   return PreparedQuery(this, std::string(atom_text), std::move(compiled));
 }
 
@@ -1016,12 +1019,7 @@ size_t PreparedQuery::num_columns() const {
 }
 
 std::string PreparedQuery::Explain(ExplainFormat format) const {
-  const bool measured = workspace_->options_.metrics;
-  // A query is not an installed rule: resolve its handles on demand.
-  if (measured && compiled_->counters.evals == nullptr) {
-    InstrumentRule(compiled_.get(), workspace_->metrics());
-  }
-  return ExplainCompiledRule(*compiled_, measured, format);
+  return ExplainCompiledRule(*compiled_, workspace_->options_.metrics, format);
 }
 
 Status PreparedQuery::ForEach(const std::function<bool(const Tuple&)>& cb) {
