@@ -10,7 +10,9 @@
 # each side's median and quartiles, how many pairs the change won (ties
 # count for neither), and a verdict:
 #   gain        the change won at least 9/10 of the pairs and its median is
-#               better by more than the base's interquartile range
+#               better by more than the base's interquartile range; void
+#               when the change failed a larger share of its operations
+#               than the base, or had a run that was not correct
 #   regression  the change's median is worse than the base's by more than
 #               the metric's bound (a share of the base median)
 #   unresolved  the base's spread (IQR/median) is wider than the bound, and
@@ -22,7 +24,6 @@
 # Environment:
 #   PERF_AB_WORK  scratch directory (default: a fresh mktemp -d, removed on
 #                 exit); builds there are reused across invocations
-#   PERF_AB_SEED  seed of the first pair (default: from the clock)
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
@@ -41,7 +42,7 @@ REPO="$(cd "$(dirname "$0")/.." && pwd)"
 BASE_SHA="$(git -C "${REPO}" rev-parse --verify "${BASE_REV}^{commit}")"
 SECONDS_PER_RUN="$(python3 -c 'import json, sys
 print(json.load(open(sys.argv[1]))["run_seconds"])' "${REPO}/BENCHMARK.json")"
-SEED0="${PERF_AB_SEED:-$(( $(date +%s) % 100000 ))}"
+SEED0="$(( $(date +%s) % 100000 ))"
 
 if [[ -n "${PERF_AB_WORK:-}" ]]; then
   WORK="${PERF_AB_WORK}"
@@ -116,6 +117,23 @@ def cell(median, q1, q3):
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+# Operations each side attempted and failed, and its runs that were correct.
+tally = {side: (sum(r["attempted"] for r in rs), sum(r["failed"] for r in rs),
+                sum(bool(r["correct"]) for r in rs))
+         for side, rs in runs.items()}
+
+
+def failed_share(side):
+    attempted, failed, _ = tally[side]
+    return failed / attempted if attempted else 0.0
+
+
+gain_void = None
+if failed_share("change") > failed_share("base"):
+    gain_void = "more failures"
+elif tally["change"][2] < pairs:
+    gain_void = "a run not correct"
+
 print(f"perf_ab: {workload}, base {base_sha} vs this checkout, {pairs} "
       f"pairs of {seconds} s runs, seeds {seed0}..{seed0 + pairs - 1}")
 print(f"{'metric':<15} {'unit':<5} {'base median [q1, q3]':<33} "
@@ -136,7 +154,7 @@ for metric in bench["end_to_end"]:
     spread = (bq3 - bq1) / scale if bq3 > bq1 else 0.0
     all_better = all(sign * (c - b) > 0 for c in change for b in base)
     if wins >= need and gain > bq3 - bq1:
-        verdict = "gain"
+        verdict = "gain" if gain_void is None else f"gain void: {gain_void}"
     elif -gain / scale > bound:
         verdict = f"regression (worse by more than {bound})"
     elif spread > bound and not all_better:
@@ -145,10 +163,7 @@ for metric in bench["end_to_end"]:
         verdict = "flat"
     print(f"{name:<15} {metric['unit']:<5} {cell(bmed, bq1, bq3):<33} "
           f"{cell(cmed, cq1, cq3):<33} {f'{wins}/{pairs}':<7} {verdict}")
-for side in ("base", "change"):
-    attempted = sum(r["attempted"] for r in runs[side])
-    failed = sum(r["failed"] for r in runs[side])
-    correct = sum(bool(r["correct"]) for r in runs[side])
+for side, (attempted, failed, correct) in tally.items():
     print(f"{side}: attempted {attempted}, failed {failed}, "
           f"correct {correct}/{pairs} runs")
 EOF
