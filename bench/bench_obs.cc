@@ -1,9 +1,8 @@
-// Observability overhead (ISSUE 7 acceptance): raw instrument update cost
-// (counter add, histogram observe, scoped span) and the end-to-end cost of
-// an instrumented fixpoint vs the same fixpoint with Options::metrics off.
-// The off path must bench within noise of the pre-registry engine, and the
-// on path within a few percent — hot-path updates are a relaxed atomic add
-// and probe tallies are plain context-local uint64_t folded per rule.
+// Observability overhead: raw instrument update cost (counter add,
+// histogram observe, scoped span) and the end-to-end cost of an
+// instrumented fixpoint, alone, traced and with an idle HTTP exporter.
+// The engine always counts: hot-path updates are a relaxed atomic add and
+// probe tallies are plain context-local uint64_t folded per rule.
 #include <benchmark/benchmark.h>
 
 #include "datalog/value.h"
@@ -72,16 +71,12 @@ void BM_RegistryRenderText(benchmark::State& state) {
 BENCHMARK(BM_RegistryRenderText);
 
 // Chain with a back edge, as BM_TransitiveClosureSemiNaive in bench_engine:
-// the canonical fixpoint workload, here parameterized on Options::metrics
-// (arg 1: 0 = off, 1 = on) so the instrumentation overhead is a direct
-// A/B on otherwise identical runs.
+// the canonical fixpoint workload, instrumented as every fixpoint is.
 void BM_FixpointMetrics(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  bool metrics = state.range(1) != 0;
   for (auto _ : state) {
     Workspace::Options opts;
     opts.threads = 1;
-    opts.metrics = metrics;
     Workspace ws(opts);
     (void)ws.Load("path(X,Y) <- edge(X,Y).\n"
                   "path(X,Z) <- path(X,Y), edge(Y,Z).");
@@ -95,14 +90,10 @@ void BM_FixpointMetrics(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * n);
 }
-BENCHMARK(BM_FixpointMetrics)
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({128, 0})
-    ->Args({128, 1});
+BENCHMARK(BM_FixpointMetrics)->Arg(64)->Arg(128);
 
-// Same A/B with the tracer attached on top of metrics: spans are recorded
-// per fixpoint/stratum/rule, so this bounds the full-observability cost.
+// The same fixpoint with the tracer attached: spans are recorded per
+// fixpoint/stratum/rule, so this bounds the full-observability cost.
 void BM_FixpointTraced(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -124,7 +115,7 @@ void BM_FixpointTraced(benchmark::State& state) {
 BENCHMARK(BM_FixpointTraced)->Arg(64)->Arg(128);
 
 // The live-introspection acceptance gate: the same instrumented fixpoint
-// as BM_FixpointMetrics/N/1, but with an HTTP exporter listening (no
+// as BM_FixpointMetrics/N, but with an HTTP exporter listening (no
 // clients connected) and polled once per iteration — exactly the idle
 // per-wave cost DistributedCluster pays for having /metrics attached.
 // Must bench within noise of BM_FixpointMetrics.
@@ -144,7 +135,6 @@ void BM_FixpointWithHttpExporter(benchmark::State& state) {
   for (auto _ : state) {
     Workspace::Options opts;
     opts.threads = 1;
-    opts.metrics = true;
     Workspace ws(opts);
     (void)ws.Load("path(X,Y) <- edge(X,Y).\n"
                   "path(X,Z) <- path(X,Y), edge(Y,Z).");

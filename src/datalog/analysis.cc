@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <set>
 
 #include "datalog/pretty.h"
@@ -44,160 +43,197 @@ Status ValidateInstallableRule(const Rule& rule) {
 
 namespace {
 
-struct Graph {
-  // Adjacency: pred -> (pred, negative?) successors, deduped.
-  std::map<std::string, std::set<std::pair<std::string, bool>>> edges;
-  std::set<std::string> nodes;
-};
-
-// Tarjan SCC over the predicate graph.
+/// Tarjan's SCCs over a CSR adjacency (node v's successors are
+/// succ[first[v] .. first[v+1])), recording the nodes in the order their
+/// components complete: a component completes after every component it
+/// reaches, so that order, reversed, is topological.
 class SccFinder {
  public:
-  explicit SccFinder(const Graph& g) : g_(g) {}
-
-  std::vector<std::vector<std::string>> Run() {
-    for (const std::string& n : g_.nodes) {
-      if (index_.find(n) == index_.end()) Strongconnect(n);
+  SccFinder(const std::vector<int>& first, const std::vector<int>& succ)
+      : first_(first),
+        succ_(succ),
+        index_(first.size() - 1, -1),
+        lowlink_(first.size() - 1, -1),
+        on_stack_(first.size() - 1, 0),
+        scc_of_(first.size() - 1, -1) {
+    for (size_t v = 0; v < scc_of_.size(); ++v) {
+      if (index_[v] < 0) Connect(static_cast<int>(v));
     }
-    return sccs_;
   }
 
-  int SccOf(const std::string& n) const { return scc_of_.at(n); }
+  /// Component id per node.
+  const std::vector<int>& scc_of() const { return scc_of_; }
+  /// Node ids, component by component, in completion order.
+  const std::vector<int>& completed() const { return completed_; }
 
  private:
-  void Strongconnect(const std::string& v) {
-    index_[v] = next_index_;
-    lowlink_[v] = next_index_;
-    ++next_index_;
+  void Connect(int v) {
+    const size_t vi = static_cast<size_t>(v);
+    index_[vi] = lowlink_[vi] = next_index_++;
     stack_.push_back(v);
-    on_stack_.insert(v);
-    auto it = g_.edges.find(v);
-    if (it != g_.edges.end()) {
-      for (const auto& [w, neg] : it->second) {
-        if (index_.find(w) == index_.end()) {
-          Strongconnect(w);
-          lowlink_[v] = std::min(lowlink_[v], lowlink_[w]);
-        } else if (on_stack_.count(w)) {
-          lowlink_[v] = std::min(lowlink_[v], index_[w]);
-        }
+    on_stack_[vi] = 1;
+    for (int k = first_[vi]; k < first_[vi + 1]; ++k) {
+      const int w = succ_[static_cast<size_t>(k)];
+      const size_t wi = static_cast<size_t>(w);
+      if (index_[wi] < 0) {
+        Connect(w);
+        lowlink_[vi] = std::min(lowlink_[vi], lowlink_[wi]);
+      } else if (on_stack_[wi]) {
+        lowlink_[vi] = std::min(lowlink_[vi], index_[wi]);
       }
     }
-    if (lowlink_[v] == index_[v]) {
-      std::vector<std::string> scc;
-      while (true) {
-        std::string w = stack_.back();
-        stack_.pop_back();
-        on_stack_.erase(w);
-        scc_of_[w] = static_cast<int>(sccs_.size());
-        scc.push_back(w);
-        if (w == v) break;
-      }
-      sccs_.push_back(std::move(scc));
+    if (lowlink_[vi] != index_[vi]) return;
+    while (true) {
+      const int w = stack_.back();
+      stack_.pop_back();
+      on_stack_[static_cast<size_t>(w)] = 0;
+      scc_of_[static_cast<size_t>(w)] = next_scc_;
+      completed_.push_back(w);
+      if (w == v) break;
     }
+    ++next_scc_;
   }
 
-  const Graph& g_;
-  std::map<std::string, int> index_;
-  std::map<std::string, int> lowlink_;
-  std::vector<std::string> stack_;
-  std::set<std::string> on_stack_;
-  std::map<std::string, int> scc_of_;
-  std::vector<std::vector<std::string>> sccs_;
+  const std::vector<int>& first_;
+  const std::vector<int>& succ_;
+  std::vector<int> index_, lowlink_;
+  std::vector<char> on_stack_;
+  std::vector<int> scc_of_;
+  std::vector<int> stack_, completed_;
   int next_index_ = 0;
+  int next_scc_ = 0;
 };
 
 }  // namespace
 
+GraphStratification StratifyGraph(size_t num_preds,
+                                  const std::vector<DependencyEdge>& edges) {
+  // CSR adjacency; each node's successors keep the order edges were added.
+  std::vector<int> first(num_preds + 1, 0);
+  for (const DependencyEdge& e : edges) ++first[static_cast<size_t>(e.src) + 1];
+  for (size_t v = 0; v < num_preds; ++v) first[v + 1] += first[v];
+  std::vector<int> succ(edges.size());
+  std::vector<bool> succ_negative(edges.size());
+  {
+    std::vector<int> fill(first.begin(), first.end() - 1);
+    for (const DependencyEdge& e : edges) {
+      const size_t at = static_cast<size_t>(fill[static_cast<size_t>(e.src)]++);
+      succ[at] = e.dst;
+      succ_negative[at] = e.negative;
+    }
+  }
+  SccFinder sccs(first, succ);
+  const std::vector<int>& scc_of = sccs.scc_of();
+
+  // One cycle per distinct negative edge inside a component, closed by a
+  // breadth-first path from its head back to its body predicate.
+  GraphStratification out;
+  std::set<std::pair<int, int>> reported;
+  for (const DependencyEdge& e : edges) {
+    if (!e.negative ||
+        scc_of[static_cast<size_t>(e.src)] !=
+            scc_of[static_cast<size_t>(e.dst)] ||
+        !reported.insert({e.src, e.dst}).second) {
+      continue;
+    }
+    std::vector<int> parent(num_preds, -1);
+    std::deque<int> queue{e.dst};
+    parent[static_cast<size_t>(e.dst)] = e.dst;
+    while (parent[static_cast<size_t>(e.src)] < 0) {
+      const size_t v = static_cast<size_t>(queue.front());
+      queue.pop_front();
+      for (int k = first[v]; k < first[v + 1]; ++k) {
+        const size_t w = static_cast<size_t>(succ[static_cast<size_t>(k)]);
+        if (scc_of[w] != scc_of[v] || parent[w] >= 0) continue;
+        parent[w] = static_cast<int>(v);
+        queue.push_back(static_cast<int>(w));
+      }
+    }
+    NegativeCycle cycle;
+    cycle.rule_index = e.rule_index;
+    for (int v = e.src; v != e.dst; v = parent[static_cast<size_t>(v)]) {
+      cycle.preds.push_back(v);
+    }
+    cycle.preds.push_back(e.dst);
+    cycle.preds.push_back(e.src);
+    std::reverse(cycle.preds.begin(), cycle.preds.end());
+    out.cycles.push_back(std::move(cycle));
+  }
+
+  // level(P) = max over incoming edges of level(Q), +1 if negative. In
+  // topological component order every edge into a component is settled
+  // before the component's own edges are read.
+  std::vector<int> scc_level(num_preds, 0);
+  const std::vector<int>& completed = sccs.completed();
+  for (auto it = completed.rbegin(); it != completed.rend(); ++it) {
+    const size_t v = static_cast<size_t>(*it);
+    const size_t from = static_cast<size_t>(scc_of[v]);
+    for (int k = first[v]; k < first[v + 1]; ++k) {
+      const size_t to = static_cast<size_t>(
+          scc_of[static_cast<size_t>(succ[static_cast<size_t>(k)])]);
+      if (to == from) continue;
+      scc_level[to] = std::max(
+          scc_level[to],
+          scc_level[from] + (succ_negative[static_cast<size_t>(k)] ? 1 : 0));
+    }
+  }
+  out.level.resize(num_preds);
+  for (size_t v = 0; v < num_preds; ++v) {
+    out.level[v] = scc_level[static_cast<size_t>(scc_of[v])];
+  }
+  return out;
+}
+
+std::string CycleText(const NegativeCycle& cycle,
+                      const std::function<const std::string&(int)>& name) {
+  std::string out =
+      util::StrCat(name(cycle.preds[0]), " -!-> ", name(cycle.preds[1]));
+  for (size_t i = 2; i < cycle.preds.size(); ++i) {
+    out += util::StrCat(" -> ", name(cycle.preds[i]));
+  }
+  return out;
+}
+
 Result<Stratification> Stratify(const std::vector<const Rule*>& rules,
                                 const BuiltinRegistry& builtins) {
-  Graph g;
-  for (const Rule* rule : rules) {
-    const std::string& head = rule->heads[0].predicate;
-    g.nodes.insert(head);
-    for (const Literal& lit : rule->body) {
-      const std::string& pred = lit.atom.predicate;
-      if (builtins.Find(pred) != nullptr) continue;
-      bool negative = lit.negated || rule->aggregate.has_value();
-      g.nodes.insert(pred);
-      g.edges[pred].insert({head, negative});
+  std::vector<std::string> names;
+  std::unordered_map<std::string, int> ids;
+  auto id_of = [&](const std::string& pred) {
+    auto [it, fresh] = ids.try_emplace(pred, static_cast<int>(names.size()));
+    if (fresh) names.push_back(pred);
+    return it->second;
+  };
+  std::vector<DependencyEdge> edges;
+  for (size_t i = 0; i < rules.size(); ++i) {
+    const Rule& rule = *rules[i];
+    const int head = id_of(rule.heads[0].predicate);
+    for (const Literal& lit : rule.body) {
+      if (builtins.Find(lit.atom.predicate) != nullptr) continue;
+      edges.push_back({id_of(lit.atom.predicate), head,
+                       lit.negated || rule.aggregate.has_value(),
+                       static_cast<int>(i)});
     }
   }
 
-  SccFinder finder(g);
-  std::vector<std::vector<std::string>> sccs = finder.Run();
-
-  // Reject negative edges inside an SCC (negation/aggregation through
-  // recursion), spelling out the offending cycle as a predicate path:
-  // the negative edge, then a BFS inside the SCC closing dst back to src.
-  for (const auto& [src, succs] : g.edges) {
-    for (const auto& [dst, neg] : succs) {
-      if (neg && finder.SccOf(src) == finder.SccOf(dst)) {
-        const int scc = finder.SccOf(src);
-        std::map<std::string, std::string> parent;
-        std::deque<std::string> queue{dst};
-        parent[dst] = dst;
-        while (!queue.empty() && parent.find(src) == parent.end()) {
-          std::string v = queue.front();
-          queue.pop_front();
-          auto it = g.edges.find(v);
-          if (it == g.edges.end()) continue;
-          for (const auto& [w, unused] : it->second) {
-            (void)unused;
-            if (finder.SccOf(w) != scc || parent.count(w)) continue;
-            parent[w] = v;
-            queue.push_back(w);
-          }
-        }
-        std::string cycle = util::StrCat(src, " -!-> ", dst);
-        if (parent.count(src) && src != dst) {
-          std::vector<std::string> path;
-          for (std::string v = src; v != dst; v = parent[v]) {
-            path.push_back(v);
-          }
-          for (auto it2 = path.rbegin(); it2 != path.rend(); ++it2) {
-            cycle += util::StrCat(" -> ", *it2);
-          }
-        }
-        return util::NotStratifiable(util::StrCat(
-            "negation or aggregation through recursion between '", src,
-            "' and '", dst, "' (cycle: ", cycle, ")"));
-      }
-    }
-  }
-
-  // level(P) = max over incoming edges of level(Q) (+1 if negative),
-  // computed by a small fixpoint over the edges (the graph has one node
-  // per predicate; convergence is immediate in practice).
-  std::vector<int> scc_level(sccs.size(), 0);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& [src, succs] : g.edges) {
-      int src_scc = finder.SccOf(src);
-      for (const auto& [dst, neg] : succs) {
-        int dst_scc = finder.SccOf(dst);
-        if (src_scc == dst_scc) continue;
-        int want = scc_level[src_scc] + (neg ? 1 : 0);
-        if (scc_level[dst_scc] < want) {
-          scc_level[dst_scc] = want;
-          changed = true;
-        }
-      }
-    }
+  GraphStratification graph = StratifyGraph(names.size(), edges);
+  if (!graph.cycles.empty()) {
+    const NegativeCycle& cycle = graph.cycles.front();
+    auto name = [&](int id) -> const std::string& {
+      return names[static_cast<size_t>(id)];
+    };
+    return util::NotStratifiable(util::StrCat(
+        "negation or aggregation through recursion between '",
+        name(cycle.preds[0]), "' and '", name(cycle.preds[1]),
+        "' (cycle: ", CycleText(cycle, name), ")"));
   }
 
   Stratification out;
   int max_level = 0;
-  for (size_t i = 0; i < sccs.size(); ++i) {
-    max_level = std::max(max_level, scc_level[i]);
-  }
+  for (int level : graph.level) max_level = std::max(max_level, level);
   out.strata.resize(static_cast<size_t>(max_level) + 1);
-  // Deterministic order: reverse Tarjan emission = topological order.
-  for (size_t i = sccs.size(); i-- > 0;) {
-    for (const std::string& pred : sccs[i]) {
-      out.level[pred] = scc_level[i];
-      out.strata[static_cast<size_t>(scc_level[i])].push_back(pred);
-    }
+  for (size_t id = 0; id < names.size(); ++id) {
+    out.level[names[id]] = graph.level[id];
+    out.strata[static_cast<size_t>(graph.level[id])].push_back(names[id]);
   }
   return out;
 }

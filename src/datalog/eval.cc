@@ -169,14 +169,12 @@ void InstrumentRule(CompiledRule* rule, obs::MetricsRegistry* metrics) {
 
 Evaluator::Evaluator(const BuiltinRegistry* builtins, RelationStore* store,
                      ProvenanceStore* provenance, unsigned threads,
-                     EvalWorkerPoolHandle* shared_pool,
-                     const EvalCounters* counters, obs::Tracer* tracer)
+                     EvalWorkerPoolHandle* shared_pool, obs::Tracer* tracer)
     : builtins_(builtins),
       store_(store),
       provenance_(provenance),
       pool_(store->pool()),
       threads_(threads == 0 ? 1 : threads),
-      counters_(counters),
       tracer_(tracer),
       workers_slot_(shared_pool != nullptr ? shared_pool : &owned_workers_) {}
 
@@ -982,7 +980,6 @@ void Evaluator::FoldRuleMetrics(const CompiledRule* rule, uint64_t derived,
                                 const uint64_t* probe_tally,
                                 const uint64_t* hit_tally,
                                 uint64_t elapsed_us) {
-  if (counters_ == nullptr) return;
   const CompiledRule::Counters& rc = rule->counters;
   uint64_t probes_total = 0;
   for (size_t bi = 0; bi < rule->body.size(); ++bi) {
@@ -1001,7 +998,6 @@ void Evaluator::FoldRuleMetrics(const CompiledRule* rule, uint64_t derived,
 
 void Evaluator::FoldChunkMetrics(const CompiledRule* rule, uint64_t derived,
                                  size_t chunk_begin, size_t chunk_end) {
-  if (counters_ == nullptr) return;
   tally_probes_.assign(rule->body.size(), 0);
   tally_hits_.assign(rule->body.size(), 0);
   uint64_t eval_us = 0;
@@ -1018,7 +1014,6 @@ void Evaluator::FoldChunkMetrics(const CompiledRule* rule, uint64_t derived,
 }
 
 void Evaluator::RecordRoundDelta(const std::map<std::string, Relation>& delta) {
-  if (counters_ == nullptr) return;
   counters_->rounds->Add(1);
   uint64_t rows = 0;
   for (const auto& [pred, rel] : delta) rows += rel.size();
@@ -1036,18 +1031,11 @@ Status Evaluator::RunRuleInto(CompiledRule* rule, int pos,
     return util::TypeError(
         util::StrCat("arity mismatch inserting into '", rule->head_pred, "'"));
   }
-  uint64_t* probe_tally = nullptr;
-  uint64_t* hit_tally = nullptr;
-  if (counters_ != nullptr) {
-    tally_probes_.assign(rule->body.size(), 0);
-    tally_hits_.assign(rule->body.size(), 0);
-    probe_tally = tally_probes_.data();
-    hit_tally = tally_hits_.data();
-  }
+  tally_probes_.assign(rule->body.size(), 0);
+  tally_hits_.assign(rule->body.size(), 0);
   const size_t tuples_before = *total_tuples;
   obs::ScopedSpan span(tracer_, "rule");
-  const uint64_t eval_start_us =
-      counters_ != nullptr ? obs::Tracer::NowMicros() : 0;
+  const uint64_t eval_start_us = obs::Tracer::NowMicros();
   Relation* dnext = nullptr;
   Relation* snext = nullptr;
   Status result = EvalRuleOnce(
@@ -1091,11 +1079,11 @@ Status Evaluator::RunRuleInto(CompiledRule* rule, int pos,
     }
     return util::OkStatus();
       },
-      probe_tally, hit_tally);
+      tally_probes_.data(), tally_hits_.data());
   const uint64_t derived =
       static_cast<uint64_t>(*total_tuples - tuples_before);
-  if (result.ok() && counters_ != nullptr) {
-    FoldRuleMetrics(rule, derived, probe_tally, hit_tally,
+  if (result.ok()) {
+    FoldRuleMetrics(rule, derived, tally_probes_.data(), tally_hits_.data(),
                     obs::Tracer::NowMicros() - eval_start_us);
   }
   if (span.enabled()) {
@@ -1164,14 +1152,12 @@ Status Evaluator::EvalRuleChunk(CompiledRule* rule, int pos,
   ctx.first_restricted = restricted;
   ctx.first_begin = begin;
   ctx.first_end = end;
-  if (counters_ != nullptr) {
-    // Chunk-local tallies ride the emit buffer; the sequential merge sums
-    // them, so concurrent workers never touch a shared counter.
-    buf->probes.assign(rule->body.size(), 0);
-    buf->hits.assign(rule->body.size(), 0);
-    ctx.probe_tally = buf->probes.data();
-    ctx.hit_tally = buf->hits.data();
-  }
+  // Chunk-local tallies ride the emit buffer; the sequential merge sums
+  // them, so concurrent workers never touch a shared counter.
+  buf->probes.assign(rule->body.size(), 0);
+  buf->hits.assign(rule->body.size(), 0);
+  ctx.probe_tally = buf->probes.data();
+  ctx.hit_tally = buf->hits.data();
   const size_t arity = rule->head_cols.size();
   IdTuple out(arity);
   size_t budget_check_at = limits.max_tuples + 1;
@@ -1211,7 +1197,6 @@ Status Evaluator::EvalRuleChunk(CompiledRule* rule, int pos,
     }
     return util::OkStatus();
   };
-  if (counters_ == nullptr) return Step(&ctx, 0);
   const uint64_t start_us = obs::Tracer::NowMicros();
   Status result = Step(&ctx, 0);
   buf->eval_us = obs::Tracer::NowMicros() - start_us;
@@ -1478,7 +1463,7 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
       // single-thread replay for the whole segment.
       if (plan.dnext->shard_count() != nshards ||
           (plan.snext != nullptr && plan.snext->shard_count() != nshards)) {
-        if (counters_ != nullptr) counters_->merge_sequential->Add(1);
+        counters_->merge_sequential->Add(1);
         for (size_t si = lo; si < hi; ++si) {
           LB_RETURN_IF_ERROR(merge_task_sequential(si));
         }
@@ -1591,18 +1576,16 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
             ",\"derived\":", task_derived));
       }
     }
-    if (counters_ != nullptr) {
-      counters_->merge_parallel->Add(1);
-      for (size_t s = 0; s < nshards; ++s) {
-        if (shard_rows[s] > 0 && s < counters_->merge_shard_rows.size()) {
-          counters_->merge_shard_rows[s]->Add(shard_rows[s]);
-        }
+    counters_->merge_parallel->Add(1);
+    for (size_t s = 0; s < nshards; ++s) {
+      if (shard_rows[s] > 0 && s < counters_->merge_shard_rows.size()) {
+        counters_->merge_shard_rows[s]->Add(shard_rows[s]);
       }
-      counters_->merge_latency->Observe(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - merge_start)
-              .count()));
     }
+    counters_->merge_latency->Observe(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - merge_start)
+            .count()));
     return util::OkStatus();
   };
   bool any_parallel = false;
@@ -1637,7 +1620,7 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
       any_parallel = true;
       merge_status = merge_segment_parallel(ti, seg_end, nshards);
     } else {
-      if (counters_ != nullptr) counters_->merge_sequential->Add(1);
+      counters_->merge_sequential->Add(1);
       for (size_t si = ti; si < seg_end && merge_status.ok(); ++si) {
         merge_status = merge_task_sequential(si);
       }
@@ -1667,7 +1650,10 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
 
 Status Evaluator::Run(const std::vector<CompiledRule*>& rules,
                       const Stratification& strat, const Limits& limits,
+                      const EvalCounters& counters,
+                      std::optional<std::map<std::string, Relation>> seed,
                       bool naive) {
+  counters_ = &counters;
   size_t total_tuples = 0;
 
   for (size_t level = 0; level < strat.strata.size(); ++level) {
@@ -1682,30 +1668,51 @@ Status Evaluator::Run(const std::vector<CompiledRule*>& rules,
     if (stratum_rules.empty()) continue;
     obs::ScopedSpan stratum_span(tracer_, "stratum");
 
-    // Delta per in-stratum predicate.
-    std::map<std::string, Relation> delta;
     auto in_stratum = [&](const std::string& pred) {
       auto it = strat.level.find(pred);
       return it != strat.level.end() &&
              it->second == static_cast<int>(level);
     };
 
-    // Round 0: naive evaluation of every rule in the stratum. The naive
-    // ablation stays on the classic sequential path throughout.
+    // Everything a delta run's stratum derives, for the round 0 of the
+    // strata above it. A full run evaluates those strata in full instead.
+    std::map<std::string, Relation> stratum_new;
+    std::map<std::string, Relation>* stratum_out =
+        seed.has_value() ? &stratum_new : nullptr;
+
+    // Round 0. A full run evaluates every rule of the stratum in full; the
+    // naive ablation stays on the classic sequential path throughout. A
+    // delta run drives every rule once per changed body relation (the
+    // seed plus the lower strata's output so far). Non-delta positions
+    // read the full (already extended) store, so combinations of several
+    // changed relations are covered; set semantics dedups the overlap.
+    // Rules with no changed body relation are skipped — their
+    // consequences are already in the store. Aggregate rules never take
+    // the delta path (Workspace::DeltaFixpointEligible rebuilds when a
+    // delta can feed an aggregate).
+    std::map<std::string, Relation> delta;
     if (naive) {
       for (CompiledRule* r : stratum_rules) {
-        LB_RETURN_IF_ERROR(
-            RunRuleInto(r, -1, nullptr, limits, &total_tuples, &delta,
-                        /*stratum_new=*/nullptr));
+        LB_RETURN_IF_ERROR(RunRuleInto(r, -1, nullptr, limits, &total_tuples,
+                                       &delta, /*stratum_new=*/nullptr));
       }
     } else {
       std::vector<RoundTask> tasks;
-      tasks.reserve(stratum_rules.size());
       for (CompiledRule* r : stratum_rules) {
-        tasks.push_back(RoundTask{r, -1, nullptr});
+        if (!seed.has_value()) {
+          tasks.push_back(RoundTask{r, -1, nullptr});
+          continue;
+        }
+        if (r->agg.has_value()) continue;
+        for (int pos : r->relation_positions) {
+          const std::string& pred = r->body[static_cast<size_t>(pos)].pred;
+          auto sit = seed->find(pred);
+          if (sit == seed->end() || sit->second.empty()) continue;
+          tasks.push_back(RoundTask{r, pos, &sit->second});
+        }
       }
-      LB_RETURN_IF_ERROR(RunRound(tasks, limits, &total_tuples, &delta,
-                                  /*stratum_new=*/nullptr));
+      LB_RETURN_IF_ERROR(
+          RunRound(tasks, limits, &total_tuples, &delta, stratum_out));
     }
     RecordRoundDelta(delta);
 
@@ -1744,109 +1751,22 @@ Status Evaluator::Run(const std::vector<CompiledRule*>& rules,
           }
         }
         LB_RETURN_IF_ERROR(RunRound(tasks, limits, &total_tuples, &next_delta,
-                                    /*stratum_new=*/nullptr));
+                                    stratum_out));
       }
       RecordRoundDelta(next_delta);
       delta = std::move(next_delta);
     }
     if (stratum_span.enabled()) {
-      stratum_span.set_args(util::StrCat("\"level\":", level,
-                                         ",\"rules\":", stratum_rules.size(),
-                                         ",\"rounds\":", rounds));
-    }
-  }
-  return util::OkStatus();
-}
-
-Status Evaluator::RunIncremental(const std::vector<CompiledRule*>& rules,
-                                 const Stratification& strat,
-                                 const Limits& limits,
-                                 std::map<std::string, Relation> seed) {
-  size_t total_tuples = 0;
-  // Predicates changed so far: the EDB seed plus everything derived by
-  // lower strata during this call. Entries drive the round-0 delta joins
-  // of each stratum exactly once.
-  std::map<std::string, Relation>& accumulated = seed;
-
-  for (size_t level = 0; level < strat.strata.size(); ++level) {
-    std::vector<CompiledRule*> stratum_rules;
-    for (CompiledRule* r : rules) {
-      auto it = strat.level.find(r->head_pred);
-      if (it != strat.level.end() &&
-          it->second == static_cast<int>(level)) {
-        stratum_rules.push_back(r);
-      }
-    }
-    if (stratum_rules.empty()) continue;
-
-    auto in_stratum = [&](const std::string& pred) {
-      auto it = strat.level.find(pred);
-      return it != strat.level.end() &&
-             it->second == static_cast<int>(level);
-    };
-    obs::ScopedSpan stratum_span(tracer_, "stratum");
-
-    // Everything this stratum derives, for the benefit of higher strata.
-    std::map<std::string, Relation> stratum_new;
-
-    // Round 0: drive every rule once per changed body relation. Non-delta
-    // positions read the full (already extended) store, so combinations of
-    // several changed relations are covered; set semantics dedups the
-    // overlap. Rules with no changed body relation are skipped — their
-    // consequences are already in the store. Aggregate rules never reach
-    // this path (Workspace::DeltaFixpointEligible falls back to a full
-    // rebuild when a delta can feed an aggregate).
-    std::map<std::string, Relation> delta;
-    {
-      std::vector<RoundTask> tasks;
-      for (CompiledRule* r : stratum_rules) {
-        if (r->agg.has_value()) continue;
-        for (int pos : r->relation_positions) {
-          const std::string& pred = r->body[static_cast<size_t>(pos)].pred;
-          auto ait = accumulated.find(pred);
-          if (ait == accumulated.end() || ait->second.empty()) continue;
-          tasks.push_back(RoundTask{r, pos, &ait->second});
-        }
-      }
-      LB_RETURN_IF_ERROR(
-          RunRound(tasks, limits, &total_tuples, &delta, &stratum_new));
-    }
-    RecordRoundDelta(delta);
-
-    // In-stratum recursion: identical to Run()'s semi-naive rounds.
-    size_t rounds = 0;
-    while (!delta.empty()) {
-      if (++rounds > limits.max_rounds) {
-        return util::Internal("fixpoint exceeded round budget");
-      }
-      std::map<std::string, Relation> next_delta;
-      std::vector<RoundTask> tasks;
-      for (CompiledRule* r : stratum_rules) {
-        if (r->agg.has_value()) continue;
-        for (int pos : r->relation_positions) {
-          const std::string& pred = r->body[static_cast<size_t>(pos)].pred;
-          if (!in_stratum(pred)) continue;
-          auto dit = delta.find(pred);
-          if (dit == delta.end() || dit->second.empty()) continue;
-          tasks.push_back(RoundTask{r, pos, &dit->second});
-        }
-      }
-      LB_RETURN_IF_ERROR(RunRound(tasks, limits, &total_tuples, &next_delta,
-                                  &stratum_new));
-      RecordRoundDelta(next_delta);
-      delta = std::move(next_delta);
-    }
-    if (stratum_span.enabled()) {
-      stratum_span.set_args(util::StrCat("\"level\":", level,
-                                         ",\"rules\":", stratum_rules.size(),
-                                         ",\"rounds\":", rounds,
-                                         ",\"incremental\":true"));
+      stratum_span.set_args(util::StrCat(
+          "\"level\":", level, ",\"rules\":", stratum_rules.size(),
+          ",\"rounds\":", rounds,
+          seed.has_value() ? ",\"incremental\":true" : ""));
     }
 
     // Stratum-new rows are disjoint from the rows already accumulated (they
     // were new in the full store, which contains everything accumulated).
     for (auto& [pred, rel] : stratum_new) {
-      auto [it, fresh] = accumulated.try_emplace(pred, rel.arity(), pool_);
+      auto [it, fresh] = seed->try_emplace(pred, rel.arity(), pool_);
       (void)fresh;
       for (uint32_t id : rel.Rows()) {
         it->second.AppendUnchecked(rel.RowIds(id));

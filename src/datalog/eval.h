@@ -249,34 +249,35 @@ class Evaluator {
   /// for its own lifetime. Either way the pool is created lazily, sized
   /// to the largest parallel round actually seen, and never spawns more
   /// than `threads - 1` workers.
-  /// `counters` (nullable) turns instrumentation on: rounds, deltas and
-  /// merges count there, each rule's probes, hits and tuples derived into
-  /// its own handles. `tracer` (nullable) receives per-stratum and
-  /// per-rule spans. A null pointer keeps every hot path at one branch.
+  /// `tracer` (nullable) receives per-stratum and per-rule spans.
   Evaluator(const BuiltinRegistry* builtins, RelationStore* store,
             ProvenanceStore* provenance = nullptr, unsigned threads = 1,
             EvalWorkerPoolHandle* shared_pool = nullptr,
-            const EvalCounters* counters = nullptr,
             obs::Tracer* tracer = nullptr);
   ~Evaluator();
 
-  /// Runs all rules to fixpoint. The store must already be seeded with EDB
-  /// facts (including facts of derived predicates). `naive` disables the
-  /// semi-naive delta optimization (for the ablation benchmark).
+  /// Runs all rules to fixpoint, counting rounds, deltas and merges into
+  /// `counters` and each rule's probes, hits and tuples derived into its
+  /// own handles.
+  ///
+  /// Without a `seed` this is a full run: the store must already hold the
+  /// EDB facts (including facts of derived predicates), and round 0
+  /// evaluates every rule in full. `naive` disables the semi-naive delta
+  /// optimization of a full run (for the ablation benchmark).
+  ///
+  /// With a `seed` (newly inserted EDB tuples, already present in the
+  /// store) this is a delta run: the store must hold a complete fixpoint
+  /// of the rules minus those tuples, and round 0 joins each rule against
+  /// the changes so far, so the store gains every additional consequence.
+  /// Sound only for additive change sets that cannot reach a negated or
+  /// aggregated body literal — the caller (Workspace::Fixpoint) checks
+  /// eligibility.
   util::Status Run(const std::vector<CompiledRule*>& rules,
                    const Stratification& strat, const Limits& limits,
+                   const EvalCounters& counters,
+                   std::optional<std::map<std::string, Relation>> seed =
+                       std::nullopt,
                    bool naive = false);
-
-  /// Incremental (delta-seeded) counterpart of Run(): assumes the store
-  /// already holds a complete fixpoint of the rules minus the tuples in
-  /// `seed` (newly inserted EDB tuples, already present in the store), and
-  /// extends the store with every additional consequence. Sound only for
-  /// additive change sets that cannot reach a negated or aggregated body
-  /// literal — the caller (Workspace::Fixpoint) checks eligibility.
-  util::Status RunIncremental(const std::vector<CompiledRule*>& rules,
-                              const Stratification& strat,
-                              const Limits& limits,
-                              std::map<std::string, Relation> seed);
 
   /// Evaluates a body-only query (constraint checks, Workspace::Query),
   /// invoking `cb` once per solution with the rule's bindings.
@@ -326,8 +327,8 @@ class Evaluator {
   struct EmitBuffer {
     std::vector<ValueId> rows;
     std::vector<uint64_t> hashes;
-    /// Chunk-local probe tallies (sized to the rule's body when metrics
-    /// are on); summed by the merge so workers never share counters.
+    /// Chunk-local probe tallies, sized to the rule's body; summed by the
+    /// merge so workers never share counters.
     std::vector<uint64_t> probes;
     std::vector<uint64_t> hits;
     /// Wall time this chunk's evaluation took on its worker; summed at
@@ -357,14 +358,14 @@ class Evaluator {
 
   /// `emit` receives the head row as rule->head_cols.size() interned ids
   /// (valid only for the duration of the call). `probe_tally`/`hit_tally`
-  /// (nullable) are per-body-literal arrays the evaluation accumulates
-  /// probe statistics into.
+  /// are per-body-literal arrays the evaluation accumulates probe
+  /// statistics into.
   util::Status EvalRuleOnce(
       CompiledRule* rule, int delta_pos, Relation* delta_rel,
       const std::function<util::Status(const ValueId*)>& emit,
-      uint64_t* probe_tally = nullptr, uint64_t* hit_tally = nullptr);
+      uint64_t* probe_tally, uint64_t* hit_tally);
 
-  /// Shared rule-evaluation driver for Run/RunIncremental: resolves the
+  /// Shared rule-evaluation step of every round of Run(): resolves the
   /// head relation once (not per emitted tuple), evaluates the rule
   /// (delta-seeded when pos >= 0), inserts every emission into the full
   /// store — recording provenance when enabled — and appends tuples that
@@ -397,7 +398,6 @@ class Evaluator {
   /// Folds one rule evaluation's plain tallies into the rule's counters:
   /// per-relation probes/hits (selectivity feed), per-rule totals, and
   /// `elapsed_us` of evaluation wall time (the EXPLAIN cost column).
-  /// No-op when metrics are off.
   void FoldRuleMetrics(const CompiledRule* rule, uint64_t derived,
                        const uint64_t* probe_tally, const uint64_t* hit_tally,
                        uint64_t elapsed_us);
@@ -413,7 +413,8 @@ class Evaluator {
   ProvenanceStore* provenance_;
   ValuePool* pool_;
   unsigned threads_;
-  const EvalCounters* counters_;
+  /// The counters Run() was handed, for the duration of the run.
+  const EvalCounters* counters_ = nullptr;
   obs::Tracer* tracer_;
   /// Sequential-path tally scratch (RunRuleInto), reused across calls.
   std::vector<uint64_t> tally_probes_;

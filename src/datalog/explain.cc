@@ -71,7 +71,7 @@ std::string Ratio(uint64_t hits, uint64_t probes) {
   return buf;
 }
 
-std::string RenderText(const CompiledRule& rule, bool measured,
+std::string RenderText(const CompiledRule& rule,
                        const std::vector<Diagnostic>* diagnostics) {
   std::string out = util::StrCat("rule ", rule.id, " [head=", rule.head_pred,
                                  rule.parallel_safe ? ", parallel-safe" : "",
@@ -92,18 +92,14 @@ std::string RenderText(const CompiledRule& rule, bool measured,
     for (int bi : order) out += util::StrCat(" ", bi);
     out.push_back('\n');
   }
-  if (!measured) {
-    out += "  measured: (metrics disabled)\n";
-  } else {
-    const CompiledRule::Counters& c = rule.counters;
-    out += util::StrCat("  measured: evals=", c.evals->value(), " derived=",
-                        c.derived->value(), " probes=", c.probes->value(),
-                        " eval_us=", c.eval_us->value(), "\n");
-    for (const CompiledLiteral* lit : MeasuredLiterals(rule)) {
-      const uint64_t probes = lit->probes->value(), hits = lit->hits->value();
-      out += util::StrCat("    ", lit->pred, ": probes=", probes, " hits=",
-                          hits, " selectivity=", Ratio(hits, probes), "\n");
-    }
+  const CompiledRule::Counters& c = rule.counters;
+  out += util::StrCat("  measured: evals=", c.evals->value(), " derived=",
+                      c.derived->value(), " probes=", c.probes->value(),
+                      " eval_us=", c.eval_us->value(), "\n");
+  for (const CompiledLiteral* lit : MeasuredLiterals(rule)) {
+    const uint64_t probes = lit->probes->value(), hits = lit->hits->value();
+    out += util::StrCat("    ", lit->pred, ": probes=", probes, " hits=",
+                        hits, " selectivity=", Ratio(hits, probes), "\n");
   }
   if (diagnostics != nullptr && !diagnostics->empty()) {
     out += "  diagnostics:\n";
@@ -115,7 +111,7 @@ std::string RenderText(const CompiledRule& rule, bool measured,
   return out;
 }
 
-std::string RenderJson(const CompiledRule& rule, bool measured,
+std::string RenderJson(const CompiledRule& rule,
                        const std::vector<Diagnostic>* diagnostics) {
   std::string out = util::StrCat("{\"rule\":", rule.id, ",\"head\":\"",
                                  obs::LabelEscape(rule.head_pred),
@@ -145,24 +141,22 @@ std::string RenderJson(const CompiledRule& rule, bool measured,
     out += "]}";
   }
   out += "]";
-  if (measured) {
-    const CompiledRule::Counters& c = rule.counters;
-    out += util::StrCat(",\"measured\":{\"evals\":", c.evals->value(),
-                        ",\"derived\":", c.derived->value(),
-                        ",\"probes\":", c.probes->value(),
-                        ",\"eval_us\":", c.eval_us->value(),
-                        ",\"selectivity\":[");
-    first = true;
-    for (const CompiledLiteral* lit : MeasuredLiterals(rule)) {
-      if (!first) out.push_back(',');
-      first = false;
-      const uint64_t probes = lit->probes->value(), hits = lit->hits->value();
-      out += util::StrCat("{\"relation\":\"", obs::LabelEscape(lit->pred),
-                          "\",\"probes\":", probes, ",\"hits\":", hits,
-                          ",\"ratio\":", Ratio(hits, probes), "}");
-    }
-    out += "]}";
+  const CompiledRule::Counters& c = rule.counters;
+  out += util::StrCat(",\"measured\":{\"evals\":", c.evals->value(),
+                      ",\"derived\":", c.derived->value(),
+                      ",\"probes\":", c.probes->value(),
+                      ",\"eval_us\":", c.eval_us->value(),
+                      ",\"selectivity\":[");
+  first = true;
+  for (const CompiledLiteral* lit : MeasuredLiterals(rule)) {
+    if (!first) out.push_back(',');
+    first = false;
+    const uint64_t probes = lit->probes->value(), hits = lit->hits->value();
+    out += util::StrCat("{\"relation\":\"", obs::LabelEscape(lit->pred),
+                        "\",\"probes\":", probes, ",\"hits\":", hits,
+                        ",\"ratio\":", Ratio(hits, probes), "}");
   }
+  out += "]}";
   out += ",\"diagnostics\":[";
   if (diagnostics != nullptr) {
     first = true;
@@ -178,17 +172,14 @@ std::string RenderJson(const CompiledRule& rule, bool measured,
 
 }  // namespace
 
-std::string ExplainCompiledRule(const CompiledRule& rule, bool measured,
-                                ExplainFormat format,
+std::string ExplainCompiledRule(const CompiledRule& rule, ExplainFormat format,
                                 const std::vector<Diagnostic>* diagnostics) {
-  return format == ExplainFormat::kJson
-             ? RenderJson(rule, measured, diagnostics)
-             : RenderText(rule, measured, diagnostics);
+  return format == ExplainFormat::kJson ? RenderJson(rule, diagnostics)
+                                        : RenderText(rule, diagnostics);
 }
 
 std::string ExplainCompiledRules(
-    const std::vector<const CompiledRule*>& rules, bool measured,
-    ExplainFormat format,
+    const std::vector<const CompiledRule*>& rules, ExplainFormat format,
     const std::vector<std::vector<Diagnostic>>* diagnostics) {
   auto rule_diags = [&](size_t i) -> const std::vector<Diagnostic>* {
     if (diagnostics == nullptr || i >= diagnostics->size()) return nullptr;
@@ -198,7 +189,7 @@ std::string ExplainCompiledRules(
     std::string out;
     for (size_t i = 0; i < rules.size(); ++i) {
       if (rules[i] == nullptr) continue;
-      out += RenderText(*rules[i], measured, rule_diags(i));
+      out += RenderText(*rules[i], rule_diags(i));
     }
     return out;
   }
@@ -208,7 +199,7 @@ std::string ExplainCompiledRules(
     if (rules[i] == nullptr) continue;
     if (!first) out.push_back(',');
     first = false;
-    out += RenderJson(*rules[i], measured, rule_diags(i));
+    out += RenderJson(*rules[i], rule_diags(i));
   }
   out += "]}";
   return out;

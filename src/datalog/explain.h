@@ -18,10 +18,10 @@ enum class ExplainFormat { kText, kJson };
 /// probe mask at every scheduled position (RulePlan's ground-column mask:
 /// a column counts as bound iff it is a constant or every variable in it
 /// was bound by an earlier literal — the masks the parallel evaluator
-/// derives its index needs from), and — when `measured`, which needs an
-/// instrumented rule (InstrumentRule) — the measured side, read from its
-/// handles: per-rule cumulative evals/derived/probes/eval-time counters
-/// and per-relation probe/hit selectivities. This is the Prepare()-time
+/// derives its index needs from), and the measured side, read from the
+/// handles InstrumentRule resolved: per-rule cumulative
+/// evals/derived/probes/eval-time counters and per-relation probe/hit
+/// selectivities. This is the Prepare()-time
 /// stats feed cost-based join ordering consumes
 /// (ROADMAP item 5): plan = what the static scheduler chose, selectivity =
 /// what the workload measured, disagreement = reorder opportunity.
@@ -29,8 +29,7 @@ enum class ExplainFormat { kText, kJson };
 /// always carries a `"diagnostics"` array (empty when null/none) so
 /// consumers can rely on the shape; text prints a `diagnostics:` section
 /// only when non-empty.
-std::string ExplainCompiledRule(const CompiledRule& rule, bool measured,
-                                ExplainFormat format,
+std::string ExplainCompiledRule(const CompiledRule& rule, ExplainFormat format,
                                 const std::vector<Diagnostic>* diagnostics =
                                     nullptr);
 
@@ -38,8 +37,7 @@ std::string ExplainCompiledRule(const CompiledRule& rule, bool measured,
 /// `diagnostics`, when non-null, is aligned with `rules` (per-rule lint
 /// findings; shorter is fine — missing entries render empty).
 std::string ExplainCompiledRules(
-    const std::vector<const CompiledRule*>& rules, bool measured,
-    ExplainFormat format,
+    const std::vector<const CompiledRule*>& rules, ExplainFormat format,
     const std::vector<std::vector<Diagnostic>>* diagnostics = nullptr);
 
 }  // namespace lbtrust::datalog

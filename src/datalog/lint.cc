@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
-#include <set>
 #include <utility>
 
+#include "datalog/analysis.h"
 #include "datalog/parser.h"
 #include "datalog/plan.h"
 #include "datalog/pretty.h"
@@ -86,16 +86,10 @@ struct AtomId {
   bool meta = false;
 };
 
-/// A head<-body dependency edge in the stratification graph.
-struct DepEdge {
-  int src, dst;
-  bool negative;
-  int rule_index;
-};
-
 /// Reusable whole-run storage. A run fills these and leaves the capacity
 /// behind for the next run on the same thread, so the program-level passes
-/// perform no per-run pool allocations (each rule's plan still allocates).
+/// perform few per-run pool allocations (each rule's plan and the
+/// stratification graph still allocate).
 struct LintArena {
   std::vector<const Rule*> rules;
   std::vector<const Constraint*> constraints;
@@ -104,13 +98,10 @@ struct LintArena {
   std::vector<uint32_t> rule_ids_first;
 
   // Graph-pass scratch. Each pass re-initializes exactly what it uses, so
-  // Reset() leaves these alone; the two vector-of-vectors never shrink,
-  // keeping their inner capacity too.
+  // Reset() leaves these alone; drift_masks never shrinks, keeping its
+  // inner capacity too.
   std::vector<char> is_edb;                           ///< per rule index
-  std::vector<DepEdge> strat_edges;
-  std::vector<std::vector<std::pair<int, bool>>> strat_adj;
-  std::vector<int> scc_of, tarjan_index, tarjan_lowlink, tarjan_stack;
-  std::vector<char> tarjan_on_stack;
+  std::vector<DependencyEdge> strat_edges;
   std::vector<std::vector<uint16_t>> drift_masks;     ///< per pred id
   std::vector<char> roots, reachable;                 ///< per pred id
 
@@ -453,12 +444,11 @@ class Linter {
     }
   }
 
-  // L010: negation/aggregation through recursion, reported as the full
-  // predicate cycle instead of analysis.cc's bare edge. All graph state is
-  // keyed by interned predicate id — flat vectors, no string maps.
+  // L010: negation/aggregation through recursion, one diagnostic per
+  // negative cycle StratifyGraph finds (Stratify rejects on the first).
   void CheckStratification() {
-    std::vector<DepEdge>& edge_list = arena_.strat_edges;
-    edge_list.clear();
+    std::vector<DependencyEdge>& edges = arena_.strat_edges;
+    edges.clear();
     for (size_t i = 0; i < rules_.size(); ++i) {
       const Rule& rule = *rules_[i];
       if (rule.IsFact() || rule.heads.size() != 1) continue;
@@ -471,128 +461,20 @@ class Linter {
           continue;
         }
         bool negative = rule.body[b].negated || rule.aggregate.has_value();
-        edge_list.push_back({pid, head, negative, static_cast<int>(i)});
+        edges.push_back({pid, head, negative, static_cast<int>(i)});
       }
     }
-    if (edge_list.empty()) return;
-
-    const size_t n = preds_.size();
-    auto& edges = arena_.strat_adj;
-    if (edges.size() < n) edges.resize(n);
-    for (size_t i = 0; i < n; ++i) edges[i].clear();
-    for (const DepEdge& e : edge_list) {
-      auto& succs = edges[static_cast<size_t>(e.src)];
-      bool dup = false;
-      for (auto& [dst, neg] : succs) {
-        if (dst == e.dst) {
-          neg = neg || e.negative;  // any negative occurrence taints the edge
-          dup = true;
-        }
-      }
-      if (!dup) succs.push_back({e.dst, e.negative});
-    }
-
-    // Tarjan SCC (iterative not needed: programs are small and the
-    // engine's own Stratify recurses the same way).
-    auto& scc_of = arena_.scc_of;
-    auto& index = arena_.tarjan_index;
-    auto& lowlink = arena_.tarjan_lowlink;
-    scc_of.assign(n, -1);
-    index.assign(n, -1);
-    lowlink.assign(n, -1);
-    {
-      auto& stack = arena_.tarjan_stack;
-      auto& on_stack = arena_.tarjan_on_stack;
-      stack.clear();
-      on_stack.assign(n, 0);
-      int next_index = 0, next_scc = 0;
-      auto connect = [&](auto&& self, int v) -> void {
-        index[v] = lowlink[v] = next_index++;
-        stack.push_back(v);
-        on_stack[static_cast<size_t>(v)] = 1;
-        for (const auto& [w, neg] : edges[static_cast<size_t>(v)]) {
-          (void)neg;
-          if (index[w] < 0) {
-            self(self, w);
-            lowlink[v] = std::min(lowlink[v], lowlink[w]);
-          } else if (on_stack[static_cast<size_t>(w)]) {
-            lowlink[v] = std::min(lowlink[v], index[w]);
-          }
-        }
-        if (lowlink[v] == index[v]) {
-          while (true) {
-            int w = stack.back();
-            stack.pop_back();
-            on_stack[static_cast<size_t>(w)] = 0;
-            scc_of[static_cast<size_t>(w)] = next_scc;
-            if (w == v) break;
-          }
-          ++next_scc;
-        }
-      };
-      for (size_t v = 0; v < n; ++v) {
-        if (!edges[v].empty() && index[v] < 0) {
-          connect(connect, static_cast<int>(v));
-        }
-      }
-    }
-
-    std::set<std::pair<int, int>> reported;
-    for (const DepEdge& e : edge_list) {
-      if (!e.negative) continue;
-      if (scc_of[static_cast<size_t>(e.src)] < 0 ||
-          scc_of[static_cast<size_t>(e.src)] !=
-              scc_of[static_cast<size_t>(e.dst)]) {
-        continue;
-      }
-      if (!reported.insert({e.src, e.dst}).second) continue;
-      // BFS dst -> src inside the SCC closes the cycle.
-      std::vector<int> path = FindPath(edges, scc_of, e.dst, e.src);
-      std::string cycle = util::StrCat(PredName(e.src), " -!-> ",
-                                       PredName(e.dst));
-      for (size_t p = 1; p < path.size(); ++p) {
-        cycle += util::StrCat(" -> ", PredName(path[p]));
-      }
-      Emit(LintSeverity::kError, "L010", e.rule_index,
-           rules_[static_cast<size_t>(e.rule_index)], PredName(e.src), "",
-           -1,
+    if (edges.empty()) return;
+    const GraphStratification graph = StratifyGraph(preds_.size(), edges);
+    auto name = [this](int id) -> const std::string& { return PredName(id); };
+    for (const NegativeCycle& cycle : graph.cycles) {
+      Emit(LintSeverity::kError, "L010", cycle.rule_index,
+           rules_[static_cast<size_t>(cycle.rule_index)],
+           PredName(cycle.preds[0]), "", -1,
            util::StrCat("not stratifiable: negation or aggregation "
                         "through the recursive cycle ",
-                        cycle));
+                        CycleText(cycle, name)));
     }
-  }
-
-  static std::vector<int> FindPath(
-      const std::vector<std::vector<std::pair<int, bool>>>& edges,
-      const std::vector<int>& scc_of, int from, int to) {
-    std::vector<int> parent(edges.size(), -1);
-    std::deque<int> queue{from};
-    parent[static_cast<size_t>(from)] = from;
-    int scc = scc_of[static_cast<size_t>(from)];
-    while (!queue.empty()) {
-      int v = queue.front();
-      queue.pop_front();
-      if (v == to) break;
-      for (const auto& [w, neg] : edges[static_cast<size_t>(v)]) {
-        (void)neg;
-        if (scc_of[static_cast<size_t>(w)] != scc ||
-            parent[static_cast<size_t>(w)] >= 0) {
-          continue;
-        }
-        parent[static_cast<size_t>(w)] = v;
-        queue.push_back(w);
-      }
-    }
-    std::vector<int> path;
-    if (parent[static_cast<size_t>(to)] < 0) {
-      return {from};  // self-loop (from == to handled)
-    }
-    for (int v = to; v != from; v = parent[static_cast<size_t>(v)]) {
-      path.push_back(v);
-    }
-    path.push_back(from);
-    std::reverse(path.begin(), path.end());
-    return path;
   }
 
   // L031: a body constant of a kind no producer of that column can emit.

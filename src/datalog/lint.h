@@ -19,8 +19,8 @@ namespace lbtrust::datalog {
 /// PlanRule — the same plan CompileRule lowers — so a lint error there is
 /// exactly a CompileRule rejection, reported as a structured diagnostic
 /// (the offending variable, predicate and schedule position) instead of
-/// the engine's bare status string. L010 still runs its own SCC pass over
-/// the predicate graph rather than sharing Stratify's.
+/// the engine's bare status string. L010 reports the negative cycles of
+/// StratifyGraph, the routine Stratify rejects programs with.
 ///
 /// Diagnostic codes:
 ///   L000  program does not parse                              (error)

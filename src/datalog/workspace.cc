@@ -48,20 +48,16 @@ Workspace::Workspace(Options options)
   // the better layout).
   store_.set_default_shards(
       ResolveShards(options_.shards, options_.threads));
-  if (options_.metrics) {
-    eval_counters_ = std::make_unique<EvalCounters>(metrics_.get(),
-                                                    store_.default_shards());
-    fixpoints_full_ =
-        metrics_->GetCounter("lbtrust_fixpoints_total", "path=\"full\"");
-    fixpoints_delta_ =
-        metrics_->GetCounter("lbtrust_fixpoints_total", "path=\"delta\"");
-    fixpoint_latency_us_ =
-        metrics_->GetHistogram("lbtrust_fixpoint_latency_microseconds");
-    commit_latency_us_ =
-        metrics_->GetHistogram("lbtrust_commit_latency_microseconds");
-    query_latency_us_ =
-        metrics_->GetHistogram("lbtrust_query_latency_microseconds");
-  }
+  eval_counters_ = std::make_unique<EvalCounters>(metrics_.get(),
+                                                  store_.default_shards());
+  fixpoints_full_ =
+      metrics_->GetCounter("lbtrust_fixpoints_total", "path=\"full\"");
+  fixpoints_delta_ =
+      metrics_->GetCounter("lbtrust_fixpoints_total", "path=\"delta\"");
+  fixpoint_latency_us_ =
+      metrics_->GetHistogram("lbtrust_fixpoint_latency_microseconds");
+  commit_latency_us_ =
+      metrics_->GetHistogram("lbtrust_commit_latency_microseconds");
   RegisterStandardBuiltins(&builtins_);
   // Meta relations maintained by the workspace itself.
   (void)EnsurePredicate("active", 1);
@@ -274,9 +270,7 @@ Status Workspace::InstallResolved(Rule rule, const std::string& owner,
 
   auto installed = std::make_unique<InstalledRule>();
   LB_ASSIGN_OR_RETURN(installed->compiled, CompileRule(rule, builtins_));
-  if (options_.metrics) {
-    InstrumentRule(installed->compiled.get(), metrics_.get());
-  }
+  InstrumentRule(installed->compiled.get(), metrics_.get());
   installed->rule = std::move(rule);
   installed->canon = canon;
   installed->owner = owner;
@@ -681,29 +675,20 @@ Result<const Stratification*> Workspace::CurrentStratification() {
   return strat_cache_.get();
 }
 
-Status Workspace::RunRules() {
+Status Workspace::RunRules(
+    std::optional<std::map<std::string, Relation>> seed) {
   std::vector<CompiledRule*> compiled;
   compiled.reserve(rules_.size());
   for (const auto& r : rules_) compiled.push_back(r->compiled.get());
   LB_ASSIGN_OR_RETURN(const Stratification* strat, CurrentStratification());
+  // Provenance and the naive ablation rule the delta path out (see
+  // DeltaTrackingEnabled), so they only ever reach full runs.
   Evaluator evaluator(&builtins_, &store_,
                       options_.track_provenance ? &provenance_ : nullptr,
                       ResolveThreads(options_.threads), &worker_pool_,
-                      eval_counters_.get(), tracer_);
-  return evaluator.Run(compiled, *strat, options_.limits,
-                       options_.naive_eval);
-}
-
-Status Workspace::RunRulesDelta(std::map<std::string, Relation> seed) {
-  std::vector<CompiledRule*> compiled;
-  compiled.reserve(rules_.size());
-  for (const auto& r : rules_) compiled.push_back(r->compiled.get());
-  LB_ASSIGN_OR_RETURN(const Stratification* strat, CurrentStratification());
-  Evaluator evaluator(&builtins_, &store_, /*provenance=*/nullptr,
-                      ResolveThreads(options_.threads), &worker_pool_,
-                      eval_counters_.get(), tracer_);
-  return evaluator.RunIncremental(compiled, *strat, options_.limits,
-                                  std::move(seed));
+                      tracer_);
+  return evaluator.Run(compiled, *strat, options_.limits, *eval_counters_,
+                       std::move(seed), options_.naive_eval);
 }
 
 bool Workspace::DeltaFixpointEligible() const {
@@ -838,12 +823,9 @@ void Workspace::CheckConstraints() {
 
 Status Workspace::Fixpoint() {
   obs::ScopedSpan span(tracer_, "fixpoint");
-  const uint64_t start_us =
-      options_.metrics ? obs::Tracer::NowMicros() : 0;
+  const uint64_t start_us = obs::Tracer::NowMicros();
   Status status = FixpointImpl();
-  if (options_.metrics) {
-    fixpoint_latency_us_->Observe(obs::Tracer::NowMicros() - start_us);
-  }
+  fixpoint_latency_us_->Observe(obs::Tracer::NowMicros() - start_us);
   if (span.enabled()) {
     span.set_args(util::StrCat(
         "\"path\":\"", last_fixpoint_incremental_ ? "delta" : "full",
@@ -865,7 +847,7 @@ Status Workspace::FixpointImpl() {
       // empty delta set means the store is already the fixpoint and rule
       // evaluation is skipped outright.
       last_fixpoint_incremental_ = true;
-      if (options_.metrics) fixpoints_delta_->Add();
+      fixpoints_delta_->Add();
       std::map<std::string, Relation> seed;
       for (auto& [pred, rel] : edb_delta_) {
         Relation* dst = store_.GetOrCreate(pred, rel.arity());
@@ -881,13 +863,13 @@ Status Workspace::FixpointImpl() {
       edb_delta_.clear();
       if (!seed.empty()) {
         store_valid_ = false;  // invalid while mid-extension
-        LB_RETURN_IF_ERROR(RunRulesDelta(std::move(seed)));
+        LB_RETURN_IF_ERROR(RunRules(std::move(seed)));
         store_valid_ = true;
       }
     } else {
       // Full rebuild: clear the store and recompute from the EDB.
       last_fixpoint_incremental_ = false;
-      if (options_.metrics) fixpoints_full_->Add();
+      fixpoints_full_->Add();
       store_valid_ = false;
       edb_delta_.clear();
       LB_RETURN_IF_ERROR(PrepareStore());
@@ -898,12 +880,10 @@ Status Workspace::FixpointImpl() {
     }
     LB_ASSIGN_OR_RETURN(int installed, ScanAndInstallActive());
     if (installed == 0) {
-      if (options_.check_constraints) {
-        CheckConstraints();
-        if (!violations_.empty()) {
-          return util::ConstraintViolation(util::StrCat(
-              violations_.size(), " violation(s); first: ", violations_[0]));
-        }
+      CheckConstraints();
+      if (!violations_.empty()) {
+        return util::ConstraintViolation(util::StrCat(
+            violations_.size(), " violation(s); first: ", violations_[0]));
       }
       return util::OkStatus();
     }
@@ -913,7 +893,6 @@ Status Workspace::FixpointImpl() {
 }
 
 std::string Workspace::DumpMetrics() {
-  if (!options_.metrics) return "# metrics disabled\n";
   // Refresh point-in-time gauges from the visible store before rendering;
   // counters and histograms are already live.
   for (const auto& [name, rel] : store_.relations()) {
@@ -978,8 +957,7 @@ std::string Workspace::ExplainRules(ExplainFormat format) {
       }
     }
   }
-  return ExplainCompiledRules(compiled, options_.metrics, format,
-                              &diagnostics);
+  return ExplainCompiledRules(compiled, format, &diagnostics);
 }
 
 std::vector<std::pair<std::string, size_t>> Workspace::RelationRowCounts()
@@ -1010,7 +988,7 @@ Result<PreparedQuery> Workspace::Prepare(std::string_view atom_text) {
                       CompileRule(query, builtins_));
   // PreparedQuery::Explain reads these handles; resolve them once here, as
   // for an installed rule.
-  if (options_.metrics) InstrumentRule(compiled.get(), metrics_.get());
+  InstrumentRule(compiled.get(), metrics_.get());
   return PreparedQuery(this, std::string(atom_text), std::move(compiled));
 }
 
@@ -1019,17 +997,14 @@ size_t PreparedQuery::num_columns() const {
 }
 
 std::string PreparedQuery::Explain(ExplainFormat format) const {
-  return ExplainCompiledRule(*compiled_, workspace_->options_.metrics, format);
+  return ExplainCompiledRule(*compiled_, format);
 }
 
 Status PreparedQuery::ForEach(const std::function<bool(const Tuple&)>& cb) {
-  obs::Histogram* latency = workspace_->query_latency_us_;
-  const uint64_t start_us =
-      latency != nullptr ? obs::Tracer::NowMicros() : 0;
   CompiledRule* rule = compiled_.get();
   Evaluator evaluator(&workspace_->builtins_, &workspace_->store_);
   Tuple row;
-  Status status = evaluator.EvalQueryUntil(rule, [&](const Bindings& b) {
+  return evaluator.EvalQueryUntil(rule, [&](const Bindings& b) {
     row.clear();
     row.reserve(rule->head_cols.size());
     for (const CompiledArg& col : rule->head_cols) {
@@ -1039,10 +1014,6 @@ Status PreparedQuery::ForEach(const std::function<bool(const Tuple&)>& cb) {
     }
     return cb(row);
   });
-  if (latency != nullptr) {
-    latency->Observe(obs::Tracer::NowMicros() - start_us);
-  }
-  return status;
 }
 
 Result<std::vector<Tuple>> PreparedQuery::Run() {
@@ -1067,9 +1038,6 @@ Result<bool> PreparedQuery::Exists() {
   // Dedicated path: no output-tuple materialization. The groundability
   // check mirrors ForEach (a solution whose output columns cannot ground
   // is not a result row), but discards the values.
-  obs::Histogram* latency = workspace_->query_latency_us_;
-  const uint64_t start_us =
-      latency != nullptr ? obs::Tracer::NowMicros() : 0;
   CompiledRule* rule = compiled_.get();
   Evaluator evaluator(&workspace_->builtins_, &workspace_->store_);
   bool found = false;
@@ -1080,9 +1048,6 @@ Result<bool> PreparedQuery::Exists() {
     found = true;
     return false;  // stop at the first match
   }));
-  if (latency != nullptr) {
-    latency->Observe(obs::Tracer::NowMicros() - start_us);
-  }
   return found;
 }
 
@@ -1228,14 +1193,11 @@ void Transaction::Abort() {
 }
 
 Status Transaction::Commit() {
-  obs::Histogram* latency = workspace_->commit_latency_us_;
-  const uint64_t start_us =
-      latency != nullptr ? obs::Tracer::NowMicros() : 0;
+  const uint64_t start_us = obs::Tracer::NowMicros();
   Status status = Apply();
   if (status.ok()) status = workspace_->Fixpoint();
-  if (latency != nullptr) {
-    latency->Observe(obs::Tracer::NowMicros() - start_us);
-  }
+  workspace_->commit_latency_us_->Observe(obs::Tracer::NowMicros() -
+                                          start_us);
   return status;
 }
 

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -221,18 +222,11 @@ class Workspace {
     /// the store from scratch, as the seed engine did) — ablation and
     /// escape hatch.
     bool delta_fixpoint = true;
-    /// If false, constraints are compiled but not checked (ablation).
-    bool check_constraints = true;
     /// Record a derivation witness per derived tuple (§7's provenance
     /// extension); query via Explain(). Off by default (memory cost).
     /// Disables the delta-aware fixpoint path (witnesses are rebuilt
     /// per full evaluation).
     bool track_provenance = false;
-    /// Instrument evaluation, commits and prepared queries, and render
-    /// DumpMetrics() and EXPLAIN's measurements. When false every engine
-    /// instrumentation site collapses to one branch, and DumpMetrics() and
-    /// EXPLAIN report metrics as disabled. The registry exists either way.
-    bool metrics = true;
     /// Static analysis at program ingress (Load/LoadAs and
     /// Transaction::AddProgram). kWarn (default) lints every routed
     /// program and collects the report in last_lint() without changing
@@ -375,13 +369,12 @@ class Workspace {
 
   /// Prometheus-style text exposition of every registered metric, with
   /// per-relation row-count gauges refreshed from the current store.
-  /// Returns a "# metrics disabled" stub when Options::metrics is false.
   std::string DumpMetrics();
 
   /// EXPLAIN over every installed rule (install order; hidden constraint
   /// aux rules included — they execute like any other rule): compiled
-  /// literal schedules, static probe masks, and measured selectivities
-  /// when metrics are on. Served at /explainz by the HTTP exporter.
+  /// literal schedules, static probe masks, and measured selectivities.
+  /// Served at /explainz by the HTTP exporter.
   std::string ExplainRules(ExplainFormat format = ExplainFormat::kText);
 
   /// Lints the installed rule set (visible rules + constraints) against
@@ -448,8 +441,11 @@ class Workspace {
   util::Status DeclareAtomPredicate(const Atom& atom);
   util::Status PrepareStore();
   util::Status FixpointImpl();
-  util::Status RunRules();
-  util::Status RunRulesDelta(std::map<std::string, Relation> seed);
+  /// Runs the installed rules to fixpoint: a full run without `seed`, a
+  /// delta run extending the store from `seed` otherwise (see
+  /// Evaluator::Run).
+  util::Status RunRules(
+      std::optional<std::map<std::string, Relation>> seed = std::nullopt);
   util::Result<int> ScanAndInstallActive();
   void CheckConstraints();
 
@@ -505,8 +501,8 @@ class Workspace {
   bool edb_removed_ = false;   ///< a fact retraction since last run
   bool last_fixpoint_incremental_ = false;
 
-  /// Observability. The handle pointers below are registry-owned and null
-  /// iff Options::metrics is false.
+  /// Observability. The handles below are registry-owned, resolved once
+  /// at construction.
   std::unique_ptr<obs::MetricsRegistry> metrics_ =
       std::make_unique<obs::MetricsRegistry>();
   std::unique_ptr<EvalCounters> eval_counters_;
@@ -515,7 +511,6 @@ class Workspace {
   obs::Counter* fixpoints_delta_ = nullptr;
   obs::Histogram* fixpoint_latency_us_ = nullptr;
   obs::Histogram* commit_latency_us_ = nullptr;
-  obs::Histogram* query_latency_us_ = nullptr;
 };
 
 }  // namespace lbtrust::datalog

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "crypto/crc32.h"
@@ -39,7 +40,8 @@ std::string MessageBytes(const Value& v) {
 
 struct Caches {
   std::map<std::pair<std::string, std::string>, std::string> rsa_sign;
-  std::map<std::string, bool> rsa_verify;  // key: msg|sig|handle
+  std::map<std::tuple<std::string, std::string, std::string>, bool>
+      rsa_verify;  // key: (msg, sig, handle)
   std::map<std::pair<std::string, std::string>, std::string> hmac_sign;
 };
 
@@ -103,10 +105,9 @@ CryptoCounters RegisterCryptoBuiltins(datalog::Workspace* ws,
         std::string msg = MessageBytes(*args[0]);
         std::string sig_hex = MessageBytes(*args[1]);
         std::string handle = MessageBytes(*args[2]);
-        std::string cache_key =
-            util::StrCat(msg, "|", sig_hex, "|", handle);
+        auto key = std::make_tuple(msg, sig_hex, handle);
         bool ok;
-        auto it = caches->rsa_verify.find(cache_key);
+        auto it = caches->rsa_verify.find(key);
         if (it != caches->rsa_verify.end()) {
           counts.cache_hits->Add();
           ok = it->second;
@@ -117,7 +118,7 @@ CryptoCounters RegisterCryptoBuiltins(datalog::Workspace* ws,
           if (!util::HexDecode(sig_hex, &sig)) return util::OkStatus();
           ok = crypto::RsaVerify(*pub, msg, sig);
           counts.rsa_verifies->Add();
-          caches->rsa_verify.emplace(cache_key, ok);
+          caches->rsa_verify.emplace(key, ok);
         }
         if (ok) emit({*args[0], *args[1], *args[2]});
         return util::OkStatus();

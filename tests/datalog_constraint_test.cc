@@ -132,14 +132,6 @@ TEST(ConstraintTest, ConstraintOverDerivedPredicate) {
   EXPECT_EQ(ws.Fixpoint().code(), util::StatusCode::kConstraintViolation);
 }
 
-TEST(ConstraintTest, CheckingCanBeDisabled) {
-  Workspace::Options opts;
-  opts.check_constraints = false;
-  Workspace ws(opts);
-  ASSERT_TRUE(ws.Load("p(X) -> q(X). p(a).").ok());
-  EXPECT_TRUE(ws.Fixpoint().ok());
-}
-
 TEST(ConstraintTest, MetaConstraintOwnerMayRead) {
   // §3.3: a principal may only install rules reading predicates they may
   // read. (The paper's listing writes owner(U, [|...|]); its own

@@ -278,15 +278,5 @@ TEST(ExplainTest, UnevaluatedRuleReadsAsZerosNotErrors) {
       << text;
 }
 
-TEST(ExplainTest, MetricsDisabledStillRendersSchedule) {
-  Workspace::Options opts;
-  opts.metrics = false;
-  Workspace ws(opts);
-  ASSERT_TRUE(ws.Load("r(X) <- s(X), t(X).").ok());
-  std::string text = ws.ExplainRules();
-  EXPECT_TRUE(Contains(text, "schedule (full):")) << text;
-  EXPECT_TRUE(Contains(text, "measured: (metrics disabled)")) << text;
-}
-
 }  // namespace
 }  // namespace lbtrust::datalog

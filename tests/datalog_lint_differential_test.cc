@@ -1,8 +1,11 @@
-// Randomized lint <=> compile differential: over thousands of generated
+// Randomized lint <=> engine differentials. Over thousands of generated
 // single-head rules, the static analyzer reports an error exactly when
-// CompileRule rejects the rule, with the same status code. Both sides read
-// one RulePlan, so any mismatch means a check drifted from the planner. A
-// failure prints its seed and rule text; GenerateRule(seed) replays it.
+// CompileRule rejects the rule, with the same status code: both sides read
+// one RulePlan, so any mismatch means a check drifted from the planner.
+// Over generated multi-rule programs, L010 fires exactly when Stratify
+// rejects the program, and its first cycle is the one Stratify names: both
+// read StratifyGraph. A failure prints its seed and program text;
+// GenerateRule(seed) and GenerateProgram(seed) replay it.
 #include <cstdint>
 #include <map>
 #include <string>
@@ -10,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "datalog/analysis.h"
 #include "datalog/eval.h"
 #include "datalog/lint.h"
 #include "datalog/parser.h"
@@ -19,6 +23,7 @@ namespace {
 
 constexpr uint64_t kBaseSeed = 0x5eed0000;
 constexpr int kRules = 12000;
+constexpr int kPrograms = 4000;
 
 /// SplitMix64: portable, so a printed seed replays on any platform.
 class Rng {
@@ -183,6 +188,72 @@ TEST(LintCompileDifferential, LintErrorIffCompileRejects) {
   for (const char* code : {"L001", "L002", "L003", "L004", "L005", "L030"}) {
     EXPECT_GT(seen[code], 0) << code << " never produced";
   }
+}
+
+/// Programs of 2-6 rules over p0..p5 and an EDB relation e: every rule
+/// binds X through a positive literal, then adds negated or positive
+/// literals over the same predicates, or aggregates one of them, so
+/// negative cycles of every length show up next to stratifiable programs.
+std::string GenerateProgram(uint64_t seed) {
+  Rng rng(seed);
+  auto pred = [&rng] { return "p" + std::to_string(rng.Below(6)); };
+  std::string text;
+  const int nrules = 2 + rng.Below(5);
+  for (int r = 0; r < nrules; ++r) {
+    const std::string head = pred();
+    if (rng.Percent(15)) {
+      text += head + "(N) <- agg<<N = count(X)>> " + pred() + "(X).\n";
+      continue;
+    }
+    text += head + "(X) <- " + (rng.Percent(30) ? "e" : pred()) + "(X)";
+    for (int extra = rng.Below(3); extra > 0; --extra) {
+      text += std::string(rng.Percent(40) ? ", !" : ", ") + pred() + "(X)";
+    }
+    text += ".\n";
+  }
+  return text;
+}
+
+TEST(LintStratifyDifferential, L010IffStratifyRejects) {
+  BuiltinRegistry builtins;
+  RegisterStandardBuiltins(&builtins);
+  int rejected = 0;
+  int mismatches = 0;
+  for (int i = 0; i < kPrograms && mismatches < 10; ++i) {
+    const uint64_t seed = kBaseSeed + static_cast<uint64_t>(i);
+    const std::string text = GenerateProgram(seed);
+    auto routed = RouteProgram(text, "alice");
+    ASSERT_TRUE(routed.ok()) << "seed " << seed << ": " << text;
+    std::vector<const Rule*> rules;
+    for (const RoutedClause& clause : *routed) rules.push_back(&clause.rule);
+    auto strat = Stratify(rules, builtins);
+    const std::string prefix = "through the recursive cycle ";
+    std::vector<std::string> cycles;  // L010 cycle texts, in report order
+    for (const Diagnostic& d : LintProgram(text, "alice").diagnostics) {
+      if (d.code != "L010") continue;
+      const size_t at = d.message.find(prefix);
+      cycles.push_back(at == std::string::npos
+                           ? d.message
+                           : d.message.substr(at + prefix.size()));
+    }
+    bool ok = strat.ok() == cycles.empty();
+    if (!strat.ok()) {
+      ++rejected;
+      ok = ok && strat.status().code() == util::StatusCode::kNotStratifiable &&
+           strat.status().message().find("(cycle: " + cycles[0] + ")") !=
+               std::string::npos;
+    }
+    if (!ok) {
+      ++mismatches;
+      ADD_FAILURE() << "seed " << seed << ":\n" << text
+                    << "  stratify: " << strat.status().ToString()
+                    << "\n  L010 cycles: " << cycles.size()
+                    << (cycles.empty() ? "" : " first: " + cycles[0]);
+    }
+  }
+  // The generator must keep exercising both verdicts.
+  EXPECT_GT(rejected, kPrograms / 10);
+  EXPECT_LT(rejected, kPrograms * 9 / 10);
 }
 
 }  // namespace

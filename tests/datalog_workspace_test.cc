@@ -305,6 +305,51 @@ TEST(TransactionTest, EdbOnlyCommitTakesDeltaPath) {
   EXPECT_EQ(full_rounds->value(), full_before + 1);
 }
 
+// A delta-eligible program over two strata: `safe` negates `banned`, which
+// no commit grows, so an `edge` commit stays on the delta path. Its `link`
+// output from stratum 0 seeds stratum 1's round 0, and `reach` recurses.
+// The round and tuple counts are pinned: the full and the delta fixpoint
+// share one evaluation loop, and neither may add or drop a round.
+TEST(TransactionTest, TwoStratumDeltaCommitCountsRoundsAndTuples) {
+  Workspace::Options opts;
+  opts.threads = 1;  // parallel rounds may split a round's derivations
+  Workspace ws(opts);
+  ASSERT_TRUE(ws.Load("link(X,Y) <- edge(X,Y).\n"
+                      "safe(X) <- node(X), !banned(X).\n"
+                      "reach(X,Y) <- safe(X), link(X,Y).\n"
+                      "reach(X,Z) <- reach(X,Y), link(Y,Z).\n"
+                      "node(1). node(2). node(3). node(4). node(5). "
+                      "node(6).\n"
+                      "banned(6).\n"
+                      "edge(1,2). edge(2,3).")
+                  .ok());
+  const obs::Counter* rounds =
+      ws.metrics()->GetCounter("lbtrust_eval_rounds_total");
+  const obs::Counter* derived =
+      ws.metrics()->GetCounter("lbtrust_tuples_derived_total");
+  ASSERT_TRUE(ws.Fixpoint().ok());
+  EXPECT_FALSE(ws.last_fixpoint_incremental());
+  EXPECT_EQ(rounds->value(), 4u);
+  EXPECT_EQ(derived->value(), 10u);
+
+  Transaction first = ws.Begin();
+  first.AddFactText("edge(3,4). edge(4,5).");
+  ASSERT_TRUE(first.Commit().ok());
+  EXPECT_TRUE(ws.last_fixpoint_incremental());
+  EXPECT_EQ(rounds->value(), 8u);
+  EXPECT_EQ(derived->value(), 19u);
+  EXPECT_EQ(*ws.Count("reach(1,Y)"), 4u);
+
+  Transaction second = ws.Begin();
+  second.AddFactText("edge(5,6). edge(6,1).");
+  ASSERT_TRUE(second.Commit().ok());
+  EXPECT_TRUE(ws.last_fixpoint_incremental());
+  EXPECT_EQ(rounds->value(), 16u);
+  EXPECT_EQ(derived->value(), 41u);
+  EXPECT_EQ(*ws.Count("reach(1,Y)"), 6u);
+  EXPECT_EQ(*ws.Count("reach(6,Y)"), 0u);
+}
+
 TEST(TransactionTest, AbortDiscardsStagedOps) {
   Workspace ws;
   ASSERT_TRUE(ws.Fixpoint().ok());

@@ -1,7 +1,7 @@
 // End-to-end observability: the workspace-owned metrics registry and span
 // tracer, exercised through real fixpoints, commits, prepared queries and a
 // trust runtime. Asserts the acceptance surface of the unified registry:
-// per-rule stats, commit/query latency histograms and credential/crypto
+// per-rule stats, fixpoint/commit latency histograms and credential/crypto
 // counters all appear in one DumpMetrics() page.
 #include <string>
 
@@ -65,7 +65,7 @@ TEST(ObsWorkspaceTest, FixpointPopulatesEngineMetrics) {
       << page;
 }
 
-TEST(ObsWorkspaceTest, CommitAndQueryLatencyHistogramsRecord) {
+TEST(ObsWorkspaceTest, CommitLatencyHistogramRecords) {
   Workspace ws;
   ASSERT_TRUE(ws.Load(kClosure).ok());
   ASSERT_TRUE(ws.Fixpoint().ok());
@@ -83,55 +83,38 @@ TEST(ObsWorkspaceTest, CommitAndQueryLatencyHistogramsRecord) {
       ws.metrics()->GetCounter("lbtrust_fixpoints_total", "path=\"delta\"")
           ->value(),
       1u);
-
-  // Prepared-query latency: one observation per ForEach/Run/Exists.
-  auto query = ws.Prepare("path(X,Y)");
-  ASSERT_TRUE(query.ok());
-  auto rows = query->Run();
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 10u);  // closure of the 5-node chain
-  auto exists = query->Exists();
-  ASSERT_TRUE(exists.ok());
-  EXPECT_TRUE(*exists);
-  EXPECT_GE(ws.metrics()
-                ->GetHistogram("lbtrust_query_latency_microseconds")
-                ->count(),
-            2u);
   EXPECT_TRUE(Contains(ws.DumpMetrics(),
                        "lbtrust_commit_latency_microseconds_count"));
 }
 
-TEST(ObsWorkspaceTest, MetricsOffDisablesRegistryAndDump) {
-  Workspace::Options opts;
-  opts.metrics = false;
-  Workspace ws(opts);
+// perfbench's ReadCounters looks these series up by name and reads 0 when
+// one is missing, so each must be registered once the engine has run a
+// full fixpoint, a delta commit and a prepared query. A prepared query
+// reads no clock, so no query-latency series exists.
+TEST(ObsWorkspaceTest, RegistryHasEverySeriesTheBenchmarkReads) {
+  Workspace ws;
   ASSERT_TRUE(ws.Load(kClosure).ok());
   ASSERT_TRUE(ws.Fixpoint().ok());
-  // The registry exists (other layers count into it), but the engine
-  // registers no series.
-  ASSERT_NE(ws.metrics(), nullptr);
-  EXPECT_EQ(ws.metrics()->RenderText(), "");
-  EXPECT_EQ(ws.DumpMetrics(), "# metrics disabled\n");
-  // The off path computes the same fixpoint.
-  auto count = ws.Count("path(X,Y)");
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 6u);
-}
+  auto txn = ws.Begin();
+  txn.AddFactText("edge(4,5).");
+  ASSERT_TRUE(txn.Commit().ok());
+  auto query = ws.Prepare("path(1,5)");
+  ASSERT_TRUE(query.ok());
+  auto exists = query->Exists();
+  ASSERT_TRUE(exists.ok());
+  EXPECT_TRUE(*exists);
 
-TEST(ObsWorkspaceTest, MetricsOnAndOffDeriveIdenticalStores) {
-  Workspace on;
-  Workspace::Options off_opts;
-  off_opts.metrics = false;
-  Workspace off(off_opts);
-  for (Workspace* ws : {&on, &off}) {
-    ASSERT_TRUE(ws->Load(kClosure).ok());
-    ASSERT_TRUE(ws->Fixpoint().ok());
+  const std::string page = ws.metrics()->RenderText();
+  for (const char* series : {"lbtrust_fixpoints_total{path=\"full\"} ",
+                             "lbtrust_fixpoints_total{path=\"delta\"} ",
+                             "lbtrust_commit_latency_microseconds_sum ",
+                             "lbtrust_rule_eval_us_total{",
+                             "lbtrust_tuples_derived_total ",
+                             "lbtrust_relation_probes_total{",
+                             "lbtrust_relation_probe_hits_total{"}) {
+    EXPECT_TRUE(Contains(page, util::StrCat("\n", series))) << series;
   }
-  auto on_rows = on.Query("path(X,Y)");
-  auto off_rows = off.Query("path(X,Y)");
-  ASSERT_TRUE(on_rows.ok());
-  ASSERT_TRUE(off_rows.ok());
-  EXPECT_EQ(*on_rows, *off_rows);
+  EXPECT_FALSE(Contains(page, "lbtrust_query_latency")) << page;
 }
 
 TEST(ObsWorkspaceTest, TracerEmitsNestedFixpointSpans) {

@@ -413,6 +413,33 @@ TEST(CryptoBuiltinsTest, SignVerifyThroughPolicy) {
   EXPECT_GE(alice->crypto_stats().rsa_verifies, 1u);
 }
 
+// The verify cache must key on (message, signature, handle) as a tuple: a
+// separator-joined key lets rsaverify("m", "x|"+S, K) hit the cached
+// result of rsaverify("m|x", S, K) and accept a signature nobody made.
+TEST(CryptoBuiltinsTest, VerifyCacheRejectsShiftedFieldBoundaries) {
+  auto alice = MakeRuntime("alice");
+  ASSERT_TRUE(
+      alice
+          ->Load("sig(S) <- rsaprivkey(me,K), rsasign(\"m|x\",S,K).\n"
+                 "ok(S) <- sig(S), rsapubkey(me,K), "
+                 "rsaverify(\"m|x\",S,K).")
+          .ok());
+  ASSERT_TRUE(alice->Fixpoint().ok());
+  auto sigs = alice->workspace()->Query("ok(S)");
+  ASSERT_TRUE(sigs.ok());
+  ASSERT_EQ(sigs->size(), 1u);
+  const std::string shifted = "x|" + (*sigs)[0][0].AsText();
+  ASSERT_TRUE(alice->workspace()->AddFact("claimed", {Value::Str(shifted)})
+                  .ok());
+  ASSERT_TRUE(alice
+                  ->Load("forged(T) <- claimed(T), rsapubkey(me,K), "
+                         "rsaverify(\"m\",T,K).")
+                  .ok());
+  ASSERT_TRUE(alice->Fixpoint().ok());
+  EXPECT_EQ(*alice->workspace()->Count("ok(S)"), 1u);
+  EXPECT_EQ(*alice->workspace()->Count("forged(T)"), 0u);
+}
+
 TEST(CryptoBuiltinsTest, SigningIsCachedAcrossFixpoints) {
   auto alice = MakeRuntime("alice");
   ASSERT_TRUE(alice->Load("sig(S) <- rsaprivkey(me,K), rsasign(\"m\",S,K).")
