@@ -2,6 +2,7 @@
 // boundness-based join-order heuristic, measured on transitive closure —
 // the substrate cost under every trust-management workload.
 #include <string>
+#include <utility>
 
 #include <benchmark/benchmark.h>
 
@@ -16,8 +17,16 @@ namespace {
 using lbtrust::datalog::CloneRule;
 using lbtrust::datalog::MagicSetTransform;
 using lbtrust::datalog::Rule;
+using lbtrust::datalog::Tuple;
 using lbtrust::datalog::Value;
 using lbtrust::datalog::Workspace;
+
+// Retracting and re-adding one EDB fact sends the next Fixpoint() down the
+// full path: the store is cleared and every rule re-evaluated from the EDB.
+void ForceFullRebuild(Workspace* ws, const std::string& pred, Tuple fact) {
+  (void)ws->RemoveFact(pred, fact);
+  (void)ws->AddFact(pred, std::move(fact));
+}
 
 // Chain with a back edge: n nodes, diameter n (worst case for rounds).
 void LoadChain(Workspace* ws, int n) {
@@ -85,46 +94,6 @@ BENCHMARK(BM_TransitiveClosureWide)
     ->Args({24, 2})
     ->Args({24, 4});
 
-// Merge-phase scaling: (threads, shards) on the wide closure — the
-// merge-heavy shape (few rounds, huge deduplicating inserts) where the
-// round merge dominates. shards=1 forces the classic sequential merge at
-// any thread count; shards>1 splits the replay across the pool, so the
-// {4,1} vs {4,4} gap is exactly the parallel-merge win (and the {1,1} vs
-// {1,4} gap its single-thread routing overhead).
-void BM_ParallelMergeScaling(benchmark::State& state) {
-  unsigned threads = static_cast<unsigned>(state.range(0));
-  size_t shards = static_cast<size_t>(state.range(1));
-  constexpr int kWidth = 24;
-  constexpr int kLayers = 6;
-  for (auto _ : state) {
-    Workspace::Options opts;
-    opts.threads = threads;
-    opts.shards = shards;
-    Workspace ws(opts);
-    (void)ws.Load("path(X,Y) <- edge(X,Y).\n"
-                  "path(X,Z) <- path(X,Y), edge(Y,Z).");
-    for (int layer = 0; layer + 1 < kLayers; ++layer) {
-      for (int a = 0; a < kWidth; ++a) {
-        for (int b = 0; b < kWidth; ++b) {
-          (void)ws.AddFact("edge", {Value::Int(layer * 1000 + a),
-                                    Value::Int((layer + 1) * 1000 + b)});
-        }
-      }
-    }
-    auto st = ws.Fixpoint();
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    benchmark::DoNotOptimize(ws.GetRelation("path"));
-  }
-  state.SetItemsProcessed(state.iterations() * kWidth * kWidth * kLayers);
-}
-BENCHMARK(BM_ParallelMergeScaling)
-    ->Args({1, 1})
-    ->Args({1, 4})
-    ->Args({2, 2})
-    ->Args({4, 1})
-    ->Args({4, 4})
-    ->Args({4, 8});
-
 void BM_TransitiveClosureNaive(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -150,9 +119,7 @@ void BM_JoinOrderSelectiveLast(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   // Full evaluation per Fixpoint(): this measures the join, not the
   // delta-aware no-change shortcut.
-  Workspace::Options opts;
-  opts.delta_fixpoint = false;
-  Workspace ws(opts);
+  Workspace ws;
   (void)ws.Load("q(X,Y) <- wide(X), wide(Y), narrow(X), narrow(Y).");
   for (int i = 0; i < n; ++i) {
     (void)ws.AddFact("wide", {Value::Int(i)});
@@ -160,6 +127,7 @@ void BM_JoinOrderSelectiveLast(benchmark::State& state) {
   (void)ws.AddFact("narrow", {Value::Int(1)});
   (void)ws.AddFact("narrow", {Value::Int(2)});
   for (auto _ : state) {
+    ForceFullRebuild(&ws, "narrow", {Value::Int(2)});
     auto st = ws.Fixpoint();
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
   }
@@ -169,15 +137,15 @@ BENCHMARK(BM_JoinOrderSelectiveLast)->Arg(1000)->Arg(10000);
 
 void BM_IndexedLookupVsScan(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  Workspace::Options opts;
-  opts.delta_fixpoint = false;  // measure the joins, not the no-change path
-  Workspace ws(opts);
+  Workspace ws;
   (void)ws.Load("hit(Y) <- probe(X), data(X,Y).");
   for (int i = 0; i < n; ++i) {
     (void)ws.AddFact("data", {Value::Int(i), Value::Int(i * 7)});
   }
   (void)ws.AddFact("probe", {Value::Int(n / 2)});
   for (auto _ : state) {
+    // Measure the joins, not the no-change path.
+    ForceFullRebuild(&ws, "probe", {Value::Int(n / 2)});
     auto st = ws.Fixpoint();
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
   }
@@ -187,14 +155,14 @@ BENCHMARK(BM_IndexedLookupVsScan)->Arg(10000)->Arg(100000);
 
 void BM_AggregationThroughput(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  Workspace::Options opts;
-  opts.delta_fixpoint = false;  // measure aggregation, not the no-change path
-  Workspace ws(opts);
+  Workspace ws;
   (void)ws.Load("tally(G,N) <- agg<<N = count(U)>> vote(G,U).");
   for (int i = 0; i < n; ++i) {
     (void)ws.AddFact("vote", {Value::Int(i % 10), Value::Int(i)});
   }
   for (auto _ : state) {
+    // Measure aggregation, not the no-change path.
+    ForceFullRebuild(&ws, "vote", {Value::Int(0), Value::Int(0)});
     auto st = ws.Fixpoint();
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
   }
@@ -305,52 +273,38 @@ void BM_PreparedQuery(benchmark::State& state) {
 BENCHMARK(BM_PreparedQuery)->Args({100, 0})->Args({100, 1})
     ->Args({300, 0})->Args({300, 1});
 
-// Session-API ablation: the batched write path. The one-shot pattern runs a
-// full Fixpoint() after every mutation; a Transaction stages the batch,
-// applies it once and fixpoints once — and an EDB-only commit additionally
-// takes the delta-aware evaluation path instead of rebuilding the store.
+// Session-API write path: a Transaction stages the batch, applies it once
+// and fixpoints once; an EDB-only commit takes the delta-aware evaluation
+// path instead of rebuilding the store.
 void BM_TransactionCommit(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  bool batched = state.range(1) != 0;
   for (auto _ : state) {
     state.PauseTiming();
-    Workspace::Options opts;
-    // The baseline emulates the seed engine: every mutation followed by a
-    // full store rebuild. The batched side keeps the delta path on.
-    opts.delta_fixpoint = batched;
-    Workspace ws(opts);
+    Workspace ws;
     (void)ws.Load("reach(X) <- seed(X).\n"
                   "reach(Y) <- reach(X), edge(X,Y).\n"
                   "seed(0).");
     (void)ws.Fixpoint();
     state.ResumeTiming();
-    if (batched) {
-      lbtrust::datalog::Transaction txn = ws.Begin();
-      for (int i = 0; i + 1 < n; ++i) {
-        txn.AddFact("edge", {Value::Int(i), Value::Int(i + 1)});
-      }
-      auto st = txn.Commit();
-      if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    } else {
-      for (int i = 0; i + 1 < n; ++i) {
-        (void)ws.AddFact("edge", {Value::Int(i), Value::Int(i + 1)});
-        auto st = ws.Fixpoint();
-        if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-      }
+    lbtrust::datalog::Transaction txn = ws.Begin();
+    for (int i = 0; i + 1 < n; ++i) {
+      txn.AddFact("edge", {Value::Int(i), Value::Int(i + 1)});
     }
+    auto st = txn.Commit();
+    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
   }
-  state.SetLabel(batched ? "one Transaction::Commit (delta)"
-                         : "per-fact AddFact+full Fixpoint");
+  state.SetLabel("one Transaction::Commit (delta)");
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_TransactionCommit)->Args({64, 0})->Args({64, 1})
-    ->Args({256, 0})->Args({256, 1});
+BENCHMARK(BM_TransactionCommit)->Arg(64)->Arg(256);
 
-// Delta-aware fixpoint vs full rebuild on a warm store: repeated small
-// EDB-only commits against a large existing closure.
-void BM_DeltaFixpointWarmStore(benchmark::State& state) {
+// Delta-aware fixpoint on a warm store: repeated single-fact EDB-only
+// commits against a large existing closure, at `threads`.
+void WarmStoreCommits(benchmark::State& state, unsigned threads) {
   int n = static_cast<int>(state.range(0));
-  Workspace ws;
+  Workspace::Options opts;
+  opts.threads = threads;
+  Workspace ws(opts);
   (void)ws.Load("path(X,Y) <- edge(X,Y).\n"
                 "path(X,Z) <- path(X,Y), edge(Y,Z).");
   LoadChain(&ws, n);
@@ -367,21 +321,33 @@ void BM_DeltaFixpointWarmStore(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+// At the default threads=0 (one worker per hardware thread).
+void BM_DeltaFixpointWarmStore(benchmark::State& state) {
+  WarmStoreCommits(state, 0);
+}
 BENCHMARK(BM_DeltaFixpointWarmStore)->Arg(64)->Arg(128);
+
+// At threads=1, as perfbench runs: the gap to BM_DeltaFixpointWarmStore is
+// what the parallel path costs a commit whose rounds yield one chunk.
+void BM_DeltaFixpointWarmStoreSequential(benchmark::State& state) {
+  WarmStoreCommits(state, 1);
+}
+BENCHMARK(BM_DeltaFixpointWarmStoreSequential)->Arg(64)->Arg(128);
 
 // The same data with and without the constraint loaded.
 void BM_ConstraintCheckOverhead(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   bool with_constraints = state.range(1) != 0;
-  Workspace::Options opts;
-  opts.delta_fixpoint = false;  // measure the checks on a full rebuild
-  Workspace ws(opts);
+  Workspace ws;
   if (with_constraints) (void)ws.Load("p(X,Y) -> t(X), t(Y).");
   for (int i = 0; i < n; ++i) {
     (void)ws.AddFact("t", {Value::Int(i)});
     (void)ws.AddFact("p", {Value::Int(i), Value::Int((i + 1) % n)});
   }
   for (auto _ : state) {
+    // Measure the checks on a full rebuild.
+    ForceFullRebuild(&ws, "t", {Value::Int(0)});
     auto st = ws.Fixpoint();
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <memory>
@@ -131,20 +130,10 @@ void EvalWorkerPoolDeleter::operator()(EvalWorkerPool* pool) const {
   delete pool;
 }
 
-EvalCounters::EvalCounters(obs::MetricsRegistry* metrics, size_t shards)
+EvalCounters::EvalCounters(obs::MetricsRegistry* metrics)
     : tuples_derived(metrics->GetCounter("lbtrust_tuples_derived_total")),
       rounds(metrics->GetCounter("lbtrust_eval_rounds_total")),
-      delta_rows(metrics->GetHistogram("lbtrust_fixpoint_delta_rows")),
-      merge_parallel(metrics->GetCounter("lbtrust_merge_parallel_total")),
-      merge_sequential(metrics->GetCounter("lbtrust_merge_sequential_total")),
-      merge_latency(
-          metrics->GetHistogram("lbtrust_merge_latency_microseconds")) {
-  for (size_t shard = 0; shards > 1 && shard < shards; ++shard) {
-    merge_shard_rows.push_back(
-        metrics->GetCounter("lbtrust_merge_shard_rows_total",
-                            util::StrCat("shard=\"", shard, "\"")));
-  }
-}
+      delta_rows(metrics->GetHistogram("lbtrust_fixpoint_delta_rows")) {}
 
 void InstrumentRule(CompiledRule* rule, obs::MetricsRegistry* metrics) {
   const std::string labels =
@@ -191,7 +180,7 @@ uint64_t RelationStore::NextGeneration() {
 Relation* RelationStore::GetOrCreate(const std::string& name, size_t arity) {
   auto it = rels_.find(name);
   if (it == rels_.end()) {
-    it = rels_.emplace(name, Relation(arity, pool_, default_shards_)).first;
+    it = rels_.emplace(name, Relation(arity, pool_)).first;
   }
   return &it->second;
 }
@@ -575,42 +564,15 @@ Status Evaluator::EvalRelation(ExecContext* ctx, size_t oi,
     // row ranges. Constants filter with direct id compares instead of an
     // index, so the frozen relation needs no index for position 0 (and
     // delta relations never get one).
-    // The chunk's [first_begin, first_end) is a range of shard-major
-    // *positions* (shard 0's rows, then shard 1's, ...). The relation is
-    // frozen for the whole chunked phase, so positions are stable here.
     const size_t limit = std::min(ctx->first_end, rel->size());
     ValueId row[64];
     uint64_t matched = 0;
-    size_t base = 0;
-    const size_t nshards = rel->shard_count();
-    for (size_t s = 0; s < nshards && base < limit; ++s) {
-      const size_t ns = rel->ShardSize(s);
-      const size_t lo = ctx->first_begin > base ? ctx->first_begin - base : 0;
-      const size_t hi = std::min(limit - base, ns);
-      // The relation is frozen, so the shard's storage cannot reallocate:
-      // hoist its base pointer and walk local offsets directly instead of
-      // paying a row-id encode/decode round trip per row.
-      const ValueId* sdata = rel->ShardData(s);
-      for (size_t l = lo; l < hi; ++l) {
-        const ValueId* src = sdata + l * arity;
-        if (mask != 0) {
-          size_t k = 0;
-          bool match = true;
-          for (size_t i = 0; i < arity; ++i) {
-            if (mask & (uint64_t{1} << i)) {
-              if (src[i] != key[k++]) {
-                match = false;
-                break;
-              }
-            }
-          }
-          if (!match) continue;
-        }
-        ++matched;
-        if (arity > 0) std::memcpy(row, src, arity * sizeof(ValueId));
-        LB_RETURN_IF_ERROR(try_row(row));
-      }
-      base += ns;
+    for (size_t i = ctx->first_begin; i < limit; ++i) {
+      const uint32_t id = static_cast<uint32_t>(i);
+      if (mask != 0 && !rel->RowMatchesKey(id, mask, key)) continue;
+      ++matched;
+      if (arity > 0) std::memcpy(row, rel->RowIds(id), arity * sizeof(ValueId));
+      LB_RETURN_IF_ERROR(try_row(row));
     }
     if (ctx->probe_tally != nullptr) {
       ctx->probe_tally[body_idx] += 1;
@@ -645,30 +607,17 @@ Status Evaluator::EvalRelation(ExecContext* ctx, size_t oi,
       LB_RETURN_IF_ERROR(try_row(row));
     }
   } else {
-    // Snapshot every shard's size up front: rows appended during recursion
-    // (self-recursive rules may insert into ANY shard, including ones this
-    // scan already passed) are handled by later semi-naive rounds, exactly
-    // like the pre-sharding `n = rel->size()` snapshot.
-    size_t snap[Relation::kMaxShards];
-    const size_t nshards = rel->shard_count();
-    size_t n = 0;
-    for (size_t s = 0; s < nshards; ++s) {
-      snap[s] = rel->ShardSize(s);
-      n += snap[s];
-    }
+    const size_t n = rel->size();  // snapshot: rows appended during
+                                   // recursion are handled by later
+                                   // semi-naive rounds
     if (ctx->probe_tally != nullptr) {
       ctx->probe_tally[body_idx] += 1;
       ctx->hit_tally[body_idx] += n;
     }
     ValueId row[64];
-    for (size_t s = 0; s < nshards; ++s) {
-      for (size_t l = 0; l < snap[s]; ++l) {
-        if (arity > 0) {
-          std::memcpy(row, rel->RowIds(rel->MakeRowId(s, l)),
-                      arity * sizeof(ValueId));
-        }
-        LB_RETURN_IF_ERROR(try_row(row));
-      }
+    for (size_t i = 0; i < n; ++i) {
+      if (arity > 0) std::memcpy(row, rel->RowIds(i), arity * sizeof(ValueId));
+      LB_RETURN_IF_ERROR(try_row(row));
     }
   }
   return util::OkStatus();
@@ -1020,82 +969,76 @@ void Evaluator::RecordRoundDelta(const std::map<std::string, Relation>& delta) {
   counters_->delta_rows->Observe(rows);
 }
 
-Status Evaluator::RunRuleInto(CompiledRule* rule, int pos,
-                              Relation* delta_rel, const Limits& limits,
-                              size_t* total_tuples,
-                              std::map<std::string, Relation>* next_delta,
-                              std::map<std::string, Relation>* stratum_new) {
-  const size_t arity = rule->head_cols.size();
-  Relation* full = store_->GetOrCreate(rule->head_pred, arity);
-  if (full->arity() != arity) {
-    return util::TypeError(
-        util::StrCat("arity mismatch inserting into '", rule->head_pred, "'"));
-  }
-  tally_probes_.assign(rule->body.size(), 0);
-  tally_hits_.assign(rule->body.size(), 0);
-  const size_t tuples_before = *total_tuples;
-  obs::ScopedSpan span(tracer_, "rule");
-  const uint64_t eval_start_us = obs::Tracer::NowMicros();
-  Relation* dnext = nullptr;
-  Relation* snext = nullptr;
-  Status result = EvalRuleOnce(
-      rule, pos, delta_rel,
-      [&](const ValueId* row) -> Status {
-    if (provenance_ != nullptr && emitting_rule_ != nullptr) {
-      Derivation d;
-      d.kind = emitting_rule_->agg.has_value() ? Derivation::Kind::kAggregate
-                                               : Derivation::Kind::kRule;
-      d.rule_canon = PrintRule(emitting_rule_->source);
-      if (emitting_premises_ != nullptr) d.premises = *emitting_premises_;
-      provenance_->Record(rule->head_pred, MaterializeTuple(*pool_, row, arity),
-                          std::move(d));
-    }
-    // One hash serves the dedup insert AND the delta appends. The deltas
-    // themselves stay single-shard: rows derived here are appended by
-    // this thread only, so sharding them buys nothing and costs N
-    // vector-growth chains per round — only the parallel merge, whose
-    // workers need disjoint shard ownership, pre-creates sharded deltas
-    // (see RunRound; its topology check falls back to sequential replay
-    // if it meets a delta created here).
-    const uint64_t h = full->RowHash(row);
-    if (full->InsertIdsHashed(row, h)) {
-      ++*total_tuples;
-      if (*total_tuples > limits.max_tuples) {
-        return util::Internal(
-            "fixpoint exceeded tuple budget (diverging program?)");
-      }
-      if (dnext == nullptr) {
-        dnext = &next_delta->try_emplace(rule->head_pred, arity, pool_)
-                     .first->second;
-      }
-      dnext->AppendUncheckedHashed(row, h);
-      if (stratum_new != nullptr) {
-        if (snext == nullptr) {
-          snext = &stratum_new->try_emplace(rule->head_pred, arity, pool_)
-                       .first->second;
-        }
-        snext->AppendUncheckedHashed(row, h);
-      }
-    }
-    return util::OkStatus();
-      },
-      tally_probes_.data(), tally_hits_.data());
-  const uint64_t derived =
-      static_cast<uint64_t>(*total_tuples - tuples_before);
-  if (result.ok()) {
-    FoldRuleMetrics(rule, derived, tally_probes_.data(), tally_hits_.data(),
-                    obs::Tracer::NowMicros() - eval_start_us);
-  }
-  if (span.enabled()) {
-    span.set_args(util::StrCat("\"head\":\"", obs::LabelEscape(rule->head_pred),
-                               "\",\"rule\":", rule->id,
-                               ",\"delta_pos\":", pos,
-                               ",\"derived\":", derived));
-  }
-  return result;
-}
-
 namespace {
+
+/// The one derived-row step of every round, on both paths: RunRuleInto
+/// emits through it and the parallel round's merge replays its chunk
+/// buffers through it. A deduplicating insert into the head relation; a
+/// row that was new there charges the tuple budget and is appended to the
+/// head's entries in `next_delta` and (when non-null) `stratum_new`,
+/// created on first use so a task that derives nothing leaves no empty
+/// entry behind. The full-store insert deduped, so the outputs take
+/// unchecked appends.
+class HeadWriter {
+ public:
+  HeadWriter(const std::string& pred, Relation* full, ValuePool* pool,
+             const Evaluator::Limits& limits, size_t* total_tuples,
+             std::map<std::string, Relation>* next_delta,
+             std::map<std::string, Relation>* stratum_new)
+      : pred_(pred),
+        full_(full),
+        pool_(pool),
+        limits_(limits),
+        total_tuples_(total_tuples),
+        next_delta_(next_delta),
+        stratum_new_(stratum_new) {}
+
+  /// `hash` is full->RowHash(row).
+  Status Insert(const ValueId* row, uint64_t hash) {
+    if (!full_->InsertIdsHashed(row, hash)) return util::OkStatus();
+    ++derived_;
+    if (++*total_tuples_ > limits_.max_tuples) {
+      return util::Internal(
+          "fixpoint exceeded tuple budget (diverging program?)");
+    }
+    Append(next_delta_, &dnext_, row);
+    if (stratum_new_ != nullptr) Append(stratum_new_, &snext_, row);
+    return util::OkStatus();
+  }
+
+  /// Rows this writer inserted that were new in the full store.
+  uint64_t derived() const { return derived_; }
+
+ private:
+  void Append(std::map<std::string, Relation>* out, Relation** rel,
+              const ValueId* row) {
+    if (*rel == nullptr) {
+      *rel = &out->try_emplace(pred_, full_->arity(), pool_).first->second;
+    }
+    (*rel)->AppendUnchecked(row);
+  }
+
+  const std::string& pred_;
+  Relation* full_;
+  ValuePool* pool_;
+  const Evaluator::Limits& limits_;
+  size_t* total_tuples_;
+  std::map<std::string, Relation>* next_delta_;
+  std::map<std::string, Relation>* stratum_new_;
+  Relation* dnext_ = nullptr;
+  Relation* snext_ = nullptr;
+  uint64_t derived_ = 0;
+};
+
+/// The args of a "rule" span: which rule ran, from which delta position,
+/// and how many new tuples it derived.
+void SetRuleSpanArgs(obs::ScopedSpan* span, const CompiledRule& rule, int pos,
+                     uint64_t derived) {
+  if (!span->enabled()) return;
+  span->set_args(util::StrCat("\"head\":\"", obs::LabelEscape(rule.head_pred),
+                              "\",\"rule\":", rule.id, ",\"delta_pos\":", pos,
+                              ",\"derived\":", derived));
+}
 
 /// Stable in-place dedup of an emission buffer (first occurrence wins, so
 /// order — and therefore determinism — is preserved). Used as a memory
@@ -1137,6 +1080,47 @@ void CompactEmitBuffer(std::vector<ValueId>* rows,
 
 }  // namespace
 
+Status Evaluator::RunRuleInto(CompiledRule* rule, int pos,
+                              Relation* delta_rel, const Limits& limits,
+                              size_t* total_tuples,
+                              std::map<std::string, Relation>* next_delta,
+                              std::map<std::string, Relation>* stratum_new) {
+  const size_t arity = rule->head_cols.size();
+  Relation* full = store_->GetOrCreate(rule->head_pred, arity);
+  if (full->arity() != arity) {
+    return util::TypeError(
+        util::StrCat("arity mismatch inserting into '", rule->head_pred, "'"));
+  }
+  tally_probes_.assign(rule->body.size(), 0);
+  tally_hits_.assign(rule->body.size(), 0);
+  obs::ScopedSpan span(tracer_, "rule");
+  const uint64_t eval_start_us = obs::Tracer::NowMicros();
+  HeadWriter out(rule->head_pred, full, pool_, limits, total_tuples,
+                 next_delta, stratum_new);
+  Status result = EvalRuleOnce(
+      rule, pos, delta_rel,
+      [&](const ValueId* row) -> Status {
+    if (provenance_ != nullptr && emitting_rule_ != nullptr) {
+      Derivation d;
+      d.kind = emitting_rule_->agg.has_value() ? Derivation::Kind::kAggregate
+                                               : Derivation::Kind::kRule;
+      d.rule_canon = PrintRule(emitting_rule_->source);
+      if (emitting_premises_ != nullptr) d.premises = *emitting_premises_;
+      provenance_->Record(rule->head_pred, MaterializeTuple(*pool_, row, arity),
+                          std::move(d));
+    }
+    return out.Insert(row, full->RowHash(row));
+      },
+      tally_probes_.data(), tally_hits_.data());
+  if (result.ok()) {
+    FoldRuleMetrics(rule, out.derived(), tally_probes_.data(),
+                    tally_hits_.data(),
+                    obs::Tracer::NowMicros() - eval_start_us);
+  }
+  SetRuleSpanArgs(&span, *rule, pos, out.derived());
+  return result;
+}
+
 Status Evaluator::EvalRuleChunk(CompiledRule* rule, int pos,
                                 Relation* delta_rel, bool restricted,
                                 size_t begin, size_t end, const Limits& limits,
@@ -1152,8 +1136,8 @@ Status Evaluator::EvalRuleChunk(CompiledRule* rule, int pos,
   ctx.first_restricted = restricted;
   ctx.first_begin = begin;
   ctx.first_end = end;
-  // Chunk-local tallies ride the emit buffer; the sequential merge sums
-  // them, so concurrent workers never touch a shared counter.
+  // Chunk-local tallies ride the emit buffer; the merge sums them, so
+  // concurrent workers never touch a shared counter.
   buf->probes.assign(rule->body.size(), 0);
   buf->hits.assign(rule->body.size(), 0);
   ctx.probe_tally = buf->probes.data();
@@ -1236,11 +1220,6 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
     Relation* first_rel = nullptr;  ///< partitionable leading relation
     size_t chunk_begin = 0;
     size_t chunk_end = 0;
-    /// Pre-created delta outputs for the parallel merge (map mutation is
-    /// not thread-safe, so lazily creating them from workers is not an
-    /// option; entries that end the round empty are swept afterwards).
-    Relation* dnext = nullptr;
-    Relation* snext = nullptr;
   };
   std::vector<TaskPlan> plans(tasks.size());
   std::vector<Relation*> frozen;
@@ -1367,283 +1346,32 @@ Status Evaluator::RunRound(const std::vector<RoundTask>& tasks,
   }
   for (Relation* rel : frozen) rel->Thaw();
 
-  // --- Merge: deterministic (task, chunk, row) replay. Consecutive
-  // parallel-safe tasks form a *segment*; non-safe tasks evaluate inline
-  // between segments, preserving the sequential in-round visibility
-  // order. A segment whose relations are sharded merges in parallel —
-  // every worker owns a disjoint set of shards and replays, in the same
-  // (task, chunk, row) order, exactly the buffered rows whose hash routes
-  // to its shards, so the per-shard insertion order (and therefore the
-  // stored bytes) is identical to the sequential replay. Unsharded
-  // segments run the classic single-thread replay.
-  // Replays one safe task's buffers on the current thread (shards == 1
-  // path; also the mixed-topology fallback).
-  auto merge_task_sequential = [&](size_t ti) -> Status {
+  // --- Merge, on this thread: replay the chunk buffers in deterministic
+  // (task, chunk, row) order through the same insert step RunRuleInto
+  // uses. Non-safe tasks evaluate inline at their task position,
+  // preserving the sequential in-round visibility order.
+  for (size_t ti = 0; ti < tasks.size(); ++ti) {
     const RoundTask& t = tasks[ti];
     const TaskPlan& plan = plans[ti];
-    Relation* full = plan.head;
-    const size_t arity = t.rule->head_cols.size();
+    if (!plan.safe) {
+      LB_RETURN_IF_ERROR(RunRuleInto(t.rule, t.pos, t.delta_rel, limits,
+                                     total_tuples, next_delta, stratum_new));
+      continue;
+    }
     obs::ScopedSpan span(tracer_, "rule");
-    uint64_t task_derived = 0;
-    Relation* dnext = nullptr;
-    Relation* snext = nullptr;
+    HeadWriter out(t.rule->head_pred, plan.head, pool_, limits, total_tuples,
+                   next_delta, stratum_new);
+    const size_t arity = t.rule->head_cols.size();
     for (size_t ci = plan.chunk_begin; ci < plan.chunk_end; ++ci) {
       LB_RETURN_IF_ERROR(chunk_status[ci]);
       const EmitBuffer& buf = emit_bufs_[ci];
       for (size_t r = 0; r < buf.hashes.size(); ++r) {
-        const ValueId* row = buf.rows.data() + r * arity;
-        const uint64_t h = buf.hashes[r];
-        if (!full->InsertIdsHashed(row, h)) continue;
-        ++*total_tuples;
-        ++task_derived;
-        if (*total_tuples > limits.max_tuples) {
-          return util::Internal(
-              "fixpoint exceeded tuple budget (diverging program?)");
-        }
-        if (dnext == nullptr) {
-          // Classic single-shard delta: this replay is sequential, so the
-          // rows will never be appended by disjoint shard owners, and a
-          // tiny delta split N ways costs N vector-growth chains per
-          // round. try_emplace forwards the ctor args, so no temporary
-          // Relation is built when the entry already exists. (If a later,
-          // larger segment of the same head goes parallel this round, its
-          // topology check sees the single-shard delta and falls back.)
-          dnext = &next_delta->try_emplace(t.rule->head_pred, arity, pool_)
-                       .first->second;
-        }
-        dnext->AppendUncheckedHashed(row, h);
-        if (stratum_new != nullptr) {
-          if (snext == nullptr) {
-            snext =
-                &stratum_new->try_emplace(t.rule->head_pred, arity, pool_)
-                     .first->second;
-          }
-          snext->AppendUncheckedHashed(row, h);
-        }
+        LB_RETURN_IF_ERROR(
+            out.Insert(buf.rows.data() + r * arity, buf.hashes[r]));
       }
     }
-    FoldChunkMetrics(t.rule, task_derived, plan.chunk_begin, plan.chunk_end);
-    if (span.enabled()) {
-      span.set_args(util::StrCat(
-          "\"head\":\"", obs::LabelEscape(t.rule->head_pred),
-          "\",\"rule\":", t.rule->id, ",\"delta_pos\":", t.pos,
-          ",\"derived\":", task_derived));
-    }
-    return util::OkStatus();
-  };
-
-  // Merges safe tasks [lo, hi) with every worker replaying its own shards.
-  auto merge_segment_parallel = [&](size_t lo, size_t hi,
-                                    size_t nshards) -> Status {
-    const auto merge_start = std::chrono::steady_clock::now();
-    // Surface chunk failures in the order the sequential replay would
-    // have hit them, before any of the segment lands in the store.
-    for (size_t ti = lo; ti < hi; ++ti) {
-      for (size_t ci = plans[ti].chunk_begin; ci < plans[ti].chunk_end; ++ci) {
-        LB_RETURN_IF_ERROR(chunk_status[ci]);
-      }
-    }
-    // Pre-create every task's delta outputs (std::map nodes are stable, so
-    // later try_emplace calls in this round cannot move them).
-    for (size_t ti = lo; ti < hi; ++ti) {
-      TaskPlan& plan = plans[ti];
-      const size_t arity = tasks[ti].rule->head_cols.size();
-      plan.dnext = &next_delta
-                        ->try_emplace(tasks[ti].rule->head_pred, arity,
-                                      pool_, store_->default_shards())
-                        .first->second;
-      if (stratum_new != nullptr) {
-        plan.snext = &stratum_new
-                          ->try_emplace(tasks[ti].rule->head_pred, arity,
-                                        pool_, store_->default_shards())
-                          .first->second;
-      }
-      // A delta that predates this store's shard configuration would let
-      // two workers route into the same shard — fall back to the
-      // single-thread replay for the whole segment.
-      if (plan.dnext->shard_count() != nshards ||
-          (plan.snext != nullptr && plan.snext->shard_count() != nshards)) {
-        counters_->merge_sequential->Add(1);
-        for (size_t si = lo; si < hi; ++si) {
-          LB_RETURN_IF_ERROR(merge_task_sequential(si));
-        }
-        return util::OkStatus();
-      }
-    }
-
-    const size_t ntasks = hi - lo;
-    // Per-(task, shard) derived counts and per-shard replay totals. Each
-    // worker writes only its own shards' entries; the caller sums them
-    // after the barrier, so the merge itself shares no counters.
-    std::vector<uint64_t> derived(ntasks * nshards, 0);
-    std::vector<uint64_t> shard_rows(nshards, 0);
-    auto merge_shard = [&](size_t s) {
-      uint64_t replayed = 0;
-      for (size_t ti = lo; ti < hi; ++ti) {
-        const TaskPlan& plan = plans[ti];
-        Relation* full = plan.head;
-        const size_t arity = tasks[ti].rule->head_cols.size();
-        uint64_t task_derived = 0;
-        for (size_t ci = plan.chunk_begin; ci < plan.chunk_end; ++ci) {
-          const EmitBuffer& buf = emit_bufs_[ci];
-          // Every worker scans the whole buffer and keeps only the rows
-          // hashing into its shard: one AND-and-compare per row is cheaper
-          // than materializing per-shard index lists during chunk
-          // evaluation (which taxes rounds that end up replaying inline).
-          for (size_t r = 0; r < buf.hashes.size(); ++r) {
-            const uint64_t h = buf.hashes[r];
-            if (full->ShardOfHash(h) != s) continue;
-            const ValueId* row = buf.rows.data() + r * arity;
-            ++replayed;
-            if (!full->InsertIdsHashed(row, h)) continue;
-            ++task_derived;
-            plan.dnext->AppendUncheckedHashed(row, h);
-            if (plan.snext != nullptr) {
-              plan.snext->AppendUncheckedHashed(row, h);
-            }
-          }
-        }
-        derived[(ti - lo) * nshards + s] = task_derived;
-      }
-      shard_rows[s] = replayed;
-    };
-    EvalWorkerPoolHandle& pool = *workers_slot_;
-    // Never fan the merge out wider than the physical cores: extra
-    // workers would only time-slice the same CPUs while the caller
-    // yields, and on a single-core host the whole segment replays inline
-    // (still shard-by-shard, so counters and output are unchanged).
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned merge_workers = static_cast<unsigned>(
-        std::min<size_t>({threads_ - 1, nshards - 1, hw - 1}));
-    if (merge_workers > 0) {
-      if (pool == nullptr) {
-        pool = EvalWorkerPoolHandle(new EvalWorkerPool(merge_workers));
-      } else {
-        pool->EnsureWorkers(merge_workers);
-      }
-      pool->Run(nshards, merge_shard);
-    } else {
-      // Inline replay is one pass in (task, chunk, row) order, routing
-      // each row as it goes: per-shard filtered scans would walk every
-      // buffer nshards times on a single thread. Within any one shard
-      // both schemes insert in the same first-occurrence order, so the
-      // output and every counter are unchanged.
-      for (size_t ti = lo; ti < hi; ++ti) {
-        const TaskPlan& plan = plans[ti];
-        Relation* full = plan.head;
-        const size_t arity = tasks[ti].rule->head_cols.size();
-        uint64_t* task_derived = &derived[(ti - lo) * nshards];
-        for (size_t ci = plan.chunk_begin; ci < plan.chunk_end; ++ci) {
-          const EmitBuffer& buf = emit_bufs_[ci];
-          for (size_t r = 0; r < buf.hashes.size(); ++r) {
-            const uint64_t h = buf.hashes[r];
-            const size_t s = full->ShardOfHash(h);
-            ++shard_rows[s];
-            const ValueId* row = buf.rows.data() + r * arity;
-            if (!full->InsertIdsHashed(row, h)) continue;
-            ++task_derived[s];
-            plan.dnext->AppendUncheckedHashed(row, h);
-            if (plan.snext != nullptr) {
-              plan.snext->AppendUncheckedHashed(row, h);
-            }
-          }
-        }
-      }
-    }
-
-    // Post-barrier accounting, in task order: budget totals (same
-    // cumulative sums as the sequential replay, so the accept/reject
-    // decision is identical — only granularity differs), metric folds and
-    // spans.
-    for (size_t ti = lo; ti < hi; ++ti) {
-      const RoundTask& t = tasks[ti];
-      obs::ScopedSpan span(tracer_, "rule");
-      uint64_t task_derived = 0;
-      for (size_t s = 0; s < nshards; ++s) {
-        task_derived += derived[(ti - lo) * nshards + s];
-      }
-      *total_tuples += task_derived;
-      if (*total_tuples > limits.max_tuples) {
-        return util::Internal(
-            "fixpoint exceeded tuple budget (diverging program?)");
-      }
-      FoldChunkMetrics(t.rule, task_derived, plans[ti].chunk_begin,
-                       plans[ti].chunk_end);
-      if (span.enabled()) {
-        span.set_args(util::StrCat(
-            "\"head\":\"", obs::LabelEscape(t.rule->head_pred),
-            "\",\"rule\":", t.rule->id, ",\"delta_pos\":", t.pos,
-            ",\"derived\":", task_derived));
-      }
-    }
-    counters_->merge_parallel->Add(1);
-    for (size_t s = 0; s < nshards; ++s) {
-      if (shard_rows[s] > 0 && s < counters_->merge_shard_rows.size()) {
-        counters_->merge_shard_rows[s]->Add(shard_rows[s]);
-      }
-    }
-    counters_->merge_latency->Observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - merge_start)
-            .count()));
-    return util::OkStatus();
-  };
-  bool any_parallel = false;
-
-  Status merge_status = util::OkStatus();
-  for (size_t ti = 0; ti < tasks.size() && merge_status.ok();) {
-    if (!plans[ti].safe) {
-      merge_status = RunRuleInto(tasks[ti].rule, tasks[ti].pos,
-                                 tasks[ti].delta_rel, limits, total_tuples,
-                                 next_delta, stratum_new);
-      ++ti;
-      continue;
-    }
-    size_t seg_end = ti;
-    while (seg_end < tasks.size() && plans[seg_end].safe) ++seg_end;
-    // Shard topology gate: every head in the segment must share one shard
-    // count > 1, or the segment replays on this thread. Dispatching the
-    // pool also costs a wake/claim round trip per segment, so segments
-    // with few buffered rows (the chain-closure shape: many rounds of
-    // tiny deltas) replay inline — the row count is a pure function of
-    // the buffers, so the cutoff cannot change the output.
-    constexpr size_t kParallelMergeMinRows = 256;
-    size_t nshards = plans[ti].head->shard_count();
-    size_t seg_rows = 0;
-    for (size_t si = ti; si < seg_end; ++si) {
-      if (plans[si].head->shard_count() != nshards) nshards = 1;
-      for (size_t ci = plans[si].chunk_begin; ci < plans[si].chunk_end; ++ci) {
-        seg_rows += emit_bufs_[ci].hashes.size();
-      }
-    }
-    if (nshards > 1 && seg_rows >= kParallelMergeMinRows) {
-      any_parallel = true;
-      merge_status = merge_segment_parallel(ti, seg_end, nshards);
-    } else {
-      counters_->merge_sequential->Add(1);
-      for (size_t si = ti; si < seg_end && merge_status.ok(); ++si) {
-        merge_status = merge_task_sequential(si);
-      }
-    }
-    ti = seg_end;
-  }
-  LB_RETURN_IF_ERROR(merge_status);
-
-  // Sweep delta entries that ended the round empty: only the parallel
-  // merge pre-creates entries before knowing whether a task derives
-  // anything (the sequential paths create deltas on first insert), so
-  // rounds that replayed entirely inline skip the map walk. An empty
-  // entry would cost the caller an extra no-op round (and skew round
-  // metrics versus the sequential engine).
-  if (any_parallel) {
-    for (auto it = next_delta->begin(); it != next_delta->end();) {
-      it = it->second.empty() ? next_delta->erase(it) : std::next(it);
-    }
-    if (stratum_new != nullptr) {
-      for (auto it = stratum_new->begin(); it != stratum_new->end();) {
-        it = it->second.empty() ? stratum_new->erase(it) : std::next(it);
-      }
-    }
+    FoldChunkMetrics(t.rule, out.derived(), plan.chunk_begin, plan.chunk_end);
+    SetRuleSpanArgs(&span, *t.rule, t.pos, out.derived());
   }
   return util::OkStatus();
 }

@@ -35,13 +35,6 @@ class RelationStore {
         generation_(NextGeneration()) {}
 
   Relation* GetOrCreate(const std::string& name, size_t arity);
-
-  /// Shard count for relations this store creates from now on (existing
-  /// relations keep their layout). The evaluator creates its delta
-  /// relations with the same count, so hash-routed parallel merges see a
-  /// consistent shard topology across every relation they touch.
-  void set_default_shards(size_t shards) { default_shards_ = shards; }
-  size_t default_shards() const { return default_shards_; }
   Relation* Get(const std::string& name);
   const Relation* Get(const std::string& name) const;
   std::unordered_map<std::string, Relation>& relations() { return rels_; }
@@ -64,7 +57,6 @@ class RelationStore {
 
   ValuePool* pool_;
   uint64_t generation_;
-  size_t default_shards_ = 1;
   std::unordered_map<std::string, Relation> rels_;
 };
 
@@ -175,21 +167,14 @@ util::Result<std::unique_ptr<CompiledRule>> CompileRule(
 void InstrumentRule(CompiledRule* rule, obs::MetricsRegistry* metrics);
 
 /// The evaluator-wide counters, resolved once per workspace and shared by
-/// every Evaluator it constructs.
+/// every Evaluator it constructs: tuples derived, rounds, and the rows each
+/// round's delta carried.
 struct EvalCounters {
-  /// `shards`: the store's shard count.
-  EvalCounters(obs::MetricsRegistry* metrics, size_t shards);
+  explicit EvalCounters(obs::MetricsRegistry* metrics);
 
   obs::Counter* tuples_derived;
   obs::Counter* rounds;
   obs::Histogram* delta_rows;
-  /// Parallel vs sequential merges, and parallel-segment merge latency.
-  obs::Counter* merge_parallel;
-  obs::Counter* merge_sequential;
-  obs::Histogram* merge_latency;
-  /// Rows replayed per shard, so shard skew shows up in every dump; empty
-  /// for an unsharded store, which never merges in parallel.
-  std::vector<obs::Counter*> merge_shard_rows;
 };
 
 class EvalWorkerPool;
@@ -216,23 +201,17 @@ using EvalWorkerPoolHandle =
 /// FreezeForRead()-locked, so workers touch no shared mutable state at
 /// all. Each task's leading literal enumeration is partitioned into row
 /// ranges (chunks); workers emit pre-hashed head rows — already filtered
-/// against the frozen full relation — into per-chunk buffers. The merge
-/// then replays the buffers in deterministic (task, chunk, row) order:
-/// deduplicating full-store inserts, delta construction and the tuple
-/// budget exactly as the sequential path, while non-safe rules (builtins,
-/// patterns, aggregates) evaluate inline at their task position. When the
-/// store is sharded (shards > 1) the merge itself is parallel: each
-/// worker owns a disjoint set of shards and replays only the buffered
-/// rows whose hash routes to its shards, so dedup insert, delta appends
-/// and per-task derived counts all happen shard-locally with no
-/// synchronization beyond the end-of-merge barrier (budget totals are
-/// summed there, preserving the sequential accept/reject decision). The
-/// fixpoint SET is identical to sequential evaluation
-/// (rounds are confluent; a consequence skipped under the frozen view is
-/// derived from the next round's delta), so Workspace::Dump — which
-/// sorts rows — is byte-identical across thread counts. threads == 1
-/// runs today's exact sequential code path; provenance tracking and the
-/// naive ablation force it.
+/// against the frozen full relation — into per-chunk buffers. The calling
+/// thread then merges: it replays the buffers in deterministic (task,
+/// chunk, row) order through the same insert step the sequential path
+/// uses (deduplicating full-store insert, tuple budget, delta appends),
+/// while non-safe rules (builtins, patterns, aggregates) evaluate inline
+/// at their task position. The fixpoint SET is identical to sequential
+/// evaluation (rounds are confluent; a consequence skipped under the
+/// frozen view is derived from the next round's delta), so
+/// Workspace::Dump — which sorts rows — is byte-identical across thread
+/// counts. threads == 1 runs the sequential code path; provenance tracking
+/// and the naive ablation force it.
 class Evaluator {
  public:
   struct Limits {
@@ -256,7 +235,7 @@ class Evaluator {
             obs::Tracer* tracer = nullptr);
   ~Evaluator();
 
-  /// Runs all rules to fixpoint, counting rounds, deltas and merges into
+  /// Runs all rules to fixpoint, counting rounds and deltas into
   /// `counters` and each rule's probes, hits and tuples derived into its
   /// own handles.
   ///
@@ -367,11 +346,10 @@ class Evaluator {
 
   /// Shared rule-evaluation step of every round of Run(): resolves the
   /// head relation once (not per emitted tuple), evaluates the rule
-  /// (delta-seeded when pos >= 0), inserts every emission into the full
-  /// store — recording provenance when enabled — and appends tuples that
-  /// were new there to lazily created per-predicate outputs in
-  /// `next_delta` and (when non-null) `stratum_new`; the full-store
-  /// insert deduped, so the outputs take unchecked appends.
+  /// (delta-seeded when pos >= 0) and hands every emission — recording
+  /// provenance when enabled — to the round's one insert step (HeadWriter
+  /// in eval.cc: full-store dedup, tuple budget, appends to `next_delta`
+  /// and, when non-null, `stratum_new`).
   util::Status RunRuleInto(CompiledRule* rule, int pos, Relation* delta_rel,
                            const Limits& limits, size_t* total_tuples,
                            std::map<std::string, Relation>* next_delta,

@@ -43,42 +43,31 @@ class LazyProbeScope {
 }  // namespace
 
 void Relation::Fail(const char* msg) const {
-  std::fprintf(stderr,
-               "lbtrust fatal: %s (relation arity=%zu shards=%zu)\n", msg,
-               arity_, shards_.size());
+  std::fprintf(stderr, "lbtrust fatal: %s (relation arity=%zu rows=%zu)\n",
+               msg, arity_, size());
   std::abort();
 }
 
-Relation::Relation(size_t arity, ValuePool* pool, size_t shards)
+Relation::Relation(size_t arity, ValuePool* pool)
     : arity_(arity), pool_(pool != nullptr ? pool : ValuePool::Default()) {
   if (arity_ > kMaxArity) {
     Fail("relation arity exceeds kMaxArity (64); callers must validate "
          "before construction");
   }
-  size_t n = 1;
-  uint32_t shift = 0;
-  while (n < shards && n < kMaxShards) {
-    n <<= 1;
-    ++shift;
-  }
-  shards_.resize(n);
-  shard_mask_ = static_cast<uint32_t>(n - 1);
-  shard_shift_ = shift;
 }
 
 Relation::Relation(Relation&& other) noexcept
     : arity_(other.arity_),
       pool_(other.pool_),
-      shards_(std::move(other.shards_)),
-      shard_mask_(other.shard_mask_),
-      shard_shift_(other.shard_shift_),
-      append_only_(other.append_only_.load(std::memory_order_relaxed)),
+      data_(std::move(other.data_)),
+      primary_slots_(std::move(other.primary_slots_)),
+      row_hash_(std::move(other.row_hash_)),
+      primary_used_(other.primary_used_),
+      append_only_(other.append_only_),
       frozen_(other.frozen_),
-      frozen_rows_(other.frozen_rows_),
       indexes_(std::move(other.indexes_)) {
-  other.shards_.clear();
-  other.shards_.resize(size_t{other.shard_mask_} + 1);
-  other.append_only_.store(false, std::memory_order_relaxed);
+  other.primary_used_ = 0;
+  other.append_only_ = false;
   other.frozen_ = false;
 }
 
@@ -86,17 +75,15 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   if (this == &other) return *this;
   arity_ = other.arity_;
   pool_ = other.pool_;
-  shards_ = std::move(other.shards_);
-  shard_mask_ = other.shard_mask_;
-  shard_shift_ = other.shard_shift_;
-  append_only_.store(other.append_only_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
+  data_ = std::move(other.data_);
+  primary_slots_ = std::move(other.primary_slots_);
+  row_hash_ = std::move(other.row_hash_);
+  primary_used_ = other.primary_used_;
+  append_only_ = other.append_only_;
   frozen_ = other.frozen_;
-  frozen_rows_ = other.frozen_rows_;
   indexes_ = std::move(other.indexes_);
-  other.shards_.clear();
-  other.shards_.resize(size_t{other.shard_mask_} + 1);
-  other.append_only_.store(false, std::memory_order_relaxed);
+  other.primary_used_ = 0;
+  other.append_only_ = false;
   other.frozen_ = false;
   return *this;
 }
@@ -121,11 +108,10 @@ uint64_t Relation::HashKeySpan(const ValueId* key, size_t n) {
   return h;
 }
 
-bool Relation::LocalRowEquals(const Shard& s, uint32_t local,
-                              const ValueId* ids) const {
+bool Relation::RowEquals(uint32_t row, const ValueId* ids) const {
   // arity 0: the empty row equals itself (and memcmp must not see null).
   if (arity_ == 0) return true;
-  return std::memcmp(LocalRow(s, local), ids, arity_ * sizeof(ValueId)) == 0;
+  return std::memcmp(RowIds(row), ids, arity_ * sizeof(ValueId)) == 0;
 }
 
 bool Relation::RowMatchesKey(uint32_t row, uint64_t mask,
@@ -140,27 +126,27 @@ bool Relation::RowMatchesKey(uint32_t row, uint64_t mask,
   return true;
 }
 
-// --- Primary set (open addressing, per shard) -------------------------------
+// --- Primary set (open addressing) -----------------------------------------
 
-void Relation::GrowPrimary(Shard* s, size_t min_capacity) {
+void Relation::GrowPrimary(size_t min_capacity) {
   size_t cap = 16;
   while (cap < min_capacity * 2) cap <<= 1;
-  s->primary_slots.assign(cap, kEmptySlot);
-  s->primary_used = 0;
+  primary_slots_.assign(cap, kEmptySlot);
+  primary_used_ = 0;
   const size_t mask = cap - 1;
-  const size_t nrows = s->row_hash.size();
+  const size_t nrows = size();
   for (size_t i = 0; i < nrows; ++i) {
-    size_t slot = static_cast<size_t>(s->row_hash[i]) & mask;
-    while (s->primary_slots[slot] != kEmptySlot) slot = (slot + 1) & mask;
-    s->primary_slots[slot] = static_cast<uint32_t>(i);
-    ++s->primary_used;
+    size_t slot = static_cast<size_t>(row_hash_[i]) & mask;
+    while (primary_slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
+    primary_slots_[slot] = static_cast<uint32_t>(i);
+    ++primary_used_;
   }
 }
 
-size_t Relation::FindPrimarySlot(const Shard& s, uint32_t local) const {
-  const size_t mask = s.primary_slots.size() - 1;
-  size_t slot = static_cast<size_t>(s.row_hash[local]) & mask;
-  while (s.primary_slots[slot] != local) slot = (slot + 1) & mask;
+size_t Relation::FindPrimarySlot(uint32_t row) const {
+  const size_t mask = primary_slots_.size() - 1;
+  size_t slot = static_cast<size_t>(row_hash_[row]) & mask;
+  while (primary_slots_[slot] != row) slot = (slot + 1) & mask;
   return slot;
 }
 
@@ -170,58 +156,43 @@ bool Relation::InsertIds(const ValueId* row) {
 
 bool Relation::InsertIdsHashed(const ValueId* row, uint64_t h) {
   if (frozen_) Fail("InsertIds on a frozen relation");
-  if (append_only_.load(std::memory_order_relaxed)) {
-    Fail("checked insert into an AppendUnchecked relation");
+  if (append_only_) Fail("checked insert into an AppendUnchecked relation");
+  if ((primary_used_ + 1) * 4 >= primary_slots_.size() * 3) {
+    GrowPrimary(size() + 1);
   }
-  Shard& s = shards_[ShardOfHash(h)];
-  if ((s.primary_used + 1) * 4 >= s.primary_slots.size() * 3) {
-    GrowPrimary(&s, s.row_hash.size() + 1);
-  }
-  const size_t mask = s.primary_slots.size() - 1;
+  const size_t mask = primary_slots_.size() - 1;
   size_t slot = static_cast<size_t>(h) & mask;
   size_t insert_at = SIZE_MAX;
   for (;;) {
-    uint32_t occupant = s.primary_slots[slot];
+    uint32_t occupant = primary_slots_[slot];
     if (occupant == kEmptySlot) break;
     if (occupant == kTombstone) {
       if (insert_at == SIZE_MAX) insert_at = slot;
-    } else if (s.row_hash[occupant] == h && LocalRowEquals(s, occupant, row)) {
+    } else if (row_hash_[occupant] == h && RowEquals(occupant, row)) {
       return false;
     }
     slot = (slot + 1) & mask;
   }
   if (insert_at == SIZE_MAX) {
     insert_at = slot;
-    ++s.primary_used;  // consumed a fresh empty slot (tombstone reuse is free)
+    ++primary_used_;  // consumed a fresh empty slot (tombstone reuse is free)
   }
-  s.primary_slots[insert_at] = static_cast<uint32_t>(s.row_hash.size());
-  s.row_hash.push_back(h);
-  if (arity_ > 0) s.data.insert(s.data.end(), row, row + arity_);
+  primary_slots_[insert_at] = static_cast<uint32_t>(size());
+  row_hash_.push_back(h);
+  if (arity_ > 0) data_.insert(data_.end(), row, row + arity_);
   // Existing indexes are extended lazily at next lookup (built_upto).
   return true;
 }
 
 void Relation::AppendUnchecked(const ValueId* row) {
-  // Single-shard relations skip the hash entirely (the classic layout);
-  // sharded ones route by the row hash so placement matches the hashed
-  // fast path regardless of which API appended the row.
-  AppendUncheckedHashed(row, shard_mask_ == 0 ? 0 : HashRow(row));
-}
-
-void Relation::AppendUncheckedHashed(const ValueId* row, uint64_t h) {
   if (frozen_) Fail("AppendUnchecked on a frozen relation");
-  Shard& s = shards_[ShardOfHash(h)];
-  if (!append_only_.load(std::memory_order_relaxed)) {
-    for (const Shard& sh : shards_) {
-      if (!sh.primary_slots.empty()) {
-        Fail("AppendUnchecked on a relation with checked rows (mixing breaks "
-             "set semantics)");
-      }
-    }
-    append_only_.store(true, std::memory_order_relaxed);
+  if (!append_only_ && !primary_slots_.empty()) {
+    Fail("AppendUnchecked on a relation with checked rows (mixing breaks "
+         "set semantics)");
   }
-  s.row_hash.push_back(0);  // never consulted: no primary entry exists
-  if (arity_ > 0) s.data.insert(s.data.end(), row, row + arity_);
+  append_only_ = true;
+  row_hash_.push_back(0);  // never consulted: no primary entry exists
+  if (arity_ > 0) data_.insert(data_.end(), row, row + arity_);
 }
 
 bool Relation::Insert(Tuple t) {
@@ -235,15 +206,14 @@ bool Relation::ContainsIds(const ValueId* row) const {
 }
 
 bool Relation::ContainsIdsHashed(const ValueId* row, uint64_t h) const {
-  const Shard& s = shards_[ShardOfHash(h)];
-  if (s.primary_slots.empty()) return false;
-  const size_t mask = s.primary_slots.size() - 1;
+  if (primary_slots_.empty()) return false;
+  const size_t mask = primary_slots_.size() - 1;
   size_t slot = static_cast<size_t>(h) & mask;
   for (;;) {
-    uint32_t occupant = s.primary_slots[slot];
+    uint32_t occupant = primary_slots_[slot];
     if (occupant == kEmptySlot) return false;
-    if (occupant != kTombstone && s.row_hash[occupant] == h &&
-        LocalRowEquals(s, occupant, row)) {
+    if (occupant != kTombstone && row_hash_[occupant] == h &&
+        RowEquals(occupant, row)) {
       return true;
     }
     slot = (slot + 1) & mask;
@@ -259,44 +229,36 @@ bool Relation::Contains(const Tuple& t) const {
 
 bool Relation::EraseIds(const ValueId* row) {
   if (frozen_) Fail("EraseIds on a frozen relation");
-  if (append_only_.load(std::memory_order_relaxed)) {
-    Fail("checked erase from an AppendUnchecked relation");
-  }
+  if (append_only_) Fail("checked erase from an AppendUnchecked relation");
+  if (primary_slots_.empty()) return false;
   const uint64_t h = HashRow(row);
-  const size_t shard = ShardOfHash(h);
-  Shard& s = shards_[shard];
-  if (s.primary_slots.empty()) return false;
-  const size_t pmask = s.primary_slots.size() - 1;
+  const size_t pmask = primary_slots_.size() - 1;
   size_t slot = static_cast<size_t>(h) & pmask;
   uint32_t idx = kEmptySlot;
   for (;;) {
-    uint32_t occupant = s.primary_slots[slot];
+    uint32_t occupant = primary_slots_[slot];
     if (occupant == kEmptySlot) return false;
-    if (occupant != kTombstone && s.row_hash[occupant] == h &&
-        LocalRowEquals(s, occupant, row)) {
+    if (occupant != kTombstone && row_hash_[occupant] == h &&
+        RowEquals(occupant, row)) {
       idx = occupant;
       break;
     }
     slot = (slot + 1) & pmask;
   }
 
-  const uint32_t last = static_cast<uint32_t>(s.row_hash.size()) - 1;
-  const ValueId* moved = LocalRow(s, last);
-  const uint32_t idx_id = MakeRowId(shard, idx);
-  const uint32_t last_id = MakeRowId(shard, last);
+  const uint32_t last = static_cast<uint32_t>(size()) - 1;
+  const ValueId* moved = RowIds(last);
   // Patch every built index before touching row storage: remove the erased
   // row id and re-home the row that swap-and-pop moves from `last` to
-  // `idx`. An index only knows this shard's rows below built_upto[shard];
-  // rows at or above it are picked up by the next ExtendIndex.
+  // `idx`. An index only knows rows below built_upto; rows at or above it
+  // are picked up by the next ExtendIndex.
   for (auto& [imask, index] : indexes_) {
-    uint32_t upto =
-        index.built_upto.empty() ? 0 : index.built_upto[shard];
-    const bool erased_indexed = upto > idx;
-    const bool moved_indexed = upto > last;
+    const bool erased_indexed = index.built_upto > idx;
+    const bool moved_indexed = index.built_upto > last;
     if (erased_indexed) {
       auto bucket = index.map.find(HashProjected(row, imask));
       if (bucket != index.map.end()) {
-        RemoveId(&bucket->second, idx_id);
+        RemoveId(&bucket->second, idx);
         if (bucket->second.empty()) index.map.erase(bucket);
       }
     }
@@ -306,33 +268,30 @@ bool Relation::EraseIds(const ValueId* row) {
         auto bucket = index.map.find(mh);
         if (bucket != index.map.end()) {
           auto pos =
-              std::find(bucket->second.begin(), bucket->second.end(), last_id);
-          if (pos != bucket->second.end()) *pos = idx_id;
+              std::find(bucket->second.begin(), bucket->second.end(), last);
+          if (pos != bucket->second.end()) *pos = idx;
         }
       } else if (erased_indexed) {
         // The moved row lands below built_upto without ever having been
         // indexed; index it now since ExtendIndex will not revisit idx.
-        index.map[mh].push_back(idx_id);
+        index.map[mh].push_back(idx);
       }
     }
-    if (upto > last) {
-      index.built_rows -= upto - last;
-      index.built_upto[shard] = last;
-    }
+    if (index.built_upto > last) index.built_upto = last;
   }
 
-  s.primary_slots[slot] = kTombstone;
+  primary_slots_[slot] = kTombstone;
   if (idx != last) {
     // Re-home `last` under its (unchanged) hash, then move its storage.
-    s.primary_slots[FindPrimarySlot(s, last)] = idx;
-    s.row_hash[idx] = s.row_hash[last];
+    primary_slots_[FindPrimarySlot(last)] = idx;
+    row_hash_[idx] = row_hash_[last];
     if (arity_ > 0) {
-      std::memcpy(s.data.data() + size_t{idx} * arity_, moved,
+      std::memcpy(data_.data() + size_t{idx} * arity_, moved,
                   arity_ * sizeof(ValueId));
     }
   }
-  s.row_hash.pop_back();
-  s.data.resize(s.data.size() - arity_);
+  row_hash_.pop_back();
+  data_.resize(data_.size() - arity_);
   return true;
 }
 
@@ -345,47 +304,38 @@ bool Relation::Erase(const Tuple& t) {
 
 void Relation::Clear() {
   if (frozen_) Fail("Clear on a frozen relation");
-  append_only_.store(false, std::memory_order_relaxed);
-  for (Shard& s : shards_) {
-    s.data.clear();
-    s.primary_slots.clear();
-    s.row_hash.clear();
-    s.primary_used = 0;
-  }
+  append_only_ = false;
+  data_.clear();
+  primary_slots_.clear();
+  row_hash_.clear();
+  primary_used_ = 0;
   indexes_.clear();
 }
 
 // --- Mask indexes -----------------------------------------------------------
 
 void Relation::ExtendIndex(uint64_t mask, Index* index) const {
-  if (index->built_upto.empty()) index->built_upto.resize(shards_.size(), 0);
-  if (index->map.empty()) {
-    // First build (or rebuild after the map drained): reserve buckets from
-    // the row count so freeze-prep on wide relations extends without
-    // rehash churn.
-    const size_t rows = size();
-    if (rows > 0) index->map.reserve(rows);
+  const size_t nrows = size();
+  // First build (or rebuild after the map drained): reserve buckets from
+  // the row count so freeze-prep on wide relations extends without rehash
+  // churn.
+  if (index->map.empty() && nrows > 0) index->map.reserve(nrows);
+  for (size_t i = index->built_upto; i < nrows; ++i) {
+    index->map[HashProjected(RowIds(i), mask)].push_back(
+        static_cast<uint32_t>(i));
   }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const size_t nrows = shards_[s].row_hash.size();
-    for (size_t i = index->built_upto[s]; i < nrows; ++i) {
-      index->map[HashProjected(LocalRow(shards_[s], i), mask)].push_back(
-          MakeRowId(s, i));
-    }
-    index->built_rows += nrows - index->built_upto[s];
-    index->built_upto[s] = static_cast<uint32_t>(nrows);
-  }
+  index->built_upto = nrows;
 }
 
 void Relation::BuildIndex(uint64_t mask) {
   if (frozen_) Fail("BuildIndex on a frozen relation (thaw first)");
   Index& index = indexes_[mask];
-  if (index.built_rows < size()) ExtendIndex(mask, &index);
+  if (index.built_upto < size()) ExtendIndex(mask, &index);
 }
 
 const Relation::Index* Relation::FrozenIndex(uint64_t mask) const {
   auto it = indexes_.find(mask);
-  if (it == indexes_.end() || it->second.built_rows != frozen_rows_) {
+  if (it == indexes_.end() || it->second.built_upto != size()) {
     Fail("index probe on a frozen relation without a pre-built index "
          "(call BuildIndex(mask) before FreezeForRead)");
   }
@@ -397,7 +347,7 @@ const Relation::Index* Relation::LazyIndex(uint64_t mask) const {
   LazyProbeScope scope(&lazy_probes_);
 #endif
   Index& index = indexes_[mask];
-  if (index.built_rows < size()) ExtendIndex(mask, &index);
+  if (index.built_upto < size()) ExtendIndex(mask, &index);
   return &index;
 }
 

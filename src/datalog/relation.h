@@ -11,34 +11,14 @@
 
 namespace lbtrust::datalog {
 
-/// Set-semantics tuple store over interned values, partitioned into N
-/// hash-disjoint shards. Each shard keeps the pre-sharding structures —
-/// a flat, arity-strided `ValueId` row buffer, an open-addressing primary
-/// set over cached row hashes — and a row is routed to its shard by its
-/// full-row hash, so the per-shard fast paths are unchanged. The primary
-/// set and the per-mask hash indexes key on 64-bit hashes of id spans
-/// (candidates are verified with id compares, so correctness never depends
-/// on hash collision freedom). The evaluator asks for "all rows whose
-/// columns {i: mask bit i set} equal this key"; by default the first such
-/// query builds the index lazily and later inserts extend it on demand.
-///
-/// ## Row ids and sharding
-///
-/// Shard counts are powers of two (1 = the classic single-partition
-/// layout; every structure then matches the pre-sharding relation bit for
-/// bit). A row id packs (local row, shard) as `local << shard_shift |
-/// shard`, so ids stay stable under appends to ANY shard — an id handed
-/// out by LookupIds remains valid while other shards grow. Ids are
-/// therefore NOT dense in [0, size()): enumerate rows with Rows() (or the
-/// ShardSize/MakeRowId accessors), never by counting to size().
-///
-/// Routing is a pure function of the row hash (ShardOfHash), which makes
-/// disjoint-shard mutation safe: two threads may Insert/Append
-/// *hash-routed* rows concurrently as long as no shard is touched by both
-/// — the parallel merge in eval.cc partitions shards across workers this
-/// way. The row SET stored is independent of the shard count; only
-/// enumeration order changes (Workspace::Dump sorts, so dumps are
-/// byte-identical at any shard count).
+/// Set-semantics tuple store over interned values, in one partition. Rows
+/// live in one flat, arity-strided `ValueId` buffer, and a row id is the
+/// row's dense position in it; the primary set and the per-mask hash
+/// indexes key on 64-bit hashes of id spans (candidates are verified with
+/// id compares, so correctness never depends on hash collision freedom).
+/// The evaluator asks for "all rows whose columns {i: mask bit i set} equal
+/// this key"; by default the first such query builds the index lazily and
+/// later inserts extend it on demand.
 ///
 /// ## Threading model
 ///
@@ -70,17 +50,11 @@ class Relation {
   /// boundaries (Workspace::EnsurePredicate, CompileRule) and as a hard
   /// failure here as the last line of defense.
   static constexpr size_t kMaxArity = 64;
-  /// Cap on shards: keeps fixed-size per-shard scratch (snapshot arrays in
-  /// the evaluator's scan loops) on the stack, and 64 partitions is far
-  /// beyond any worker count the merge can use.
-  static constexpr size_t kMaxShards = 64;
 
   /// `pool == nullptr` uses the process-wide ValuePool::Default() (for
   /// standalone relations in tests and tools); the engine always passes a
   /// workspace-scoped pool so ids stay comparable across its relations.
-  /// `shards` is rounded up to a power of two and clamped to kMaxShards.
-  explicit Relation(size_t arity, ValuePool* pool = nullptr,
-                    size_t shards = 1);
+  explicit Relation(size_t arity, ValuePool* pool = nullptr);
 
   /// Move-only: the debug concurrency guard is not copyable, and nothing
   /// in the engine copies relations.
@@ -90,48 +64,15 @@ class Relation {
   Relation& operator=(const Relation&) = delete;
 
   size_t arity() const { return arity_; }
-  size_t size() const {
-    size_t n = 0;
-    for (const Shard& s : shards_) n += s.row_hash.size();
-    return n;
-  }
-  bool empty() const {
-    for (const Shard& s : shards_) {
-      if (!s.row_hash.empty()) return false;
-    }
-    return true;
-  }
+  size_t size() const { return row_hash_.size(); }
+  bool empty() const { return row_hash_.empty(); }
   ValuePool* pool() const { return pool_; }
-
-  // --- Shard topology -------------------------------------------------------
-
-  size_t shard_count() const { return shards_.size(); }
-  /// Rows currently stored in shard `s`.
-  size_t ShardSize(size_t s) const { return shards_[s].row_hash.size(); }
-  /// Base of shard `s`'s arity-strided row storage: local row `l` starts
-  /// at ShardData(s) + l * arity(). Stable only while no append to shard
-  /// `s` can reallocate — i.e. while the relation is frozen (the chunked
-  /// scan loops in eval.cc hoist it per shard on that basis).
-  const ValueId* ShardData(size_t s) const { return shards_[s].data.data(); }
-  /// The shard a row with primary hash `h` routes to. Uses the high hash
-  /// bits: the per-shard primary tables slot on the low bits, so low-bit
-  /// routing would collapse every shard's slot space.
-  size_t ShardOfHash(uint64_t h) const {
-    return static_cast<size_t>(h >> 32) & shard_mask_;
-  }
-  /// Packs (shard, local row) into a row id.
-  uint32_t MakeRowId(size_t s, size_t local) const {
-    return static_cast<uint32_t>((local << shard_shift_) | s);
-  }
-  size_t RowShard(uint32_t id) const { return id & shard_mask_; }
 
   /// Returns true if the tuple was new.
   bool Insert(Tuple t);
   bool InsertIds(const ValueId* row);
   /// InsertIds with the row hash precomputed via RowHash() (the parallel
-  /// merge path hashes rows on worker threads). Touches only the shard
-  /// ShardOfHash(hash) routes to, so concurrent calls are race-free as
-  /// long as each thread owns a disjoint set of shards.
+  /// evaluator hashes rows on worker threads).
   bool InsertIdsHashed(const ValueId* row, uint64_t hash);
   /// Appends a row WITHOUT the duplicate check or primary-set bookkeeping.
   /// For delta/seed relations whose uniqueness the caller already
@@ -141,17 +82,13 @@ class Relation {
   /// with checked mutations hard-fails in every build mode: the relation
   /// must either be append-only from birth or never see AppendUnchecked.
   void AppendUnchecked(const ValueId* row);
-  /// AppendUnchecked routed by a precomputed RowHash() — the disjoint-shard
-  /// contract of InsertIdsHashed applies, so the parallel merge can append
-  /// to delta relations from several workers at once.
-  void AppendUncheckedHashed(const ValueId* row, uint64_t hash);
   bool Contains(const Tuple& t) const;
   bool ContainsIds(const ValueId* row) const;
   /// ContainsIds with the row hash precomputed via RowHash().
   bool ContainsIdsHashed(const ValueId* row, uint64_t hash) const;
-  /// Removes a tuple (swap-and-pop within its shard; built indexes are
-  /// patched in place, so removal cost is O(indexes), not
-  /// O(rows * indexes)). Returns true if present.
+  /// Removes a tuple (swap-and-pop; built indexes are patched in place, so
+  /// removal cost is O(indexes), not O(rows * indexes)). Returns true if
+  /// present.
   bool Erase(const Tuple& t);
   bool EraseIds(const ValueId* row);
   void Clear();
@@ -160,14 +97,10 @@ class Relation {
   /// expect). Pure function of the ids; safe from any thread.
   uint64_t RowHash(const ValueId* row) const { return HashRow(row); }
 
-  /// The ids of the row with id `i` (arity() consecutive entries). Row ids
-  /// come from LookupIds/Rows/MakeRowId; they are NOT dense positions.
-  /// Invalidated by Insert/Erase/Clear on the row's shard.
-  const ValueId* RowIds(size_t i) const {
-    const Shard& s = shards_[i & shard_mask_];
-    return s.data.data() + (i >> shard_shift_) * arity_;
-  }
-  /// Materializes the row with id `i` as a boundary tuple.
+  /// The ids of row `i` (arity() consecutive entries). Invalidated by
+  /// Insert/Erase/Clear.
+  const ValueId* RowIds(size_t i) const { return data_.data() + i * arity_; }
+  /// Materializes row `i` as a boundary tuple.
   Tuple RowTuple(size_t i) const {
     return MaterializeTuple(*pool_, RowIds(i), arity_);
   }
@@ -175,53 +108,32 @@ class Relation {
     return pool_->Get(RowIds(row)[col]);
   }
 
-  // --- Enumeration ----------------------------------------------------------
-
-  /// Shard-major row-id enumeration: all rows of shard 0 in insertion
-  /// order, then shard 1, ... Deterministic for a fixed mutation history.
-  /// `for (uint32_t id : rel->Rows())` replaces the pre-sharding
-  /// `for (i < size())` dense loop. Iterators read live shard sizes: do
-  /// not mutate the relation while enumerating (snapshot ShardSize per
-  /// shard first if appends-during-scan semantics are needed, as the
-  /// evaluator's recursive scans do).
+  /// Row-id enumeration in storage order: `for (uint32_t id : rel.Rows())`.
+  /// The range is [0, size()) as of the call, so rows appended while
+  /// enumerating are not visited.
   class RowIterator {
    public:
-    RowIterator(const Relation* rel, size_t shard) : rel_(rel), shard_(shard) {
-      SkipEmpty();
-    }
-    uint32_t operator*() const { return rel_->MakeRowId(shard_, local_); }
+    explicit RowIterator(uint32_t id) : id_(id) {}
+    uint32_t operator*() const { return id_; }
     RowIterator& operator++() {
-      if (++local_ >= rel_->ShardSize(shard_)) {
-        ++shard_;
-        local_ = 0;
-        SkipEmpty();
-      }
+      ++id_;
       return *this;
     }
-    bool operator!=(const RowIterator& o) const {
-      return shard_ != o.shard_ || local_ != o.local_;
-    }
+    bool operator!=(const RowIterator& o) const { return id_ != o.id_; }
 
    private:
-    void SkipEmpty() {
-      while (shard_ < rel_->shard_count() && rel_->ShardSize(shard_) == 0) {
-        ++shard_;
-      }
-    }
-    const Relation* rel_;
-    size_t shard_;
-    size_t local_ = 0;
+    uint32_t id_;
   };
   struct RowRange {
-    const Relation* rel;
-    RowIterator begin() const { return RowIterator(rel, 0); }
-    RowIterator end() const { return RowIterator(rel, rel->shard_count()); }
+    uint32_t rows;
+    RowIterator begin() const { return RowIterator(0); }
+    RowIterator end() const { return RowIterator(rows); }
   };
-  RowRange Rows() const { return RowRange{this}; }
+  RowRange Rows() const { return RowRange{static_cast<uint32_t>(size())}; }
 
-  /// True if the row with id `row`'s columns selected by `mask` equal
-  /// `key` (bound columns only, in column order). Read-only; used by the
-  /// parallel evaluator's partitioned first-literal scans.
+  /// True if row `row`'s columns selected by `mask` equal `key` (bound
+  /// columns only, in column order). Read-only; used by the parallel
+  /// evaluator's partitioned first-literal scans.
   bool RowMatchesKey(uint32_t row, uint64_t mask, const ValueId* key) const;
 
   /// Appends the row ids matching `key` on the columns set in `mask`
@@ -242,12 +154,8 @@ class Relation {
 
   /// Enters frozen read-only mode: mutations hard-fail and index probes
   /// require a prior BuildIndex for their mask. Concurrent readers are
-  /// then race-free by construction. The row count is snapshotted so the
-  /// frozen index-coverage check is a single compare.
-  void FreezeForRead() {
-    frozen_rows_ = size();
-    frozen_ = true;
-  }
+  /// then race-free by construction.
+  void FreezeForRead() { frozen_ = true; }
   /// Leaves frozen mode (single-threaded again).
   void Thaw() { frozen_ = false; }
   bool frozen() const { return frozen_; }
@@ -257,28 +165,11 @@ class Relation {
   bool Matches(uint64_t mask, const Tuple& key) const;
 
  private:
-  /// One hash partition: exactly the pre-sharding relation storage, with
-  /// local (per-shard) row ids inside `primary_slots`.
-  struct Shard {
-    std::vector<ValueId> data;  ///< arity-strided row storage
-    /// Set membership: open-addressing table of local row ids (linear
-    /// probing, power-of-two capacity, tombstoned deletes) — one flat
-    /// allocation, no per-row nodes. Empty for AppendUnchecked-only
-    /// (delta) relations.
-    std::vector<uint32_t> primary_slots;
-    std::vector<uint64_t> row_hash;  ///< cached HashRow per local row
-    size_t primary_used = 0;         ///< occupied slots incl. tombstones
-  };
-
   struct Index {
-    /// key-span hash -> row ids whose projection hashes there. Global row
-    /// ids: one map probe per lookup regardless of shard count.
+    /// key-span hash -> row ids whose projection hashes there.
     std::unordered_map<uint64_t, std::vector<uint32_t>> map;
-    /// Per-shard count of local rows already indexed (lazily extended).
-    std::vector<uint32_t> built_upto;
-    /// Sum of built_upto: == size() iff the index covers every row
-    /// (built_upto[s] never exceeds ShardSize(s)).
-    size_t built_rows = 0;
+    /// Rows [0, built_upto) are indexed (lazily extended).
+    size_t built_upto = 0;
   };
 
   static constexpr uint32_t kEmptySlot = 0xFFFFFFFF;
@@ -292,11 +183,7 @@ class Relation {
   uint64_t HashRow(const ValueId* row) const;
   uint64_t HashProjected(const ValueId* row, uint64_t mask) const;
   static uint64_t HashKeySpan(const ValueId* key, size_t n);
-  /// Row storage of local row `local` in shard `s`.
-  const ValueId* LocalRow(const Shard& s, size_t local) const {
-    return s.data.data() + local * arity_;
-  }
-  bool LocalRowEquals(const Shard& s, uint32_t local, const ValueId* ids) const;
+  bool RowEquals(uint32_t row, const ValueId* ids) const;
   void ExtendIndex(uint64_t mask, Index* index) const;
   /// Frozen-mode index fetch: hard-fails unless BuildIndex(mask) ran and
   /// covers every row.
@@ -307,28 +194,27 @@ class Relation {
   /// value was never interned (no row can match).
   bool ProjectKey(const Tuple& key, IdTuple* out) const;
 
-  /// Open-addressing primary set helpers (per shard).
-  void GrowPrimary(Shard* s, size_t min_capacity);
-  /// Slot index holding local row `local` (which must be present), located
-  /// via its cached hash.
-  size_t FindPrimarySlot(const Shard& s, uint32_t local) const;
+  /// Open-addressing primary set helpers.
+  void GrowPrimary(size_t min_capacity);
+  /// Slot index holding row `row` (which must be present), located via its
+  /// cached hash.
+  size_t FindPrimarySlot(uint32_t row) const;
 
   size_t arity_;
   ValuePool* pool_;
-  std::vector<Shard> shards_;
-  uint32_t shard_mask_ = 0;   ///< shard_count() - 1
-  uint32_t shard_shift_ = 0;  ///< log2(shard_count())
+  std::vector<ValueId> data_;  ///< arity-strided row storage
+  /// Set membership: open-addressing table of row ids (linear probing,
+  /// power-of-two capacity, tombstoned deletes) — one flat allocation, no
+  /// per-row nodes. Empty for AppendUnchecked-only (delta) relations.
+  std::vector<uint32_t> primary_slots_;
+  std::vector<uint64_t> row_hash_;  ///< cached HashRow per row
+  size_t primary_used_ = 0;         ///< occupied slots incl. tombstones
   /// Set by the first AppendUnchecked: the relation has no primary-set
   /// bookkeeping and must never see checked mutations again (hard failure
   /// in InsertIds/EraseIds — mixing would silently break set semantics).
-  /// Atomic (relaxed) because the parallel merge appends from several
-  /// workers at once; the flag only ever goes false -> true.
-  std::atomic<bool> append_only_{false};
+  bool append_only_ = false;
   /// FreezeForRead() mode: mutations hard-fail, probes are read-only.
   bool frozen_ = false;
-  /// Row count snapshotted by FreezeForRead (frozen probes compare index
-  /// coverage against this instead of re-summing shard sizes).
-  size_t frozen_rows_ = 0;
   mutable std::unordered_map<uint64_t, Index> indexes_;
 #ifndef NDEBUG
   /// Debug detector for the lazy single-threaded contract: entered on

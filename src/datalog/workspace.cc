@@ -21,35 +21,11 @@ unsigned ResolveThreads(unsigned configured) {
   return hw == 0 ? 1 : hw;
 }
 
-/// Options::shards == 0 means "derive from the resolved thread count":
-/// one shard per worker keeps the parallel merge's per-worker replay
-/// ranges aligned with the pool, with no skew-prone remainder shards.
-/// Derivation also clamps at the hardware thread count: the merge caps
-/// its workers at hardware_concurrency - 1, so shards beyond that are
-/// partitions no worker can ever own in parallel — pure locality tax on
-/// an oversubscribed host. An explicit shards value still forces any
-/// topology (the output is shard-count independent either way).
-size_t ResolveShards(size_t configured, unsigned threads) {
-  if (configured != 0) return std::min(configured, Relation::kMaxShards);
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  return std::min<size_t>(std::min(ResolveThreads(threads), hw),
-                          Relation::kMaxShards);
-}
-
 }  // namespace
 
 Workspace::Workspace(Options options)
     : options_(std::move(options)), edb_(&pool_), store_(&pool_) {
-  // Every relation the evaluator creates from here on shards its storage
-  // by row hash so round merges can run one worker per shard. The EDB-side
-  // relations the workspace itself creates stay single-partition (they are
-  // mutated row-at-a-time on the caller's thread, where one partition is
-  // the better layout).
-  store_.set_default_shards(
-      ResolveShards(options_.shards, options_.threads));
-  eval_counters_ = std::make_unique<EvalCounters>(metrics_.get(),
-                                                  store_.default_shards());
+  eval_counters_ = std::make_unique<EvalCounters>(metrics_.get());
   fixpoints_full_ =
       metrics_->GetCounter("lbtrust_fixpoints_total", "path=\"full\"");
   fixpoints_delta_ =

@@ -194,23 +194,14 @@ class Workspace {
     /// The principal that `me` denotes.
     std::string principal = "local";
     /// Worker threads for intra-stratum rule evaluation. 0 = one per
-    /// hardware thread (std::thread::hardware_concurrency); 1 = today's
-    /// exact sequential behavior. With threads > 1, parallel-safe rules
-    /// evaluate concurrently against a frozen store snapshot and a
-    /// sequential merge keeps results deterministic — Workspace dumps are
-    /// byte-identical to sequential evaluation (see README "Parallel
-    /// evaluation"). Provenance tracking and naive_eval force sequential.
+    /// hardware thread (std::thread::hardware_concurrency); 1 = the
+    /// sequential engine. With threads > 1, parallel-safe rules evaluate
+    /// concurrently against a frozen store snapshot, and one merge on the
+    /// calling thread replays their output in a fixed order into the
+    /// single-partition store, so Workspace dumps are byte-identical to
+    /// sequential evaluation (see README "Parallel evaluation"). Provenance
+    /// tracking and naive_eval force sequential.
     unsigned threads = 0;
-    /// Hash shards per derived relation (rounded up to a power of two,
-    /// capped at Relation::kMaxShards). 0 = derive from the resolved
-    /// thread count, additionally clamped at hardware_concurrency (shards
-    /// beyond the core count are partitions the merge can never replay in
-    /// parallel); 1 = today's single-partition layout. With shards > 1
-    /// the parallel round merge replays each shard on its own worker
-    /// instead of funneling through one thread (see README "Sharded
-    /// storage"); the stored row SET — and therefore Dump() — is
-    /// identical at every (threads, shards) combination.
-    size_t shards = 0;
     /// Codegen (active-rule installation) iterations per Fixpoint().
     int max_codegen_rounds = 64;
     /// Evaluator budgets (diverging-program guards).
@@ -218,10 +209,6 @@ class Workspace {
     /// Disable semi-naive deltas (naive fixpoint) — ablation only. Also
     /// disables the delta-aware fixpoint path.
     bool naive_eval = false;
-    /// Disable the delta-aware fixpoint path (every Fixpoint() rebuilds
-    /// the store from scratch, as the seed engine did) — ablation and
-    /// escape hatch.
-    bool delta_fixpoint = true;
     /// Record a derivation witness per derived tuple (§7's provenance
     /// extension); query via Explain(). Off by default (memory cost).
     /// Disables the delta-aware fixpoint path (witnesses are rebuilt
@@ -457,8 +444,7 @@ class Workspace {
   /// False when this workspace's options rule the delta path out entirely
   /// (no point logging deltas then).
   bool DeltaTrackingEnabled() const {
-    return options_.delta_fixpoint && !options_.naive_eval &&
-           !options_.track_provenance;
+    return !options_.naive_eval && !options_.track_provenance;
   }
   /// Flags rule-set churn (forces the next Fixpoint() onto the full path)
   /// and drops the cached stratification.

@@ -162,9 +162,7 @@ bool Contains(const std::string& text, const std::string& needle) {
 }
 
 TEST(ExplainTest, SelectiveLastJoinReportsStaticOrderAndSelectivities) {
-  Workspace::Options opts;
-  opts.delta_fixpoint = false;
-  Workspace ws(opts);
+  Workspace ws;
   ASSERT_TRUE(ws.Load("q(X,Y) <- wide(X), wide(Y), narrow(X), narrow(Y).")
                   .ok());
   for (int i = 0; i < 32; ++i) {

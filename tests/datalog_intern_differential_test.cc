@@ -3,8 +3,9 @@
 // tests/golden_dumps.inc holds Workspace::Dump output captured from the
 // PRE-interning engine (PR 2 tree) for every corpus program in
 // tests/golden_programs.h; this suite replays the corpus through the
-// current engine — on the default options AND on the naive / no-delta
-// ablations — and requires byte-identical dumps.
+// current engine — on the default options, the naive ablation, a warm-store
+// full rebuild and the parallel evaluator — and requires byte-identical
+// dumps.
 #include <string>
 
 #include <gtest/gtest.h>
@@ -24,11 +25,10 @@ static_assert(sizeof(kGoldenDumps) / sizeof(kGoldenDumps[0]) ==
               "regenerate with tools/gen_goldens.cc");
 
 std::string RunAndDump(const lbtrust::testing::GoldenProgram& prog,
-                       bool naive, bool delta) {
+                       bool naive) {
   Workspace::Options opts;
   opts.principal = prog.principal;
   opts.naive_eval = naive;
-  opts.delta_fixpoint = delta;
   Workspace ws(opts);
   auto load = ws.Load(prog.program);
   EXPECT_TRUE(load.ok()) << prog.name << ": " << load.ToString();
@@ -41,22 +41,39 @@ class InternDifferentialTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(InternDifferentialTest, DumpMatchesSeedRepresentation) {
   const auto& prog = lbtrust::testing::kGoldenPrograms[GetParam()];
-  EXPECT_EQ(RunAndDump(prog, /*naive=*/false, /*delta=*/true),
+  EXPECT_EQ(RunAndDump(prog, /*naive=*/false),
             kGoldenDumps[GetParam()])
       << "program: " << prog.name;
 }
 
 TEST_P(InternDifferentialTest, NaiveAblationMatchesSeed) {
   const auto& prog = lbtrust::testing::kGoldenPrograms[GetParam()];
-  EXPECT_EQ(RunAndDump(prog, /*naive=*/true, /*delta=*/false),
+  EXPECT_EQ(RunAndDump(prog, /*naive=*/true),
             kGoldenDumps[GetParam()])
       << "program: " << prog.name;
 }
 
-TEST_P(InternDifferentialTest, FullRebuildAblationMatchesSeed) {
+TEST_P(InternDifferentialTest, WarmStoreFullRebuildMatchesSeed) {
+  // A retraction sends the next Fixpoint() down the full path: the warm
+  // store is cleared and rebuilt from the EDB. Retracting and re-adding one
+  // EDB fact must rebuild to the identical dump.
   const auto& prog = lbtrust::testing::kGoldenPrograms[GetParam()];
-  EXPECT_EQ(RunAndDump(prog, /*naive=*/false, /*delta=*/false),
-            kGoldenDumps[GetParam()])
+  Workspace::Options opts;
+  opts.principal = prog.principal;
+  Workspace ws(opts);
+  ASSERT_TRUE(ws.Load(prog.program).ok());
+  ASSERT_TRUE(ws.Fixpoint().ok());
+  const obs::Counter* full =
+      ws.metrics()->GetCounter("lbtrust_fixpoints_total", "path=\"full\"");
+  const uint64_t full_before = full->value();
+  // Every workspace declares `active`, so every program has this EDB fact.
+  const Tuple fact = {Value::Sym("active"), Value::Str("active")};
+  ASSERT_TRUE(ws.RemoveFact("pname", fact).ok());
+  ASSERT_TRUE(ws.AddFact("pname", fact).ok());
+  ASSERT_TRUE(ws.Fixpoint().ok());
+  EXPECT_FALSE(ws.last_fixpoint_incremental());
+  EXPECT_GT(full->value(), full_before);
+  EXPECT_EQ(DumpWorkspace(ws, 0), kGoldenDumps[GetParam()])
       << "program: " << prog.name;
 }
 
@@ -83,23 +100,6 @@ TEST_P(InternDifferentialTest, ParallelEvaluationMatchesSeed) {
   Workspace::Options opts;
   opts.principal = prog.principal;
   opts.threads = 4;
-  Workspace ws(opts);
-  ASSERT_TRUE(ws.Load(prog.program).ok());
-  ASSERT_TRUE(ws.Fixpoint().ok());
-  EXPECT_EQ(DumpWorkspace(ws, 0), kGoldenDumps[GetParam()])
-      << "program: " << prog.name;
-}
-
-TEST_P(InternDifferentialTest, ShardedParallelEvaluationMatchesSeed) {
-  // Sharded storage with the parallel per-shard merge must also reproduce
-  // the seed-representation dumps byte-for-byte: repartitioning by row
-  // hash never changes the stored set, and Dump sorts away the
-  // enumeration-order difference.
-  const auto& prog = lbtrust::testing::kGoldenPrograms[GetParam()];
-  Workspace::Options opts;
-  opts.principal = prog.principal;
-  opts.threads = 4;
-  opts.shards = 8;
   Workspace ws(opts);
   ASSERT_TRUE(ws.Load(prog.program).ok());
   ASSERT_TRUE(ws.Fixpoint().ok());

@@ -2,10 +2,8 @@
 // against the sequential engine, and the frozen-relation concurrency
 // contract (the latter is what the ThreadSanitizer CI job exercises).
 #include <atomic>
-#include <cstdlib>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,27 +12,15 @@
 #include "datalog/relation.h"
 #include "datalog/workspace.h"
 #include "golden_programs.h"
-#include "util/strings.h"
 
 namespace lbtrust::datalog {
 namespace {
 
-/// Shard count the suite's fixed-count tests run with. Defaults to 1 (the
-/// classic layout) so the plain ctest run covers the pre-sharding paths;
-/// the TSan CI job sets LBTRUST_TEST_SHARDS=4 to drive every test below
-/// through the parallel shard-replay merge.
-size_t DefaultShards() {
-  const char* env = std::getenv("LBTRUST_TEST_SHARDS");
-  if (env == nullptr || *env == '\0') return 1;
-  return static_cast<size_t>(std::strtoul(env, nullptr, 10));
-}
-
 std::string DumpWithThreads(const lbtrust::testing::GoldenProgram& prog,
-                            unsigned threads, size_t shards = 0) {
+                            unsigned threads) {
   Workspace::Options opts;
   opts.principal = prog.principal;
   opts.threads = threads;
-  opts.shards = shards == 0 ? DefaultShards() : shards;
   Workspace ws(opts);
   auto load = ws.Load(prog.program);
   EXPECT_TRUE(load.ok()) << prog.name << ": " << load.ToString();
@@ -71,11 +57,9 @@ INSTANTIATE_TEST_SUITE_P(
 // A deeper recursive workload than the corpus: transitive closure of a
 // chain with a back edge (n rounds of n-row deltas — the worst case for
 // round synchronization) plus cross joins that re-derive tuples.
-std::string TransitiveClosureDump(unsigned threads, int n, bool batched,
-                                  size_t shards = 0) {
+std::string TransitiveClosureDump(unsigned threads, int n, bool batched) {
   Workspace::Options opts;
   opts.threads = threads;
-  opts.shards = shards == 0 ? DefaultShards() : shards;
   Workspace ws(opts);
   EXPECT_TRUE(ws.Load("path(X,Y) <- edge(X,Y).\n"
                       "path(X,Z) <- path(X,Y), edge(Y,Z).\n"
@@ -118,7 +102,6 @@ TEST(ParallelEval, WarmStoreIncrementalCommits) {
   auto run = [](unsigned threads) {
     Workspace::Options opts;
     opts.threads = threads;
-    opts.shards = DefaultShards();
     Workspace ws(opts);
     EXPECT_TRUE(ws.Load("path(X,Y) <- edge(X,Y).\n"
                         "path(X,Z) <- path(X,Y), edge(Y,Z).")
@@ -145,7 +128,6 @@ TEST(ParallelEval, MixedSafeAndUnsafeRules) {
   auto run = [](unsigned threads) {
     Workspace::Options opts;
     opts.threads = threads;
-    opts.shards = DefaultShards();
     Workspace ws(opts);
     EXPECT_TRUE(ws.Load("link(X,Y) <- edge(X,Y).\n"
                         "link(X,Z) <- link(X,Y), edge(Y,Z).\n"
@@ -176,7 +158,6 @@ TEST(ParallelEval, DuplicateDerivationsAcrossChunks) {
   auto run = [](unsigned threads) {
     Workspace::Options opts;
     opts.threads = threads;
-    opts.shards = DefaultShards();
     Workspace ws(opts);
     EXPECT_TRUE(ws.Load("path(X,Y) <- edge(X,Y).\n"
                         "path(X,Z) <- path(X,Y), edge(Y,Z).")
@@ -209,7 +190,6 @@ TEST(ParallelEval, DuplicateEmissionsDoNotTripTupleBudget) {
     // Distinct derived tuples: 3*m^2 = 768. One parallel chunk's raw
     // emissions in the cross-layer round reach ~(m^2/4)*m = 1024.
     opts.limits.max_tuples = 900;
-    opts.shards = DefaultShards();
     Workspace ws(opts);
     EXPECT_TRUE(ws.Load("path(X,Y) <- edge(X,Y).\n"
                         "path(X,Z) <- path(X,Y), edge(Y,Z).")
@@ -228,21 +208,14 @@ TEST(ParallelEval, DuplicateEmissionsDoNotTripTupleBudget) {
   EXPECT_EQ(run(1), run(4));
 }
 
-// --- Sharded storage / parallel merge --------------------------------------
-
-// The headline sharding guarantee: Workspace::Dump is byte-identical at
-// every (threads, shards) combination — sharding repartitions storage and
-// parallelizes the round merge but never changes the stored row set.
-TEST(ShardedEval, DumpsAgreeAcrossThreadAndShardMatrix) {
-  const unsigned kThreads[] = {1, 2, 4};
-  const size_t kShards[] = {1, 2, 8};
-  // Wide layered closure: rounds with thousands of buffered rows, which
-  // is the shape that actually takes the parallel per-shard merge (the
-  // chain closure's tiny rounds replay inline below the row cutoff).
-  auto wide = [](unsigned threads, size_t shards) {
+// Dumps are byte-identical at every thread count, on the chain closure
+// (many rounds of small deltas), its batched-commit variant (the delta
+// fixpoint) and a wide layered closure (few rounds with thousands of
+// buffered rows per merge).
+TEST(ParallelEval, DumpsAgreeAcrossThreadMatrix) {
+  auto wide = [](unsigned threads) {
     Workspace::Options opts;
     opts.threads = threads;
-    opts.shards = shards;
     Workspace ws(opts);
     EXPECT_TRUE(ws.Load("path(X,Y) <- edge(X,Y).\n"
                         "path(X,Z) <- path(X,Y), edge(Y,Z).")
@@ -258,155 +231,14 @@ TEST(ShardedEval, DumpsAgreeAcrossThreadAndShardMatrix) {
     EXPECT_TRUE(ws.Fixpoint().ok());
     return DumpWorkspace(ws, 0);
   };
-  std::string baseline = TransitiveClosureDump(1, 48, /*batched=*/false, 1);
-  std::string wide_baseline = wide(1, 1);
-  for (unsigned threads : kThreads) {
-    for (size_t shards : kShards) {
-      EXPECT_EQ(baseline,
-                TransitiveClosureDump(threads, 48, /*batched=*/false, shards))
-          << "threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(baseline,
-                TransitiveClosureDump(threads, 48, /*batched=*/true, shards))
-          << "batched threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(wide_baseline, wide(threads, shards))
-          << "wide threads=" << threads << " shards=" << shards;
-    }
-  }
-}
-
-// Every corpus program (negation, aggregates, codegen, patterns) through
-// the full matrix corner: max threads, max shards.
-TEST(ShardedEval, GoldenCorpusAgreesAtMaxShards) {
-  for (size_t p = 0; p < lbtrust::testing::kNumGoldenPrograms; ++p) {
-    const auto& prog = lbtrust::testing::kGoldenPrograms[p];
-    EXPECT_EQ(DumpWithThreads(prog, 1, 1), DumpWithThreads(prog, 4, 8))
-        << "program: " << prog.name;
-  }
-}
-
-// Shard counts that are not powers of two round up; counts beyond
-// kMaxShards clamp. Both still dump identically.
-TEST(ShardedEval, OddShardCountsNormalize) {
-  std::string baseline = TransitiveClosureDump(1, 24, false, 1);
-  EXPECT_EQ(baseline, TransitiveClosureDump(2, 24, false, 3));
-  EXPECT_EQ(baseline, TransitiveClosureDump(2, 24, false, 1000));
-}
-
-// The parallel merge must actually spread work: on the transitive-closure
-// corpus no shard may see more than 2x the mean replayed rows, and the
-// parallel-path counter must have fired. Parses the Prometheus page the
-// workspace metrics registry renders.
-TEST(ShardedEval, MergeShardRowsAreBalanced) {
-  Workspace::Options opts;
-  opts.threads = 4;
-  opts.shards = 4;
-  Workspace ws(opts);
-  ASSERT_TRUE(ws.Load("path(X,Y) <- edge(X,Y).\n"
-                      "path(X,Z) <- path(X,Y), edge(Y,Z).")
-                  .ok());
-  // Layered complete-bipartite closure: few rounds with thousands of
-  // buffered rows each, so every round clears the parallel-merge row
-  // cutoff (a chain graph's tiny per-round deltas deliberately would
-  // not — that shape replays inline).
-  for (int layer = 0; layer < 3; ++layer) {
-    for (int a = 0; a < 12; ++a) {
-      for (int b = 0; b < 12; ++b) {
-        (void)ws.AddFact("edge", {Value::Int(layer * 100 + a),
-                                  Value::Int((layer + 1) * 100 + b)});
-      }
-    }
-  }
-  ASSERT_TRUE(ws.Fixpoint().ok());
-
-  const std::string page = ws.DumpMetrics();
-  EXPECT_NE(page.find("lbtrust_merge_parallel_total"), std::string::npos);
-  std::vector<uint64_t> shard_rows;
-  size_t pos = 0;
-  const std::string needle = "lbtrust_merge_shard_rows_total{shard=\"";
-  while ((pos = page.find(needle, pos)) != std::string::npos) {
-    size_t line_end = page.find('\n', pos);
-    size_t value_at = page.rfind(' ', line_end);
-    shard_rows.push_back(
-        std::strtoull(page.c_str() + value_at + 1, nullptr, 10));
-    pos = line_end;
-  }
-  ASSERT_EQ(shard_rows.size(), 4u) << page;
-  uint64_t total = 0, max_rows = 0;
-  for (uint64_t rows : shard_rows) {
-    total += rows;
-    max_rows = std::max(max_rows, rows);
-  }
-  ASSERT_GT(total, 0u);
-  // The closure inserts 864 distinct path rows from thousands of
-  // replayed emissions; splitmix64-routed shards stay well under 2x the
-  // mean (the acceptance bound for skew).
-  EXPECT_LE(max_rows, 2 * (total / shard_rows.size()))
-      << "skewed shards: " << page;
-}
-
-// Erase + reinsert churn against a sharded relation keeps LookupIds ids
-// valid (bit-packed ids are stable under appends to other shards).
-TEST(ShardedEval, LookupIdsStableAcrossShardAppends) {
-  Relation rel(2, nullptr, 8);
-  ASSERT_EQ(rel.shard_count(), 8u);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(rel.Insert({Value::Int(i % 10), Value::Int(i)}));
-  }
-  IdTuple key = InternTuple(rel.pool(), {Value::Int(3)});
-  std::vector<uint32_t> ids;
-  rel.LookupIds(0b01, key.data(), &ids);
-  ASSERT_EQ(ids.size(), 10u);
-  // Appending 1000 more rows grows every shard; previously returned ids
-  // must still dereference to the same rows.
-  std::vector<Tuple> before;
-  for (uint32_t id : ids) before.push_back(rel.RowTuple(id));
-  for (int i = 100; i < 1100; ++i) {
-    ASSERT_TRUE(rel.Insert({Value::Int(i % 10 + 50), Value::Int(i)}));
-  }
-  for (size_t k = 0; k < ids.size(); ++k) {
-    EXPECT_EQ(rel.RowTuple(ids[k]), before[k]);
-  }
-}
-
-// The parallel merge's storage contract, exercised directly (so the TSan
-// job covers it regardless of how many cores the host has): concurrent
-// writers that own disjoint shards may InsertIdsHashed into one shared
-// relation — and append to shard-routed delta relations — with no
-// synchronization beyond the join at the end.
-TEST(RelationConcurrency, DisjointShardWritersAreRaceFree) {
-  constexpr size_t kShards = 8;
-  constexpr int kRows = 4000;
-  Relation full(2, nullptr, kShards);
-  Relation delta(2, nullptr, kShards);
-  ASSERT_EQ(full.shard_count(), kShards);
-  // Intern and route every row on this thread, exactly like the round
-  // prep (workers never touch the pool).
-  std::vector<std::vector<std::pair<IdTuple, uint64_t>>> per_shard(kShards);
-  for (int i = 0; i < kRows; ++i) {
-    IdTuple row = InternTuple(full.pool(),
-                              {Value::Int(i % 97), Value::Int(i)});
-    const uint64_t h = full.RowHash(row.data());
-    per_shard[full.ShardOfHash(h)].emplace_back(std::move(row), h);
-  }
-  std::vector<std::thread> writers;
-  for (size_t t = 0; t < 4; ++t) {
-    writers.emplace_back([&, t] {
-      for (size_t s = t * 2; s < t * 2 + 2; ++s) {
-        for (const auto& [row, h] : per_shard[s]) {
-          if (full.InsertIdsHashed(row.data(), h)) {
-            delta.AppendUncheckedHashed(row.data(), h);
-          }
-        }
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-  EXPECT_EQ(full.size(), static_cast<size_t>(kRows));
-  EXPECT_EQ(delta.size(), static_cast<size_t>(kRows));
-  for (size_t s = 0; s < kShards; ++s) {
-    for (const auto& [row, h] : per_shard[s]) {
-      EXPECT_TRUE(full.ContainsIds(row.data()));
-    }
+  const std::string chain = TransitiveClosureDump(1, 48, /*batched=*/false);
+  const std::string wide_baseline = wide(1);
+  for (unsigned threads : {1u, 2u, 4u}) {
+    EXPECT_EQ(chain, TransitiveClosureDump(threads, 48, /*batched=*/false))
+        << "threads=" << threads;
+    EXPECT_EQ(chain, TransitiveClosureDump(threads, 48, /*batched=*/true))
+        << "batched threads=" << threads;
+    EXPECT_EQ(wide_baseline, wide(threads)) << "wide threads=" << threads;
   }
 }
 
@@ -464,7 +296,7 @@ TEST(RelationConcurrency, ConcurrentFrozenProbesAreRaceFree) {
 }
 
 // End-to-end: concurrent Fixpoints on independent workspaces (one pool and
-// store per workspace — the sharding unit) must not interfere.
+// store per workspace) must not interfere.
 TEST(RelationConcurrency, IndependentWorkspacesInParallel) {
   std::vector<std::string> dumps(3);
   std::vector<std::thread> threads;
@@ -472,8 +304,7 @@ TEST(RelationConcurrency, IndependentWorkspacesInParallel) {
     threads.emplace_back([t, &dumps] {
       Workspace::Options opts;
       opts.threads = 2;
-      opts.shards = DefaultShards();
-      Workspace ws(opts);
+        Workspace ws(opts);
       ASSERT_TRUE(ws.Load("path(X,Y) <- edge(X,Y).\n"
                           "path(X,Z) <- path(X,Y), edge(Y,Z).")
                       .ok());

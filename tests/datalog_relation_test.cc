@@ -205,16 +205,11 @@ TEST(RelationArityDeathTest, ArityBeyondCapHardFails) {
 
 // --- Randomized churn: differential against a std::set model ---------------
 // Exercises tombstone reuse, swap-and-pop index patch-up and built_upto
-// edges by interleaving inserts, erases and index-building lookups —
-// per shard count, since every one of those code paths is now per-shard
-// (shards = 1 is the classic single-partition layout).
+// edges by interleaving inserts, erases and index-building lookups.
 
-class RelationChurnTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(RelationChurnTest, RandomizedInsertEraseLookupMatchesSetModel) {
+TEST(RelationChurnTest, RandomizedInsertEraseLookupMatchesSetModel) {
   std::mt19937 rng(20260729);
-  Relation rel(2, nullptr, GetParam());
-  ASSERT_EQ(rel.shard_count(), GetParam());
+  Relation rel(2);
   std::set<std::pair<int, int>> model;
   std::vector<std::pair<int, int>> live;  // model contents, for erase picks
 
@@ -280,12 +275,6 @@ TEST_P(RelationChurnTest, RandomizedInsertEraseLookupMatchesSetModel) {
   }
   EXPECT_EQ(stored, model);
 }
-
-INSTANTIATE_TEST_SUITE_P(Shards, RelationChurnTest,
-                         ::testing::Values<size_t>(1, 2, 8),
-                         [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "shards" + std::to_string(info.param);
-                         });
 
 }  // namespace
 }  // namespace lbtrust::datalog

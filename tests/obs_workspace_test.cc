@@ -90,7 +90,8 @@ TEST(ObsWorkspaceTest, CommitLatencyHistogramRecords) {
 // perfbench's ReadCounters looks these series up by name and reads 0 when
 // one is missing, so each must be registered once the engine has run a
 // full fixpoint, a delta commit and a prepared query. A prepared query
-// reads no clock, so no query-latency series exists.
+// reads no clock, so no query-latency series exists, and the evaluator has
+// one merge, so no merge series exists either.
 TEST(ObsWorkspaceTest, RegistryHasEverySeriesTheBenchmarkReads) {
   Workspace ws;
   ASSERT_TRUE(ws.Load(kClosure).ok());
@@ -115,6 +116,7 @@ TEST(ObsWorkspaceTest, RegistryHasEverySeriesTheBenchmarkReads) {
     EXPECT_TRUE(Contains(page, util::StrCat("\n", series))) << series;
   }
   EXPECT_FALSE(Contains(page, "lbtrust_query_latency")) << page;
+  EXPECT_FALSE(Contains(page, "\nlbtrust_merge")) << page;
 }
 
 TEST(ObsWorkspaceTest, TracerEmitsNestedFixpointSpans) {

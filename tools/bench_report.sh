@@ -5,10 +5,10 @@
 # current capture — it adds the live-introspection series
 # BM_FixpointWithHttpExporter/{64,128}: the instrumented TC fixpoint with
 # an idle HTTP exporter attached and polled per wave, gating that the
-# /metrics endpoint is free when nobody scrapes; the sharded-merge grid
-# BM_ParallelMergeScaling/{1,2,4}/{1,2,4,8} and the
-# BM_TransitiveClosureSemiNaive/128/{1,2,4} trajectory carry forward;
-# CI regenerates the report on every push and uploads it as an artifact).
+# /metrics endpoint is free when nobody scrapes; the thread-scaling series
+# BM_TransitiveClosureSemiNaive/128/{1,2,4} and
+# BM_TransitiveClosureWide/24/{1,2,4} carry forward; CI regenerates the
+# report on every push and uploads it as an artifact).
 #
 # Usage: tools/bench_report.sh [build-dir] [out-json]
 #   build-dir  defaults to build-bench (configured Release + benches if it

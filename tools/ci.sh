@@ -12,14 +12,11 @@
 #              safe to invoke from environments without LLVM tooling.
 #              "tsan" rebuilds with ThreadSanitizer and runs the full
 #              ctest suite (the parallel-evaluation tests run the worker
-#              pool at threads 2-4, so lazy-index or merge races surface
-#              here), then re-runs the parallel-eval suite with
-#              LBTRUST_TEST_SHARDS=4 so the per-shard parallel merge path
-#              is exercised under TSan too; any other non-empty second
-#              argument (or SANITIZE=1
-#              in the environment) rebuilds with ASan+UBSan. Benches are
-#              skipped under sanitizers: sanitizer + benchmark timing is
-#              noise.
+#              pool at threads 2-4, so lazy-index or frozen-read races
+#              surface here); any other non-empty second argument (or
+#              SANITIZE=1 in the environment) rebuilds with ASan+UBSan.
+#              Benches are skipped under sanitizers: sanitizer + benchmark
+#              timing is noise.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -55,15 +52,6 @@ if [[ "${MODE}" == "tsan" ]]; then
   TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
   ctest --test-dir "${BUILD_DIR}" --output-on-failure --no-tests=error \
     -j "$(nproc)"
-  # Second pass over the parallel-evaluation suite with sharded storage:
-  # every fixed-shard test above ran the classic single-partition layout;
-  # shards=4 drives the same workloads through the per-shard parallel
-  # merge (disjoint worker-owned shard ranges), which is where insert/
-  # append races would live.
-  TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
-  LBTRUST_TEST_SHARDS=4 \
-  ctest --test-dir "${BUILD_DIR}" --output-on-failure --no-tests=error \
-    -R "datalog_parallel_eval_test" -j "$(nproc)"
   exit 0
 fi
 if [[ -n "${MODE}" ]]; then
