@@ -103,7 +103,10 @@ struct CompiledLiteral {
 /// for LogicBlox's cost-based optimizer; ablated in bench_engine).
 struct CompiledRule {
   Rule source;                  ///< single-head, me-resolved
-  int id = -1;
+  /// The installed rule's id (visible rules count up from 1, hidden ones
+  /// down from -1); 0 for a prepared query, so that every query of one
+  /// head shares one set of series however many handles are prepared.
+  int id = 0;
   VarTable vars;
   std::vector<CompiledLiteral> body;
   std::vector<CompiledArg> head_cols;

@@ -246,12 +246,15 @@ Status Workspace::InstallResolved(Rule rule, const std::string& owner,
 
   auto installed = std::make_unique<InstalledRule>();
   LB_ASSIGN_OR_RETURN(installed->compiled, CompileRule(rule, builtins_));
+  installed->id = hidden ? -(next_hidden_id_++) : next_rule_id_++;
+  // Numbered before instrumenting: the id labels the rule's series, so
+  // two rules with one head count apart.
+  installed->compiled->id = installed->id;
   InstrumentRule(installed->compiled.get(), metrics_.get());
   installed->rule = std::move(rule);
   installed->canon = canon;
   installed->owner = owner;
   installed->hidden = hidden;
-  installed->id = hidden ? -(next_hidden_id_++) : next_rule_id_++;
 
   // Declare predicates.
   LB_RETURN_IF_ERROR(DeclareAtomPredicate(installed->rule.heads[0]));

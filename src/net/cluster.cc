@@ -107,40 +107,28 @@ std::vector<PlacedBatch> CollectPlacedBatches(datalog::Workspace* ws,
 }
 
 bool SimTransport::Send(const std::string& peer, Frame frame) {
-  if (std::find(peers_.begin(), peers_.end(), peer) == peers_.end()) {
-    return false;
-  }
+  if (links_.count(peer) == 0) return false;
   frame.from = self_;
   if (frame.reliable()) {
-    frame.seq = ++next_seq_[peer];
-    unacked_.emplace(peer, frame.seq);
-    wire_->Queued(frame);
+    Queue(peer, std::move(frame), /*bytes=*/0);
+    Flush(peer);
+    return true;
   }
   wire_->Sent(frame.kind);
   network_->Enqueue(peer, std::move(frame));
   return true;
 }
 
-void SimTransport::Broadcast(const Frame& frame) {
-  for (const std::string& peer : peers_) Send(peer, frame);
+void SimTransport::Flush(const std::string& peer) {
+  links_.at(peer).Flush([&](const Frame& frame) {
+    wire_->Sent(frame.kind);
+    network_->Enqueue(peer, frame);
+  });
 }
 
-Status SimTransport::Receive(const Frame& frame, bool lose_ack,
-                             bool repeat) {
-  wire_->Received(frame, repeat);
-  if (frame.kind == Frame::Kind::kAck) {
-    unacked_.erase({frame.from, frame.seq});
-    return util::OkStatus();
-  }
-  if (handler_) LB_RETURN_IF_ERROR(handler_(frame));
-  if (!frame.reliable() || lose_ack) return util::OkStatus();
-  // Acked only after the handler staged the payload, as over TCP.
-  Frame ack;
-  ack.kind = Frame::Kind::kAck;
-  ack.seq = frame.seq;
-  ack.from = self_;
-  wire_->Sent(ack.kind);
-  network_->Enqueue(frame.from, std::move(ack));
+Status SimTransport::Arrive(const Frame& frame) {
+  LB_ASSIGN_OR_RETURN(const bool ack_owed, Receive(frame));
+  if (ack_owed) Send(frame.from, AckFor(frame));
   return util::OkStatus();
 }
 
@@ -166,8 +154,8 @@ Result<std::unique_ptr<SimCluster>> SimCluster::Create(
       if (peer != name) peers.push_back(peer);
     }
     auto& endpoint = sim->endpoints_[name];
-    endpoint = std::make_unique<SimTransport>(name, std::move(peers),
-                                              sim.get(), &node->wire_);
+    endpoint = std::make_unique<SimTransport>(name, peers, sim.get(),
+                                              &node->wire_);
     LB_RETURN_IF_ERROR(node->Attach(mesh, endpoint.get()));
   }
   return sim;
@@ -203,31 +191,34 @@ void SimCluster::Enqueue(const std::string& to, Frame frame) {
   const int lane = frame.reliable()                    ? kReliable
                    : frame.kind == Frame::Kind::kAck ? kAck
                                                      : kControl;
-  lanes_[LaneKey(frame.from, to, lane)].push_back({std::move(frame)});
+  lanes_[LaneKey(frame.from, to, lane)].push_back(std::move(frame));
 }
 
-Status SimCluster::Deliver(LaneKey key, size_t index, bool duplicate) {
+Status SimCluster::Deliver(LaneKey key, size_t index) {
   auto lane = lanes_.find(key);
-  const bool repeat = lane->second[index].duplicated;
-  Frame frame;
-  if (duplicate) {
-    lane->second[index].duplicated = true;
-    frame = lane->second[index].frame;
-  } else {
-    frame = std::move(lane->second[index].frame);
-    lane->second.erase(lane->second.begin() + static_cast<long>(index));
-    if (lane->second.empty()) lanes_.erase(lane);
-  }
+  Frame frame = std::move(lane->second[index]);
+  lane->second.erase(lane->second.begin() + static_cast<long>(index));
+  if (lane->second.empty()) lanes_.erase(lane);
   if (tamper_ && frame.reliable() && frame.relation == tamper_relation_) {
     tamper_(&frame.payload);
     tamper_ = nullptr;  // one-shot
   }
   const std::string& to = std::get<1>(key);
-  Status st = endpoints_.at(to)->Receive(frame, duplicate, repeat);
+  Status st = endpoints_.at(to)->Arrive(frame);
   if (!st.ok()) {
     return Status(st.code(), util::StrCat("node '", to, "': ", st.message()));
   }
   return util::OkStatus();
+}
+
+void SimCluster::Reset(const std::string& from, const std::string& to) {
+  lanes_.erase(LaneKey(from, to, kReliable));
+  lanes_.erase(LaneKey(from, to, kControl));
+  lanes_.erase(LaneKey(to, from, kAck));
+  // `from` reconnects as Transport does: hello, link reset, connect hook.
+  SimTransport* endpoint = endpoints_.at(from).get();
+  endpoint->Connected(to, /*again=*/true);
+  endpoint->Flush(to);
 }
 
 Result<SimCluster::RunStats> SimCluster::RunToConvergence() {
@@ -247,7 +238,7 @@ Result<SimCluster::RunStats> SimCluster::RunToConvergence() {
     ++run.rounds;
     if (seed_ == 0) {
       while (!lanes_.empty()) {
-        LB_RETURN_IF_ERROR(Deliver(lanes_.begin()->first, 0, false));
+        LB_RETURN_IF_ERROR(Deliver(lanes_.begin()->first, 0));
       }
       std::vector<DistributedCluster*> undecided;
       for (DistributedCluster* node : running) {
@@ -259,16 +250,19 @@ Result<SimCluster::RunStats> SimCluster::RunToConvergence() {
       continue;
     }
     if (!lanes_.empty() && rng_.Uniform(2) == 0) {
-      // A random lane's oldest frame, or any frame of a reliable lane.
+      // A random lane's oldest frame, or any frame of a reliable lane; or
+      // a reset of the connection a reliable or ack lane travels on.
       auto lane = std::next(lanes_.begin(),
                             static_cast<long>(rng_.Uniform(lanes_.size())));
-      size_t index = 0;
-      bool duplicate = false;
-      if (std::get<2>(lane->first) == kReliable) {
-        index = rng_.Uniform(lane->second.size());
-        duplicate = !lane->second[index].duplicated && rng_.Uniform(4) == 0;
+      const auto [from, to, kind] = lane->first;  // a copy: Reset erases
+      if (kind != kControl && rng_.Uniform(8) == 0) {
+        // Acks travel on the connection of the frames they ack.
+        Reset(kind == kAck ? to : from, kind == kAck ? from : to);
+      } else {
+        const size_t index =
+            kind == kReliable ? rng_.Uniform(lane->second.size()) : 0;
+        LB_RETURN_IF_ERROR(Deliver(lane->first, index));
       }
-      LB_RETURN_IF_ERROR(Deliver(lane->first, index, duplicate));
     } else {
       const size_t i = rng_.Uniform(running.size());
       LB_ASSIGN_OR_RETURN(const bool decided, running[i]->Step(now_ms_));

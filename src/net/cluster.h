@@ -14,7 +14,7 @@
 
 #include "crypto/secure_random.h"
 #include "net/distributed.h"
-#include "net/transport.h"
+#include "net/link.h"
 #include "trust/trust_runtime.h"
 #include "util/status.h"
 
@@ -50,43 +50,31 @@ std::vector<PlacedBatch> CollectPlacedBatches(datalog::Workspace* workspace,
 
 class SimCluster;
 
-/// One node's endpoint on a SimCluster's in-memory network, the
-/// counterpart of Transport: reliable frames get per-peer sequence numbers
-/// and stay unacked until the receiver's handler has staged them and its
-/// ack has crossed the network back. Frames leave the endpoint as soon as
-/// they are sent, so send queues are always empty and Send() never refuses
-/// a mesh peer. Counts into its node's wire counters, as Transport does.
+/// One node's endpoint on a SimCluster's in-memory network: byte I/O for
+/// the at-least-once core (Network), as Transport is for sockets. Frames
+/// leave the endpoint as soon as they are sent, so send queues are always
+/// empty and Send() never refuses a mesh peer; SimCluster decides when
+/// each one arrives, and whether a connection reset loses it first.
 class SimTransport final : public Network {
  public:
-  SimTransport(std::string self, std::vector<std::string> peers,
+  SimTransport(std::string self, const std::vector<std::string>& peers,
                SimCluster* network, WireCounters* wire)
-      : self_(std::move(self)),
-        peers_(std::move(peers)),
-        network_(network),
-        wire_(wire) {}
-
-  void set_handler(FrameHandler handler) override {
-    handler_ = std::move(handler);
+      : Network(std::move(self), wire), network_(network) {
+    for (const std::string& peer : peers) links_[peer];
   }
+
   bool Send(const std::string& peer, Frame frame) override;
-  void Broadcast(const Frame& frame) override;
-  bool AllAcked() const override { return unacked_.empty(); }
   bool SendQueuesEmpty() const override { return true; }
 
  private:
   friend class SimCluster;
 
-  /// Hands an arriving frame to the handler, then acks a reliable one
-  /// unless the network lost that ack. `repeat`: delivered before.
-  util::Status Receive(const Frame& frame, bool lose_ack, bool repeat);
+  /// Runs the receive step on an arriving frame and sends the ack it owes.
+  util::Status Arrive(const Frame& frame);
+  /// Hands `peer`'s unsent reliable frames to the network.
+  void Flush(const std::string& peer);
 
-  std::string self_;
-  std::vector<std::string> peers_;
   SimCluster* network_;
-  FrameHandler handler_;
-  std::map<std::string, uint64_t> next_seq_;
-  std::set<std::pair<std::string, uint64_t>> unacked_;  ///< (peer, seq)
-  WireCounters* wire_;
 };
 
 /// An in-process mesh (§3.5): one DistributedCluster per node, each
@@ -104,11 +92,15 @@ class SimTransport final : public Network {
 /// Seed 0 is the bulk-synchronous schedule: each sweep delivers every
 /// frame sent in the previous one, then each node (in name order) commits
 /// what arrived, runs one fixpoint and ships. Any other seed interleaves
-/// single node steps with single deliveries of a frame from a random lane.
-/// Reliable frames are then delayed, reordered within and across links,
-/// and sometimes delivered twice with the first copy's ack lost: the
-/// retransmission at-least-once delivery produces, which keeps the sender
-/// unacked until the last copy lands, as over TCP. A mesh must converge to
+/// single node steps with single deliveries of a frame from a random lane,
+/// so reliable frames are delayed and reordered within and across links.
+/// It also resets connections: one in eight picks of a reliable or ack
+/// lane resets the connection that lane travels on instead. Resetting a's
+/// connection to b loses what TCP would lose with it — lanes (a,b,reliable)
+/// and (a,b,control), and (b,a,ack), since acks travel back on the
+/// connection that carried the frame — and a reconnects as Transport does:
+/// hello, link reset (every unacked frame is sent again), connect hook. A
+/// frame whose ack was lost thus arrives twice. A mesh must converge to
 /// the same dumps under every seed; a seed's schedule replays exactly.
 class SimCluster {
  public:
@@ -144,9 +136,9 @@ class SimCluster {
   /// instance by ShipCredential) count in this one.
   struct RunStats {
     size_t rounds = 0;    ///< sweeps (seed 0) or scheduler events
-    size_t messages = 0;  ///< reliable frames: tuple blocks + bundles
+    size_t messages = 0;  ///< reliable frames sent, resends included
     size_t tuples = 0;    ///< tuples shipped
-    size_t bytes = 0;     ///< payload bytes of those frames
+    size_t bytes = 0;     ///< payload bytes queued, each frame once
   };
 
   /// Steps the nodes until every one has decided that the mesh
@@ -158,10 +150,6 @@ class SimCluster {
   friend class SimTransport;
 
   enum Lane { kReliable, kControl, kAck };
-  struct InFlight {
-    Frame frame;
-    bool duplicated = false;
-  };
   /// (from, to, lane).
   using LaneKey = std::tuple<std::string, std::string, int>;
 
@@ -172,16 +160,18 @@ class SimCluster {
         rng_(seed) {}
 
   void Enqueue(const std::string& to, Frame frame);
-  /// Delivers frame `index` of lane `key`; a `duplicate` stays in flight.
-  /// A handler error names the receiving node.
-  util::Status Deliver(LaneKey key, size_t index, bool duplicate);
+  /// Delivers frame `index` of lane `key`. A handler error names the
+  /// receiving node.
+  util::Status Deliver(LaneKey key, size_t index);
+  /// Resets `from`'s connection to `to` (see the class comment).
+  void Reset(const std::string& from, const std::string& to);
 
   const uint64_t seed_;
   const int64_t timeout_ms_;
   const int poll_interval_ms_;
   crypto::SecureRandom rng_;
   /// Frames in flight per lane, oldest first; empty lanes are erased.
-  std::map<LaneKey, std::deque<InFlight>> lanes_;
+  std::map<LaneKey, std::deque<Frame>> lanes_;
   std::string tamper_relation_;
   std::function<void(std::string*)> tamper_;
   /// Declared before nodes_, so the nodes, which hold pointers to their

@@ -66,6 +66,13 @@ Status DistributedCluster::Attach(
                                        options_.default_placement));
   net_ = network;
   net_->set_handler([this](const Frame& frame) { return OnFrame(frame); });
+  // A (re)connect may have lost our last status/confirm broadcast; resend
+  // both so the peer's termination state converges without waiting for the
+  // heartbeat (a dropped CONFIRM is otherwise never retransmitted).
+  net_->set_on_connect([this](const std::string& peer) {
+    SendStatus(peer);
+    SendConfirm(peer);
+  });
   node_status_[options_.self] = {0, false};
   start_ms_ = EventLoop::NowMs();
   return util::OkStatus();
@@ -95,14 +102,6 @@ Result<std::unique_ptr<DistributedCluster>> DistributedCluster::Create(
   dc->socket_ =
       std::make_unique<Transport>(opts.self, opts.transport, &dc->wire_);
   LB_RETURN_IF_ERROR(dc->Attach(mesh, dc->socket_.get()));
-  // A (re)connect may have lost our last status/confirm broadcast; resend
-  // both so the peer's termination state converges without waiting for the
-  // heartbeat (a dropped CONFIRM is otherwise never retransmitted).
-  DistributedCluster* self = dc.get();
-  dc->socket_->set_on_connect([self](const std::string& peer) {
-    self->SendStatus(peer);
-    self->SendConfirm(peer);
-  });
   LB_RETURN_IF_ERROR(dc->socket_->Listen(opts.listen_host, opts.listen_port));
   LB_RETURN_IF_ERROR(dc->StartHttp());
   return dc;
@@ -292,7 +291,7 @@ Status DistributedCluster::OnFrame(const Frame& frame) {
       return util::OkStatus();
     }
     case Frame::Kind::kAck:
-      return util::OkStatus();  // consumed by the transport
+      return util::OkStatus();  // consumed by Network::Receive
     case Frame::Kind::kStatus: {
       size_t colon = frame.payload.find(':');
       if (colon == std::string::npos) {
@@ -522,7 +521,7 @@ Result<DistributedCluster::RunStats> DistributedCluster::RunToConvergence() {
       }
     }
 
-    if (options_.on_tick) options_.on_tick();
+    if (on_tick_) on_tick_();
     // The HTTP fds live on the transport's loop, so the poll below serves
     // any buffered scrape between waves; only deadline enforcement needs
     // an explicit nudge.

@@ -33,11 +33,14 @@ namespace lbtrust::net {
 /// DumpWorkspace(..., sort_rules=true); rule arrival order differs across
 /// schedules, tuples are sorted by the dump itself).
 ///
-/// Delivery is at-least-once (transport-level seq/ack + resend after
-/// reconnect) and made idempotent by the engine: tuple facts are sets and
-/// the per-node `sent` dedup never re-ships, credential bundles are
-/// content-addressed. Duplicated or reordered frames therefore converge to
-/// the same store as single, in-order delivery.
+/// Delivery is at-least-once: both transports run the one core in
+/// net/link.h (per-peer sequence numbers, acks after staging, resend of
+/// every unacked frame on reconnect), and SimCluster's seeded connection
+/// resets drive that resend path as dropped sockets do. The engine makes
+/// it idempotent: tuple facts are sets and the per-node `sent` dedup never
+/// re-ships, credential bundles are content-addressed. Repeated or
+/// reordered frames therefore converge to the same store as single,
+/// in-order delivery.
 ///
 /// Termination (GEM-style, no coordinator): a node is *quiet* when it has
 /// no dirty work, no staged tuples or credential bundles, no deferred
@@ -90,10 +93,6 @@ class DistributedCluster {
     int linger_ms = 300;
     trust::TrustRuntime::Options runtime;
     Transport::Options transport;
-    /// Invoked once per RunToConvergence() loop iteration, on the driving
-    /// thread. tools/lbtrust_node uses it to honor SIGUSR1 metric dumps
-    /// while a run is in flight.
-    std::function<void()> on_tick;
   };
 
   /// The node's own counters, as handles or values.
@@ -140,12 +139,10 @@ class DistributedCluster {
   /// can dump it without going through a socket.
   std::string StatusJson();
 
-  /// Installs the per-iteration tick callback after construction (callers
-  /// usually need the constructed node in the closure, which rules out the
-  /// Options field).
-  void set_on_tick(std::function<void()> cb) {
-    options_.on_tick = std::move(cb);
-  }
+  /// Installs a callback invoked once per RunToConvergence() loop
+  /// iteration, on the driving thread. tools/lbtrust_node uses it to honor
+  /// SIGUSR1 metric dumps while a run is in flight.
+  void set_on_tick(std::function<void()> cb) { on_tick_ = std::move(cb); }
 
   /// Registers a peer's transport address (`name` must be in the mesh).
   util::Status AddPeer(const std::string& name, const std::string& host,
@@ -181,7 +178,8 @@ class DistributedCluster {
   static util::Result<std::unique_ptr<DistributedCluster>> NewNode(
       Options options);
   /// Configures the full mesh from `mesh` (every node's public key, in
-  /// name order) and routes `network`'s inbound frames to OnFrame().
+  /// name order), routes `network`'s inbound frames to OnFrame() and
+  /// resends status and confirm on every (re)connect.
   util::Status Attach(
       const std::vector<std::pair<std::string, crypto::RsaPublicKey>>& mesh,
       Network* network);
@@ -222,6 +220,7 @@ class DistributedCluster {
   util::Status StartHttp();
 
   Options options_;
+  std::function<void()> on_tick_;
   std::unique_ptr<trust::TrustRuntime> runtime_;
   /// The node's wire counters: net_ counts into them, RunStats reads them.
   /// Declared before socket_, which holds a pointer to them.

@@ -34,87 +34,10 @@ bool FillAddr(const std::string& host, uint16_t port, sockaddr_in* addr) {
   return inet_pton(AF_INET, host.c_str(), &addr->sin_addr) == 1;
 }
 
-/// Calls `f(name, labels, handle, value)` for every wire counter: the one
-/// list that names the `lbtrust_transport_*` series.
-template <typename Handles, typename F>
-void ForEachWireSeries(Handles& h, TransportStats& v, F f) {
-  const char* out = "direction=\"out\"";
-  const char* in = "direction=\"in\"";
-  f("lbtrust_transport_bytes_total", out, h.bytes_out, v.bytes_out);
-  f("lbtrust_transport_bytes_total", in, h.bytes_in, v.bytes_in);
-  f("lbtrust_transport_frames_total", out, h.frames_out, v.frames_out);
-  f("lbtrust_transport_frames_total", in, h.frames_in, v.frames_in);
-  f("lbtrust_transport_data_frames_total", out, h.data_frames_out,
-    v.data_frames_out);
-  f("lbtrust_transport_data_frames_total", in, h.data_frames_in,
-    v.data_frames_in);
-  f("lbtrust_transport_tuple_bytes_total", out, h.tuple_bytes_out,
-    v.tuple_bytes_out);
-  f("lbtrust_transport_tuple_bytes_total", in, h.tuple_bytes_in,
-    v.tuple_bytes_in);
-  f("lbtrust_transport_credential_bytes_total", out, h.credential_bytes_out,
-    v.credential_bytes_out);
-  f("lbtrust_transport_credential_bytes_total", in, h.credential_bytes_in,
-    v.credential_bytes_in);
-  f("lbtrust_transport_acks_total", out, h.acks_out, v.acks_out);
-  f("lbtrust_transport_acks_total", in, h.acks_in, v.acks_in);
-  f("lbtrust_transport_retries_total", "", h.retries, v.retries);
-  f("lbtrust_transport_reconnects_total", "", h.reconnects, v.reconnects);
-  f("lbtrust_transport_duplicate_frames_in_total", "", h.duplicate_frames_in,
-    v.duplicate_frames_in);
-  f("lbtrust_transport_oversize_rejects_total", "", h.oversize_rejects,
-    v.oversize_rejects);
-  f("lbtrust_transport_deadline_closes_total", "", h.deadline_closes,
-    v.deadline_closes);
-}
-
 }  // namespace
 
-WireCounters::WireCounters(obs::MetricsRegistry* metrics) {
-  TransportStats unused;
-  ForEachWireSeries(*this, unused,
-                    [metrics](const char* name, const char* labels,
-                              obs::Counter*& handle, uint64_t&) {
-                      handle = metrics->GetCounter(name, labels);
-                    });
-}
-
-void WireCounters::Queued(const Frame& frame) {
-  (frame.kind == Frame::Kind::kData ? tuple_bytes_out : credential_bytes_out)
-      ->Add(frame.payload.size());
-}
-
-void WireCounters::Sent(Frame::Kind kind) {
-  frames_out->Add();
-  if (kind == Frame::Kind::kData || kind == Frame::Kind::kCredential) {
-    data_frames_out->Add();
-  } else if (kind == Frame::Kind::kAck) {
-    acks_out->Add();
-  }
-}
-
-void WireCounters::Received(const Frame& frame, bool repeat) {
-  frames_in->Add();
-  if (frame.kind == Frame::Kind::kAck) {
-    acks_in->Add();
-  } else if (frame.reliable()) {
-    data_frames_in->Add();
-    (frame.kind == Frame::Kind::kData ? tuple_bytes_in : credential_bytes_in)
-        ->Add(frame.payload.size());
-    if (repeat) duplicate_frames_in->Add();
-  }
-}
-
-TransportStats WireCounters::Read() const {
-  TransportStats s;
-  ForEachWireSeries(*this, s,
-                    [](const char*, const char*, obs::Counter* handle,
-                       uint64_t& value) { value = handle->value(); });
-  return s;
-}
-
 Transport::Transport(std::string self, Options options, WireCounters* wire)
-    : self_(std::move(self)), options_(std::move(options)), wire_(wire) {}
+    : Network(std::move(self), wire), options_(std::move(options)) {}
 
 Transport::~Transport() { Shutdown(); }
 
@@ -168,13 +91,7 @@ void Transport::AddPeer(const std::string& name, const std::string& host,
   peer.port = port;
   peer.backoff_ms = options_.reconnect_backoff_min_ms;
   peer.next_connect_ms = 0;  // connect on the next Poll
-}
-
-std::vector<std::string> Transport::peer_names() const {
-  std::vector<std::string> out;
-  out.reserve(peers_.size());
-  for (const auto& [name, peer] : peers_) out.push_back(name);
-  return out;
+  links_[name];
 }
 
 std::vector<Transport::PeerState> Transport::peer_states() const {
@@ -190,7 +107,7 @@ std::vector<Transport::PeerState> Transport::peer_states() const {
       state.connected = it != conns_.end() && it->second.connected;
     }
     state.ever_connected = peer.ever_connected;
-    state.unacked = peer.unacked.size();
+    state.unacked = links_.at(name).unacked();
     out.push_back(std::move(state));
   }
   return out;
@@ -199,6 +116,11 @@ std::vector<Transport::PeerState> Transport::peer_states() const {
 Transport::Conn* Transport::FindConn(int fd) {
   auto it = conns_.find(fd);
   return it == conns_.end() ? nullptr : &it->second;
+}
+
+Transport::Conn* Transport::Connection(const Peer& peer) {
+  Conn* conn = peer.fd >= 0 ? FindConn(peer.fd) : nullptr;
+  return conn != nullptr && conn->connected ? conn : nullptr;
 }
 
 void Transport::UpdateMask(Conn* conn, uint32_t mask) {
@@ -273,26 +195,11 @@ void Transport::OnConnectWritable(int fd) {
     conn->connected = true;
     UpdateMask(conn, EPOLLIN);
   }
-  if (peer.ever_connected) wire_->reconnects->Add();
-  peer.ever_connected = true;
   peer.backoff_ms = options_.reconnect_backoff_min_ms;
-  // Handshake: identify ourselves, then mark every retained reliable frame
-  // for (re)transmission — the at-least-once resend path.
-  Frame hello;
-  hello.kind = Frame::Kind::kHello;
-  hello.from = self_;
-  conn->out += EncodeFrame(hello);
-  wire_->Sent(hello.kind);
-  size_t resent = 0;
-  peer.pending_bytes = 0;
-  for (auto& [seq, entry] : peer.unacked) {
-    if (entry.transmitted) ++resent;
-    entry.transmitted = false;
-    peer.pending_bytes += entry.bytes.size();
-  }
-  wire_->retries->Add(resent);
-  if (on_connect_) on_connect_(conn->peer);
-  FlushStaged(&peer);
+  // Hello first, then every unacked frame again: the resend path.
+  Connected(conn->peer, peer.ever_connected);
+  peer.ever_connected = true;
+  FlushStaged(conn->peer, peer);
   FlushConn(fd);
 }
 
@@ -350,12 +257,11 @@ void Transport::CloseConn(int fd, bool schedule_reconnect) {
 bool Transport::Send(const std::string& peer_name, Frame frame) {
   auto it = peers_.find(peer_name);
   if (it == peers_.end()) return false;
-  Peer& peer = it->second;
   frame.from = self_;
+  Conn* conn = Connection(it->second);
   if (!frame.reliable()) {
     // Best-effort control traffic: drop while disconnected.
-    Conn* conn = peer.fd >= 0 ? FindConn(peer.fd) : nullptr;
-    if (conn == nullptr || !conn->connected) {
+    if (conn == nullptr) {
       LBTRUST_LOG(LogLevel::kDebug, "[%s] drop kind=%c to %s (disconnected)",
                   self_.c_str(), static_cast<char>(frame.kind),
                   peer_name.c_str());
@@ -365,19 +271,13 @@ bool Transport::Send(const std::string& peer_name, Frame frame) {
     wire_->Sent(frame.kind);
     return true;
   }
-  std::string encoded_probe = EncodeFrame(frame);  // seq 0 sizing probe
-  size_t queued = peer.pending_bytes;
-  Conn* conn = peer.fd >= 0 ? FindConn(peer.fd) : nullptr;
+  const size_t bytes = EncodeFrame(frame).size();  // seq 0 sizing probe
+  size_t queued = links_.at(peer_name).unsent_bytes();
   if (conn != nullptr) queued += conn->out.size();
-  if (queued + encoded_probe.size() > options_.send_queue_limit_bytes) {
+  if (queued + bytes > options_.send_queue_limit_bytes) {
     return false;  // backpressure: caller retries after the next Poll
   }
-  frame.seq = peer.next_seq++;
-  wire_->Queued(frame);
-  Unacked entry;
-  entry.bytes = EncodeFrame(frame);
-  peer.pending_bytes += entry.bytes.size();
-  peer.unacked.emplace(frame.seq, std::move(entry));
+  Queue(peer_name, std::move(frame), bytes);
   ++reliable_frames_queued_;
   if (!drop_done_ && options_.drop_connection_after_data_frames != 0 &&
       reliable_frames_queued_ >= options_.drop_connection_after_data_frames &&
@@ -390,13 +290,6 @@ bool Transport::Send(const std::string& peer_name, Frame frame) {
   return true;
 }
 
-void Transport::Broadcast(const Frame& frame) {
-  for (auto& [name, peer] : peers_) {
-    Frame copy = frame;
-    Send(name, std::move(copy));
-  }
-}
-
 void Transport::KickReconnects() {
   for (auto& [name, peer] : peers_) {
     if (peer.fd < 0) {
@@ -406,35 +299,23 @@ void Transport::KickReconnects() {
   }
 }
 
-bool Transport::AllAcked() const {
-  for (const auto& [name, peer] : peers_) {
-    if (!peer.unacked.empty()) return false;
-  }
-  return true;
-}
-
 bool Transport::SendQueuesEmpty() const {
   for (const auto& [fd, conn] : conns_) {
     if (!conn.out.empty()) return false;
   }
-  for (const auto& [name, peer] : peers_) {
-    if (peer.pending_bytes != 0) return false;
+  for (const auto& [name, link] : links_) {
+    if (link.unsent_bytes() != 0) return false;
   }
   return true;
 }
 
-void Transport::FlushStaged(Peer* peer) {
-  if (peer->fd < 0) return;
-  Conn* conn = FindConn(peer->fd);
-  if (conn == nullptr || !conn->connected) return;
-  // Untransmitted reliable frames ship in seq order.
-  for (auto& [seq, entry] : peer->unacked) {
-    if (entry.transmitted) continue;
-    entry.transmitted = true;
-    conn->out += entry.bytes;
-    wire_->Sent(Frame::Kind::kData);  // every unacked entry is reliable
-  }
-  peer->pending_bytes = 0;
+void Transport::FlushStaged(const std::string& name, const Peer& peer) {
+  Conn* conn = Connection(peer);
+  if (conn == nullptr) return;
+  links_.at(name).Flush([&](const Frame& frame) {
+    conn->out += EncodeFrame(frame);
+    wire_->Sent(frame.kind);
+  });
 }
 
 void Transport::FlushConn(int fd) {
@@ -490,7 +371,7 @@ void Transport::OnConnReadable(int fd) {
       return;
     }
     if (!next->has_value()) break;
-    Status st = HandleFrame(fd, std::move(**next));
+    Status st = HandleFrame(fd, **next);
     if (!st.ok()) {
       // Fatal for the node (e.g. a rejected credential bundle): stop
       // delivering and surface the error from Poll().
@@ -509,55 +390,15 @@ void Transport::OnConnReadable(int fd) {
   }
 }
 
-util::Status Transport::HandleFrame(int fd, Frame frame) {
+util::Status Transport::HandleFrame(int fd, const Frame& frame) {
+  LB_ASSIGN_OR_RETURN(const bool ack_owed, Receive(frame));
+  // The ack goes back on the connection the frame came in on; the handler
+  // may have torn that down.
   Conn* conn = FindConn(fd);
-  if (conn == nullptr) return util::OkStatus();
-  const bool repeat =
-      frame.reliable() && !delivered_in_[frame.from].insert(frame.seq).second;
-  wire_->Received(frame, repeat);
-  switch (frame.kind) {
-    case Frame::Kind::kHello:
-      conn->peer = frame.from;
-      // Forwarded to the handler: the runtime pushes its protocol status
-      // to a freshly (re)connected peer.
-      if (handler_) return handler_(frame);
-      return util::OkStatus();
-    case Frame::Kind::kAck: {
-      auto it = peers_.find(frame.from.empty() ? conn->peer : frame.from);
-      if (it != peers_.end()) {
-        auto entry = it->second.unacked.find(frame.seq);
-        if (entry != it->second.unacked.end()) {
-          if (!entry->second.transmitted) {
-            it->second.pending_bytes -= entry->second.bytes.size();
-          }
-          it->second.unacked.erase(entry);
-        }
-      }
-      return util::OkStatus();
-    }
-    case Frame::Kind::kData:
-    case Frame::Kind::kCredential: {
-      if (handler_) {
-        // Ack only after the handler staged the payload: an ack therefore
-        // implies the tuples/credentials are durable at the receiver.
-        LB_RETURN_IF_ERROR(handler_(frame));
-      }
-      Frame ack;
-      ack.kind = Frame::Kind::kAck;
-      ack.seq = frame.seq;
-      ack.from = self_;
-      conn = FindConn(fd);
-      if (conn != nullptr) {
-        conn->out += EncodeFrame(ack);
-        wire_->Sent(ack.kind);
-        FlushConn(fd);
-      }
-      return util::OkStatus();
-    }
-    case Frame::Kind::kStatus:
-    case Frame::Kind::kConfirm:
-      if (handler_) return handler_(frame);
-      return util::OkStatus();
+  if (ack_owed && conn != nullptr) {
+    conn->out += EncodeFrame(AckFor(frame));
+    wire_->Sent(Frame::Kind::kAck);
+    FlushConn(fd);
   }
   return util::OkStatus();
 }
@@ -572,21 +413,19 @@ void Transport::HousekeepConnections() {
   }
   // Ship any untransmitted reliable frames and drain buffers.
   for (auto& [name, peer] : peers_) {
-    FlushStaged(&peer);
+    FlushStaged(name, peer);
     if (peer.fd >= 0) FlushConn(peer.fd);
   }
   // Forced-drop knob: once the armed connection has fully flushed, close
   // it (acks in flight are lost; the reconnect resends unacked frames).
   if (!drop_pending_peer_.empty()) {
-    auto it = peers_.find(drop_pending_peer_);
-    if (it != peers_.end() && it->second.fd >= 0) {
-      Conn* conn = FindConn(it->second.fd);
-      if (conn != nullptr && conn->connected && conn->out.empty() &&
-          it->second.pending_bytes == 0) {
-        CloseConn(it->second.fd, /*schedule_reconnect=*/true);
-        drop_pending_peer_.clear();
-        drop_done_ = true;
-      }
+    Peer& peer = peers_.at(drop_pending_peer_);
+    Conn* conn = Connection(peer);
+    if (conn != nullptr && conn->out.empty() &&
+        links_.at(drop_pending_peer_).unsent_bytes() == 0) {
+      CloseConn(peer.fd, /*schedule_reconnect=*/true);
+      drop_pending_peer_.clear();
+      drop_done_ = true;
     }
   }
   // Slow-loris defense: connections stalled mid-frame past the deadline.

@@ -2,101 +2,29 @@
 #define LBTRUST_NET_TRANSPORT_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "net/event_loop.h"
-#include "net/frame.h"
-#include "obs/metrics.h"
+#include "net/link.h"
 #include "util/status.h"
 
 namespace lbtrust::net {
 
-/// A node's wire counters, as handles (WireCounters) or values.
-template <typename T>
-struct WireFields {
-  T bytes_out{}, bytes_in{};    ///< raw socket bytes
-  T frames_out{}, frames_in{};  ///< all frame kinds
-  T data_frames_out{}, data_frames_in{};
-  T tuple_bytes_out{}, tuple_bytes_in{};  ///< kData payloads
-  T credential_bytes_out{}, credential_bytes_in{};
-  T acks_out{}, acks_in{};
-  /// Reliable frames re-enqueued after a reconnect (at-least-once resend).
-  T retries{};
-  /// Successful connection re-establishments (beyond each peer's first).
-  T reconnects{};
-  /// Reliable frames received more than once (same peer, same seq) —
-  /// harmless by construction: the engine's per-tuple cross-round dedup
-  /// and the content-addressed credential store are idempotent.
-  T duplicate_frames_in{};
-  T oversize_rejects{};  ///< connections dropped for oversize frames
-  T deadline_closes{};   ///< connections dropped for read stalls
-};
-
-/// A by-value view of the wire counters, exposed through RunStats so
-/// benches can report wire efficiency (bytes/tuple etc.).
-using TransportStats = WireFields<uint64_t>;
-
-/// The wire counters, resolved once in a node's registry: the node owns the
-/// block and its transport counts into it. Both transports count frames
-/// through Queued/Sent/Received, so which frame counts as what is decided
-/// once; socket-only counters are added to directly.
-struct WireCounters : WireFields<obs::Counter*> {
-  explicit WireCounters(obs::MetricsRegistry* metrics);
-
-  /// A reliable frame was queued: its payload counts once.
-  void Queued(const Frame& frame);
-  /// A frame was handed to the wire; a retransmission counts again.
-  void Sent(Frame::Kind kind);
-  /// A frame arrived; `repeat`: a reliable frame already received.
-  void Received(const Frame& frame, bool repeat);
-  TransportStats Read() const;
-};
-
-/// The network calls the cluster protocol (DistributedCluster) makes.
-/// Transport implements them over TCP sockets, SimTransport in memory, so
-/// the exchange loop and its termination protocol run unchanged on both.
-class Network {
- public:
-  /// Handler for inbound frames. Returning non-OK is fatal for the node;
-  /// reliable frames are acked only after an OK return.
-  using FrameHandler = std::function<util::Status(const Frame& frame)>;
-
-  virtual void set_handler(FrameHandler handler) = 0;
-  /// Queues `frame` for `peer`. Reliable frames get a sequence number and
-  /// at-least-once retention; unreliable frames (status/confirm/hello) are
-  /// best-effort. Returns false only for a reliable frame the peer's send
-  /// queue cannot take now (backpressure: the caller retries later).
-  virtual bool Send(const std::string& peer, Frame frame) = 0;
-  /// Best-effort send of an unreliable frame to every peer.
-  virtual void Broadcast(const Frame& frame) = 0;
-  /// True when every reliable frame ever sent has been acked.
-  virtual bool AllAcked() const = 0;
-  /// True when no queued bytes remain unflushed (all peers).
-  virtual bool SendQueuesEmpty() const = 0;
-
- protected:
-  ~Network() = default;  // owners hold the concrete transport
-};
-
-/// Async socket transport for one node: a non-blocking TCP listener plus
-/// one outbound connection per peer, multiplexed on an epoll EventLoop and
-/// driven by the owner's thread via Poll().
+/// The socket transport of one node: byte I/O for the at-least-once core
+/// (Network) over a non-blocking TCP listener plus one outbound connection
+/// per peer, multiplexed on an epoll EventLoop and driven by the owner's
+/// thread via Poll(). A node's frames to a peer travel on its outbound
+/// connection; the peer's acks come back on that same connection, so a
+/// dropped connection loses both and the reconnect resends.
 ///
 ///  - Outbound frames batch per peer into one contiguous write buffer, so
 ///    a round's worth of frames for a peer flushes in O(1) syscalls.
 ///  - Send queues are bounded (`send_queue_limit_bytes`); a full queue
 ///    makes Send() return false — backpressure the caller absorbs by
 ///    retrying after the next Poll().
-///  - Reliable frames (kData/kCredential) carry per-peer sequence numbers,
-///    are retained until the peer acks them, and are retransmitted after a
-///    reconnect: at-least-once delivery. Receivers ack AFTER the handler
-///    accepts the frame, so an ack implies the payload was staged.
 ///  - Outbound connections reconnect with exponential backoff.
 ///  - Inbound hardening: the declared frame length is checked against
 ///    `max_frame_bytes` before body bytes are buffered, and a connection
@@ -104,7 +32,8 @@ class Network {
 ///    (slow-loris defense).
 ///
 /// Single-threaded: every method (including handler callbacks, which fire
-/// inside Poll()) runs on the owner's thread.
+/// inside Poll()) runs on the owner's thread; handler errors are surfaced
+/// from Poll().
 class Transport final : public Network {
  public:
   struct Options {
@@ -119,25 +48,12 @@ class Transport final : public Network {
     uint64_t drop_connection_after_data_frames = 0;
   };
 
-  /// Fired when an outbound connection (re)establishes, after unacked
-  /// frames were re-queued — the runtime rebroadcasts its protocol status.
-  using ConnectHandler = std::function<void(const std::string& peer)>;
-
   /// Counts into `wire`, which must outlive the transport.
   Transport(std::string self, Options options, WireCounters* wire);
   ~Transport();
 
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
-
-  /// Inbound kHello/kData/kCredential/kStatus/kConfirm frames go to
-  /// `handler`; its errors are surfaced from Poll().
-  void set_handler(FrameHandler handler) override {
-    handler_ = std::move(handler);
-  }
-  void set_on_connect(ConnectHandler handler) {
-    on_connect_ = std::move(handler);
-  }
 
   /// Binds and listens (port 0 picks an ephemeral port; see listen_port()).
   util::Status Listen(const std::string& host, uint16_t port);
@@ -146,7 +62,6 @@ class Transport final : public Network {
   /// Registers a peer; the first Poll() starts connecting.
   void AddPeer(const std::string& name, const std::string& host,
                uint16_t port);
-  std::vector<std::string> peer_names() const;
 
   /// Point-in-time connection state per registered peer (for /statusz).
   struct PeerState {
@@ -166,8 +81,6 @@ class Transport final : public Network {
 
   /// Unreliable frames are dropped while the peer is disconnected.
   bool Send(const std::string& peer, Frame frame) override;
-  void Broadcast(const Frame& frame) override;
-  bool AllAcked() const override;
   bool SendQueuesEmpty() const override;
 
   /// Clears the reconnect backoff of every disconnected peer so the next
@@ -188,7 +101,7 @@ class Transport final : public Network {
  private:
   struct Conn {
     int fd = -1;
-    std::string peer;  ///< outbound: target; inbound: set by kHello
+    std::string peer;  ///< outbound only: the target
     bool outbound = false;
     bool connected = false;  ///< outbound: TCP handshake completed
     std::string out;         ///< flush buffer (encoded frames)
@@ -197,21 +110,10 @@ class Transport final : public Network {
     uint32_t mask = 0;              ///< current epoll interest
   };
 
-  struct Unacked {
-    std::string bytes;        ///< encoded frame
-    bool transmitted = false; ///< handed to the socket at least once
-  };
-
   struct Peer {
     std::string host;
     uint16_t port = 0;
     int fd = -1;  ///< current outbound connection (-1 = down)
-    uint64_t next_seq = 1;
-    /// Reliable frames retained until acked (seq order). Untransmitted
-    /// entries are the outbound batch the next flush ships; a reconnect
-    /// marks every entry untransmitted again (at-least-once resend).
-    std::map<uint64_t, Unacked> unacked;
-    size_t pending_bytes = 0;  ///< bytes of untransmitted unacked frames
     int backoff_ms = 0;
     int64_t next_connect_ms = 0;
     bool ever_connected = false;
@@ -224,25 +126,20 @@ class Transport final : public Network {
   void FlushConn(int fd);
   void CloseConn(int fd, bool schedule_reconnect);
   void UpdateMask(Conn* conn, uint32_t mask);
-  void FlushStaged(Peer* peer);
+  /// Ships `name`'s unsent reliable frames onto its connection, if up.
+  void FlushStaged(const std::string& name, const Peer& peer);
   void HousekeepConnections();
-  util::Status HandleFrame(int fd, Frame frame);
+  util::Status HandleFrame(int fd, const Frame& frame);
   Conn* FindConn(int fd);
+  /// The outbound connection to `peer`, or nullptr while it is down.
+  Conn* Connection(const Peer& peer);
 
-  std::string self_;
   Options options_;
   EventLoop loop_;
-  FrameHandler handler_;
-  ConnectHandler on_connect_;
   int listen_fd_ = -1;
   uint16_t listen_port_ = 0;
   std::map<std::string, Peer> peers_;
   std::map<int, Conn> conns_;
-  /// Sequence numbers already delivered per sending peer (duplicate
-  /// detection for stats; duplicates are still delivered to the handler to
-  /// exercise end-to-end idempotency).
-  std::map<std::string, std::unordered_set<uint64_t>> delivered_in_;
-  WireCounters* wire_;
   util::Status deferred_error_;
   uint64_t reliable_frames_queued_ = 0;  ///< for the forced-drop knob
   std::string drop_pending_peer_;        ///< armed forced drop (knob)

@@ -266,6 +266,51 @@ TEST(ExplainTest, PreparedQueryExplainRendersItsPlan) {
   EXPECT_EQ(parser.heads()[0], "path");
 }
 
+/// The lines of `page` that start with `prefix`.
+size_t CountLines(const std::string& page, const std::string& prefix) {
+  size_t n = 0;
+  for (size_t at = page.find(prefix); at != std::string::npos;
+       at = page.find(prefix, at + 1)) {
+    n += at == 0 || page[at - 1] == '\n' ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(ExplainTest, RulesOfOneHeadAreNumberedApart) {
+  Workspace ws;
+  ASSERT_TRUE(ws.Load("edge(1,2). edge(2,3).\n"
+                      "path(X,Y) <- edge(X,Y).\n"
+                      "path(X,Z) <- path(X,Y), edge(Y,Z).\n")
+                  .ok());
+  ASSERT_TRUE(ws.Fixpoint().ok());
+
+  // Ids follow install order, and each rule has its own header and series.
+  const std::string text = ws.ExplainRules();
+  const size_t first = text.find("rule 1 [head=path");
+  const size_t second = text.find("rule 2 [head=path");
+  ASSERT_NE(first, std::string::npos) << text;
+  ASSERT_NE(second, std::string::npos) << text;
+  EXPECT_LT(first, second);
+  const std::string page = ws.metrics()->RenderText();
+  EXPECT_EQ(CountLines(page, "lbtrust_rule_evals_total{head=\"path\""), 2u)
+      << page;
+  EXPECT_TRUE(Contains(page, "{head=\"path\",rule=\"1\"}")) << page;
+  EXPECT_TRUE(Contains(page, "{head=\"path\",rule=\"2\"}")) << page;
+
+  // Prepared queries of one head share one label value: preparing more
+  // handles registers no new series.
+  auto first_query = ws.Prepare("path(1,X)");
+  ASSERT_TRUE(first_query.ok()) << first_query.status().ToString();
+  const size_t series = CountLines(ws.metrics()->RenderText(), "lbtrust_");
+  for (int i = 2; i <= 20; ++i) {
+    auto query = ws.Prepare("path(" + std::to_string(i) + ",X)");
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+  }
+  EXPECT_EQ(CountLines(ws.metrics()->RenderText(), "lbtrust_"), series);
+  EXPECT_TRUE(Contains(first_query->Explain(), "rule 0 [head=path"))
+      << first_query->Explain();
+}
+
 TEST(ExplainTest, UnevaluatedRuleReadsAsZerosNotErrors) {
   Workspace ws;
   ASSERT_TRUE(ws.Load("r(X) <- s(X), t(X).").ok());

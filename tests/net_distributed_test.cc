@@ -1,6 +1,8 @@
 #include "net/distributed.h"
 
+#include <atomic>
 #include <functional>
+#include <iostream>
 #include <map>
 #include <memory>
 #include <string>
@@ -81,6 +83,8 @@ struct SimResult {
   std::map<std::string, std::string> dumps;
   std::map<std::string, size_t> tuples_out;
   SimCluster::RunStats stats;
+  /// The resend path's counters, summed over the nodes.
+  uint64_t retries = 0, reconnects = 0, duplicates = 0;
 };
 
 /// Runs the scenario in process on a SimCluster scheduled by `seed` and
@@ -111,7 +115,11 @@ util::Result<SimResult> RunSimulated(const NodeSetup& setup,
     result.dumps[n] = datalog::DumpWorkspace(*cluster->node(n)->workspace(),
                                              /*max_rows=*/0,
                                              /*sort_rules=*/true);
-    result.tuples_out[n] = cluster->member(n)->stats().tuples_out;
+    const DistributedCluster::RunStats stats = cluster->member(n)->stats();
+    result.tuples_out[n] = stats.tuples_out;
+    result.retries += stats.transport.retries;
+    result.reconnects += stats.transport.reconnects;
+    result.duplicates += stats.transport.duplicate_frames_in;
   }
   return result;
 }
@@ -333,7 +341,9 @@ TEST(SimClusterTest, DefaultScheduleReproducesPinnedDumps) {
 }
 
 /// Every seed in [1, seeds] must converge to the pinned dumps and ship
-/// exactly what the bulk-synchronous schedule ships, node by node. Seeds
+/// exactly what the bulk-synchronous schedule ships, node by node, and the
+/// sweep as a whole must have run the resend path: connection resets made
+/// links resend (retries, reconnects) and receivers see repeats. Seeds
 /// are independent meshes, swept on a few threads; each thread reports
 /// its first failing seed, which replays exactly through RunSimulated.
 void SweepSeeds(const std::string& scenario, const NodeSetup& setup,
@@ -344,11 +354,17 @@ void SweepSeeds(const std::string& scenario, const NodeSetup& setup,
   ASSERT_EQ(base->dumps, PinnedDumps(scenario));
   constexpr uint64_t kThreads = 4;
   std::vector<std::string> failures(kThreads);
+  std::atomic<uint64_t> retries{0}, reconnects{0}, duplicates{0};
   std::vector<std::thread> threads;
   for (uint64_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (uint64_t seed = 1 + t; seed <= seeds; seed += kThreads) {
         auto run = RunSimulated(setup, linked_credential, scheme, seed);
+        if (run.ok()) {
+          retries += run->retries;
+          reconnects += run->reconnects;
+          duplicates += run->duplicates;
+        }
         std::string failure =
             !run.ok()                             ? run.status().ToString()
             : run->dumps != base->dumps           ? "dumps differ from seed 0"
@@ -365,6 +381,12 @@ void SweepSeeds(const std::string& scenario, const NodeSetup& setup,
   for (const std::string& failure : failures) {
     EXPECT_TRUE(failure.empty()) << failure;
   }
+  std::cout << "[ resends  ] " << scenario << ": retries=" << retries
+            << " reconnects=" << reconnects
+            << " duplicate_frames_in=" << duplicates << "\n";
+  EXPECT_GT(retries.load(), 0u);
+  EXPECT_GT(reconnects.load(), 0u);
+  EXPECT_GT(duplicates.load(), 0u);
   // A seed's schedule replays exactly.
   auto again = RunSimulated(setup, linked_credential, scheme, seeds);
   auto replay = RunSimulated(setup, linked_credential, scheme, seeds);
